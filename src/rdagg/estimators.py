@@ -156,14 +156,6 @@ def _control_columns(config: DesignConfig, controls: np.ndarray):
     return [], controls[:, :0]
 
 
-def _split_design(block: np.ndarray, widths: Sequence[int]) -> List[np.ndarray]:
-    parts, start = [], 0
-    for w in widths:
-        parts.append(block[:, start : start + w])
-        start += w
-    return parts
-
-
 def _weak(fit, config: DesignConfig) -> bool:
     fs = fit.first_stage
     return bool(

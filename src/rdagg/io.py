@@ -106,6 +106,9 @@ def load_units(path: str) -> List[UnitRecord]:
         uid = row["unit_id"]
         if not uid:
             raise SchemaError(f"{path}:{line}:unit_id: empty id")
+        for c in fe_cols:
+            if not row[c]:
+                raise SchemaError(f"{path}:{line}:{c}: empty fixed-effect key")
         override = row.get("treatment_override", "")
         units.append(
             UnitRecord(

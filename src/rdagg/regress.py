@@ -2,7 +2,7 @@
 
 Everything estimated in this package reduces to the primitives here: weighted
 least squares, just-identified two-stage least squares, weighted
-residualization (partialling out), iterative fixed-effect absorption, and the
+residualization (partialling out), fixed-effect sweeps by bincount, and the
 HC1 sandwich covariance. All routines are pure functions of their inputs and
 produce identical output for identical inputs in identical column order.
 
@@ -192,17 +192,6 @@ def hc1_cov(
     bread_inv = np.linalg.solve(bread, np.eye(bread.shape[0]))
     cov = bread_inv @ meat @ bread_inv
     return np.sqrt(np.clip(np.diag(cov), 0.0, None)), cov
-
-
-def hc1_se(
-    regressors: np.ndarray,
-    residuals: np.ndarray,
-    weights: np.ndarray,
-    extra_dof: int = 0,
-) -> np.ndarray:
-    """Per-coefficient HC1 robust standard errors; see hc1_cov."""
-    se, _ = hc1_cov(regressors, residuals, weights, extra_dof=extra_dof)
-    return se
 
 
 def _fit_core(y, X, labels, w, extra_dof: int, design_for_se=None) -> FitResult:
@@ -424,13 +413,6 @@ def _key_dimensions(fe_keys) -> list:
     return [fe_keys]
 
 
-def _group_means(cols: np.ndarray, w: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
-    wsum = np.bincount(codes, weights=w, minlength=n_groups)
-    sums = np.zeros((n_groups, cols.shape[1]))
-    np.add.at(sums, codes, cols * w[:, None])
-    return sums / np.where(wsum > 0, wsum, 1.0)[:, None]
-
-
 def absorb_fixed_effects(
     columns,
     fe_keys,
@@ -445,38 +427,48 @@ def absorb_fixed_effects(
     dimensions and columns is at most ``tol``; a single dimension converges
     in one pass. Raises ConvergenceError (carrying the attained criterion)
     if ``max_iter`` sweeps do not suffice.
+
+    Each group-mean pass is one ``np.bincount`` over the cell index
+    ``code * k + column``, adding each cell's terms in row order. A sweep
+    reuses the convergence check's means of the first dimension.
     """
     C = np.asarray(columns, dtype=np.float64)
     squeeze = C.ndim == 1
     out = _as_matrix(C, "columns").copy()
-    n = out.shape[0]
-    key_sets = _key_dimensions(fe_keys)
-    dims = []
-    for keys in key_sets:
-        keys = list(keys)
+    n, k = out.shape
+    dims = [list(keys) for keys in _key_dimensions(fe_keys)]
+    for keys in dims:
         if len(keys) != n:
             raise ConfigurationError(
                 f"fixed-effect key length {len(keys)} does not match {n} rows"
             )
-        codes, n_groups = _factorize(keys)
-        dims.append((codes, n_groups))
     w = _check_weights(weights, n)
+    cells = []
+    for keys in dims:
+        codes, n_groups = _factorize(keys)
+        wsum = np.bincount(codes, weights=w, minlength=n_groups)
+        flat = (codes[:, None] * k + np.arange(k)).ravel()
+        cells.append((codes, flat, np.where(wsum > 0, wsum, 1.0)[:, None]))
+    weighted, gathered = np.empty_like(out), np.empty_like(out)
 
-    def criterion() -> float:
-        worst = 0.0
-        for codes, n_groups in dims:
-            means = _group_means(out, w, codes, n_groups)
-            worst = max(worst, float(np.abs(means).max(initial=0.0)))
-        return worst
+    def group_means(flat, divisor) -> np.ndarray:
+        np.multiply(out, w[:, None], out=weighted)
+        sums = np.bincount(flat, weights=weighted.ravel(), minlength=divisor.size * k)
+        return sums.reshape(divisor.size, k) / divisor
 
-    attained = criterion()
+    def criterion():
+        means = [group_means(flat, divisor) for _, flat, divisor in cells]
+        return max(0.0, *(float(np.abs(m).max(initial=0.0)) for m in means)), means[0]
+
+    attained, means = criterion()
     for _ in range(max_iter):
         if attained <= tol:
             break
-        for codes, n_groups in dims:
-            means = _group_means(out, w, codes, n_groups)
-            out -= means[codes]
-        attained = criterion()
+        for d, (codes, flat, divisor) in enumerate(cells):
+            if d:
+                means = group_means(flat, divisor)
+            out -= np.take(means, codes, axis=0, out=gathered)
+        attained, means = criterion()
     if attained > tol:
         raise ConvergenceError(
             f"fixed-effect absorption did not converge in {max_iter} sweeps "
@@ -489,13 +481,25 @@ def absorb_fixed_effects(
 def fixed_effect_dof(fe_keys) -> int:
     """Parameters implicitly spent by absorbed fixed effects.
 
-    Counts all groups of the first dimension and groups-minus-one for each
-    further dimension (the usual convention, ignoring disconnected-component
-    corrections).
+    One dimension spends its group count. Two spend G1 + G2 - C, the rank
+    of their dummy matrix, where C counts the connected components of the
+    graph linking groups that share a row (Abowd, Creecy & Kramarz 2002).
+    Three or more keep the usual convention, all groups of the first
+    dimension and groups-minus-one of each further one, which ignores
+    disconnected components.
     """
-    key_sets = _key_dimensions(fe_keys)
-    total = 0
-    for d, keys in enumerate(key_sets):
-        _, n_groups = _factorize(list(keys))
-        total += n_groups if d == 0 else max(n_groups - 1, 0)
-    return total
+    coded = [_factorize(list(keys)) for keys in _key_dimensions(fe_keys)]
+    if len(coded) != 2:
+        return sum(g if d == 0 else max(g - 1, 0) for d, (_, g) in enumerate(coded))
+    (codes1, g1), (codes2, g2) = coded
+    pairs = np.unique(codes1 * g2 + codes2)
+    parent = list(range(g1 + g2))
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]  # path halving
+        return a
+
+    for a, b in zip((pairs // g2).tolist(), (g1 + pairs % g2).tolist()):
+        parent[root(a)] = root(b)
+    return g1 + g2 - sum(parent[v] == v for v in range(g1 + g2))

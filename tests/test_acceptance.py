@@ -187,6 +187,7 @@ def mc_linear_bias():
     )
 
 
+@pytest.mark.slow
 def test_criterion_03_bias_panel_linear(mc_linear_bias):
     out = mc_linear_bias
     coverage_ok = True
@@ -208,6 +209,7 @@ def test_criterion_03_bias_panel_linear(mc_linear_bias):
            "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_04_quadratic_decay_signature():
     spec = DgpSpec(n_units=1000, n_subunits_per_unit=5, rho=0.5,
                    outcome_kind="kinked_quadratic")
@@ -224,6 +226,7 @@ def test_criterion_04_quadratic_decay_signature():
            passed, ", ".join(f"{k} {v:.3f}" for k, v in ratios.items()))
 
 
+@pytest.mark.slow
 def test_criterion_05_efficiency_ordering():
     spec = DgpSpec(n_units=1000, n_subunits_per_unit=5, rho=0.5,
                    outcome_kind="linear", noise_sd=1.0)
@@ -241,6 +244,7 @@ def test_criterion_05_efficiency_ordering():
            not violations, f"violations at {violations or 'none'}")
 
 
+@pytest.mark.slow
 def test_criterion_06_estimand_convergence():
     base = DgpSpec(n_units=2000, n_subunits_per_unit=5, rho=0.5,
                    outcome_kind="heterogeneous_effects",

@@ -89,6 +89,15 @@ class TestLoad:
         with pytest.raises(SchemaError, match=r"units\.csv:2:outcome"):
             load_bundle(up, sp)
 
+    def test_blank_fixed_effect_key_names_file_line_column(self, tmp_path):
+        up = write(
+            tmp_path, "units.csv",
+            "unit_id,outcome,weight,fe_region\nu1,1.0,1.0,north\nu2,2.0,1.0, \n",
+        )
+        sp = write(tmp_path, "subunits.csv", MINIMAL_SUBUNITS)
+        with pytest.raises(SchemaError, match=r"units\.csv:3:fe_region: empty"):
+            load_bundle(up, sp)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         up = write(tmp_path, "units.csv", MINIMAL_UNITS + "u1,2.0,1.0\n")
         sp = write(tmp_path, "subunits.csv", MINIMAL_SUBUNITS)

@@ -5,6 +5,8 @@ import pytest
 
 from rdagg.errors import ConfigurationError, ConvergenceError
 from rdagg.regress import (
+    FE_MAX_ITER,
+    FE_TOL,
     RegressionProblem,
     absorb_fixed_effects,
     fixed_effect_dof,
@@ -32,6 +34,57 @@ def random_problem(rng, n=50, p=4):
 def make(y, X, w, labels=None, **kw):
     labels = labels or [f"x{j}" for j in range(X.shape[1])]
     return RegressionProblem(y, X, labels, w, **kw)
+
+
+def reference_absorb(columns, key_sets, weights, tol=FE_TOL, max_iter=FE_MAX_ITER):
+    """Oracle: alternating projections with np.add.at group sums.
+
+    Every group mean is computed afresh, the first dimension's included.
+    Returns the absorbed columns and the number of sweeps taken.
+    """
+    C = np.asarray(columns, dtype=np.float64)
+    out = (C[:, None] if C.ndim == 1 else C).copy()
+    w = np.asarray(weights, dtype=np.float64)
+    dims = []
+    for keys in key_sets:
+        index = {}
+        codes = np.array([index.setdefault(k, len(index)) for k in keys], dtype=np.intp)
+        dims.append((codes, len(index)))
+
+    def group_means(codes, n_groups):
+        wsum = np.bincount(codes, weights=w, minlength=n_groups)
+        sums = np.zeros((n_groups, out.shape[1]))
+        np.add.at(sums, codes, out * w[:, None])
+        return sums / np.where(wsum > 0, wsum, 1.0)[:, None]
+
+    def criterion():
+        worst = 0.0
+        for codes, n_groups in dims:
+            worst = max(worst, float(np.abs(group_means(codes, n_groups)).max(initial=0.0)))
+        return worst
+
+    attained, sweeps = criterion(), 0
+    while attained > tol:
+        if sweeps == max_iter:
+            raise ConvergenceError("reference absorption did not converge", attained=attained)
+        for codes, n_groups in dims:
+            out -= group_means(codes, n_groups)[codes]
+        attained, sweeps = criterion(), sweeps + 1
+    return (out[:, 0] if C.ndim == 1 else out), sweeps
+
+
+def nested_panel(rng, n=400, n_states=10, block=4, local_share=0.9):
+    """Unbalanced two-way panel: Zipf-sized states, industries mostly nested
+    in their state's block, columns correlated with the state."""
+    size = 1.0 / np.arange(1, n_states + 1)
+    state = rng.choice(n_states, size=n, p=size / size.sum())
+    local = state * block + rng.integers(0, block, size=n)
+    industry = np.where(
+        rng.random(n) < local_share, local, rng.integers(0, n_states * block, size=n)
+    )
+    x = rng.normal(size=(n, 3)) + 0.3 * state[:, None]
+    w = rng.uniform(0.2, 2.0, size=n)
+    return x, [[f"s{v}" for v in state], [f"i{v}" for v in industry]], w
 
 
 class TestWls:
@@ -277,6 +330,66 @@ class TestAbsorb:
     def test_dof_counting(self):
         assert fixed_effect_dof(["a", "b", "a"]) == 2
         assert fixed_effect_dof([["a", "b", "a"], ["x", "x", "y"]]) == 3
+
+    def test_dof_counts_disconnected_components(self):
+        # {a, b, x, y} and {c, z} are separate components: 6 groups - 2.
+        assert fixed_effect_dof([["a", "a", "b", "c"], ["x", "y", "x", "z"]]) == 4
+        rng = np.random.default_rng(24)
+        for n_blocks in (1, 2, 3, 5):
+            n = 80
+            block = rng.integers(0, n_blocks, size=n)
+            g1 = block * 4 + rng.integers(0, 4, size=n)
+            g2 = block * 6 + rng.integers(0, 6, size=n)
+            dummies = np.column_stack(
+                [(g[:, None] == np.unique(g)).astype(float) for g in (g1, g2)]
+            )
+            keys = [[f"a{v}" for v in g1], [f"b{v}" for v in g2]]
+            assert fixed_effect_dof(keys) == np.linalg.matrix_rank(dummies)
+
+
+class TestAbsorbMatchesAddAtLoop:
+    """absorb_fixed_effects against the np.add.at loop, to the bit."""
+
+    @pytest.mark.parametrize("n_dims", [1, 2, 3])
+    def test_dimensions(self, n_dims):
+        rng = np.random.default_rng(30 + n_dims)
+        n = 150
+        x = rng.normal(size=(n, 4))
+        w = rng.uniform(0.1, 3.0, size=n)
+        key_sets = [[f"d{d}g{v}" for v in rng.integers(0, 5 + 3 * d, n)] for d in range(n_dims)]
+        expected, _ = reference_absorb(x, key_sets, w)
+        got = absorb_fixed_effects(x, key_sets[0] if n_dims == 1 else key_sets, w)
+        assert np.array_equal(got, expected)
+
+    def test_one_dimensional_column_stays_one_dimensional(self):
+        x, key_sets, w = nested_panel(np.random.default_rng(34), n=120)
+        expected, _ = reference_absorb(x[:, 0], key_sets, w)
+        got = absorb_fixed_effects(x[:, 0], key_sets, w)
+        assert got.shape == (120,)
+        assert np.array_equal(got, expected)
+
+    def test_zero_weight_rows_and_zero_weight_group(self):
+        rng = np.random.default_rng(35)
+        x, key_sets, w = nested_panel(rng, n=200)
+        w[rng.random(200) < 0.2] = 0.0
+        key_sets[1] = ["empty" if i % 25 == 0 else k for i, k in enumerate(key_sets[1])]
+        w[::25] = 0.0
+        expected, _ = reference_absorb(x, key_sets, w)
+        assert np.array_equal(absorb_fixed_effects(x, key_sets, w), expected)
+
+    def test_slow_converging_panel(self):
+        x, key_sets, w = nested_panel(np.random.default_rng(7))
+        expected, sweeps = reference_absorb(x, key_sets, w)
+        assert sweeps > 100
+        assert np.array_equal(absorb_fixed_effects(x, key_sets, w), expected)
+
+    def test_non_convergence_reports_same_attained(self):
+        x, key_sets, w = nested_panel(np.random.default_rng(7))
+        with pytest.raises(ConvergenceError) as expected:
+            reference_absorb(x, key_sets, w, max_iter=20)
+        with pytest.raises(ConvergenceError) as got:
+            absorb_fixed_effects(x, key_sets, w, max_iter=20)
+        assert got.value.attained == expected.value.attained
 
 
 class TestHc1:

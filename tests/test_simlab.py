@@ -207,6 +207,7 @@ class TestOracle:
         assert w_share["b"] < w_share["a"]
 
 
+@pytest.mark.slow
 def test_reduced_form_unbiased_for_linear_outcome():
     # linear confound: the stacked reduced form is unbiased in expectation
     spec = DgpSpec(n_units=300, outcome_kind="linear", seed=16)
@@ -227,6 +228,7 @@ def test_default_grid_values():
     assert set(np.round(np.diff(DEFAULT_H_GRID), 10)) == {0.1}
 
 
+@pytest.mark.slow
 def test_robustness_variants_preserve_bias_ordering():
     """Heterogeneous weights, single-subunit outcome, doubled sizes: the
     under-controlled benchmark still has (much) larger bias than both
