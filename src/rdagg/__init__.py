@@ -10,19 +10,12 @@ from .design import (
     AttributeFilter,
     DesignConfig,
     SpilloverGraph,
-    StackedRow,
     SubunitRecord,
     UnitRecord,
-    aggregate_treatment,
-    build_instrument,
-    build_rda_controls,
-    build_spillover_exposure,
-    close_set,
-    collapse_by_intervention,
-    kernel_weight,
+    build_stack,
     parse_filter,
     partition_graph,
-    stack_lower,
+    unit_exposures,
 )
 from .diagnostics import (
     BalanceReport,

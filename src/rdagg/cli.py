@@ -18,7 +18,7 @@ from dataclasses import asdict
 from typing import Dict, List, Optional
 
 from . import __version__
-from .design import DesignConfig, parse_filter
+from .design import DesignConfig, build_stack, parse_filter
 from .diagnostics import (
     balance_test,
     counterfactual_path,
@@ -43,7 +43,6 @@ from .simlab import (
     DgpSpec,
     run_monte_carlo,
 )
-from .design import stack_lower
 
 CONTROL_ALIASES = {"all": "all_three_rda", "total-weight": "total_weight_only", "none": "none"}
 
@@ -202,7 +201,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--kernel", choices=("uniform", "triangular"), default=None)
     p.add_argument("--controls", choices=tuple(CONTROL_ALIASES), default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--weight-cap", type=float, default=None,
                    help="drop units whose total subunit weight exceeds this cap")
 
@@ -482,8 +480,8 @@ def _run(args) -> int:
         return 0
 
     if cmd == "plot-data":
-        rows = stack_lower(bundle.units, bundle.subunits, config)
-        data = rd_plot_data(points_from_stack(rows, value=args.value),
+        stack = build_stack(bundle.units, bundle.subunits, config)
+        data = rd_plot_data(points_from_stack(stack, bundle.subunits, value=args.value),
                             n_bins_per_side=args.bins, cutoff_rule=config.cutoff_rule)
         lines = ["side,running,value,weight,n"]
         for b in data.bins:

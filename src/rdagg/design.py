@@ -1,10 +1,18 @@
 """Data model and construction of every aggregated-discontinuity ingredient.
 
 Subunits are discontinuity events (a running variable, an importance weight,
-optionally an observed win flag); units carry the outcome. From these the
-module builds close-event sets, the shift-share instrument, the three
-aggregated local-linear controls, aggregated treatments, stacked lower-level
-samples, kernel weights, and spillover exposures over a bipartite graph.
+optionally an observed win flag); units carry the outcome. Every aggregate
+is read off one edge index: two integer arrays mapping each edge to a unit
+row and to an event. Without a spillover graph the index is the partition
+graph, where event j links only to its own unit; with one, an event may link
+to many units. Per-event arrays (running value, importance, cutoff
+indicator, treatment outcome, close-set membership) are computed once and
+summed over edges with ``np.bincount``.
+
+Two things are built on that index: the unit exposures (treatment,
+shift-share instrument, and the three aggregated local-linear controls) and
+the stack, one row per (unit, close event) edge, which every stacked
+estimator reads.
 
 Construction is pure and deterministic: outputs are ordered by id and depend
 only on the inputs.
@@ -14,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,22 +165,6 @@ class DesignConfig:
 
 
 @dataclass(frozen=True)
-class StackedRow:
-    """One close subunit with its unit's outcome and treatment repeated."""
-
-    subunit_id: str
-    unit_id: str
-    outcome: float
-    treatment: float
-    q: Tuple[float, float, float]
-    instrument: float
-    weight: float
-    kernel_weight: float
-    fe_keys: dict = field(default_factory=dict)
-    extra_controls: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class SpilloverGraph:
     """Bipartite links from outcome units to intervention subunits.
 
@@ -182,53 +174,10 @@ class SpilloverGraph:
 
     edges: Tuple[Tuple[str, str], ...]
 
-    def incident_subunits(self) -> Dict[str, List[str]]:
-        out: Dict[str, List[str]] = {}
-        for unit_id, subunit_id in self.edges:
-            out.setdefault(unit_id, []).append(subunit_id)
-        return out
-
-    def incident_units(self) -> Dict[str, List[str]]:
-        out: Dict[str, List[str]] = {}
-        for unit_id, subunit_id in self.edges:
-            out.setdefault(subunit_id, []).append(unit_id)
-        return out
-
 
 def partition_graph(subunits: Sequence[SubunitRecord]) -> SpilloverGraph:
     """The graph linking every subunit only to its own unit."""
     return SpilloverGraph(tuple((s.unit_id, s.subunit_id) for s in subunits))
-
-
-def cutoff_indicator(running: float, cutoff_rule: str) -> float:
-    if cutoff_rule == "geq":
-        return 1.0 if running >= 0.0 else 0.0
-    return 1.0 if running > 0.0 else 0.0
-
-
-def kernel_weight(running: float, bandwidth: float, kernel: str) -> float:
-    """Kernel weight at |running| <= bandwidth: uniform 1, triangular 1-|r|/h."""
-    if kernel not in KERNELS:
-        raise ConfigurationError(f"kernel must be one of {KERNELS}")
-    if abs(running) > bandwidth:
-        raise ConfigurationError(
-            f"running value {running:g} outside bandwidth {bandwidth:g}"
-        )
-    if kernel == "uniform":
-        return 1.0
-    return 1.0 - abs(running) / bandwidth
-
-
-def is_close(subunit: SubunitRecord, config: DesignConfig) -> bool:
-    """Bandwidth, tie policy, and every attribute filter, all at once."""
-    if abs(subunit.running) > config.bandwidth:
-        return False
-    if config.tie_policy == "drop_exact_zero" and subunit.running == 0.0:
-        return False
-    for predicate in config.filters:
-        if not predicate(subunit):
-            return False
-    return True
 
 
 def running_values(subunits: Sequence[SubunitRecord]) -> np.ndarray:
@@ -258,37 +207,11 @@ def close_mask(
     return mask
 
 
-def close_set(
-    subunits: Sequence[SubunitRecord], config: DesignConfig
-) -> Dict[str, List[SubunitRecord]]:
-    """Map unit_id -> its close subunits, ordered by subunit_id.
-
-    Units with no close subunit do not appear; callers use .get(uid, []).
-    """
-    grouped: Dict[str, List[SubunitRecord]] = {}
-    for s in subunits:
-        if is_close(s, config):
-            grouped.setdefault(s.unit_id, []).append(s)
-    return {
-        uid: sorted(members, key=lambda s: s.subunit_id)
-        for uid, members in sorted(grouped.items())
-    }
-
-
-def _treatment_values(
-    subunits: Sequence[SubunitRecord], z: np.ndarray, config: DesignConfig
-) -> np.ndarray:
-    """Per-subunit treatment outcome t_j under the configured basis."""
-    if config.instrument_basis == "win_flag":
-        vals = np.empty(len(subunits))
-        for i, s in enumerate(subunits):
-            if s.win_flag is None:
-                raise ConfigurationError(
-                    f"instrument_basis=win_flag but subunit '{s.subunit_id}' has no win_flag"
-                )
-            vals[i] = 1.0 if s.win_flag else 0.0
-        return vals
-    return z
+def kernel_weights(r: np.ndarray, config: DesignConfig) -> np.ndarray:
+    """Kernel weight of in-band running values: uniform 1, triangular 1-|r|/h."""
+    if config.kernel == "uniform":
+        return np.ones(len(r))
+    return 1.0 - np.abs(r) / config.bandwidth
 
 
 @dataclass
@@ -301,11 +224,99 @@ class UnitExposures:
     controls: np.ndarray  # columns: total weight, sum s*r, sum s*r_plus
 
 
-def _require_uniform_kernel(config: DesignConfig, what: str):
-    if config.kernel != "uniform":
-        raise ConfigurationError(
-            f"{what} requires the uniform kernel; kernel weights do not apply here"
+@dataclass(frozen=True)
+class _EdgeIndex:
+    """The edge index: units sorted by id, edge -> unit row, edge -> event,
+    and the per-event arrays every aggregate reads."""
+
+    order: List[UnitRecord]
+    unit_row: np.ndarray
+    event: np.ndarray
+    running: np.ndarray
+    importance: np.ndarray
+    instrument: np.ndarray
+    treatment: np.ndarray
+    close: np.ndarray
+
+
+def _edge_index(
+    units: Sequence[UnitRecord],
+    subunits: Sequence[SubunitRecord],
+    config: DesignConfig,
+    graph: Optional[SpilloverGraph],
+) -> _EdgeIndex:
+    """Resolve records (and a graph) into the edge index.
+
+    Without a graph, edge j is event j linked to its owning unit. Dangling
+    references raise.
+    """
+    order = sorted(units, key=lambda u: u.unit_id)
+    uindex = {u.unit_id: i for i, u in enumerate(order)}
+    if len(uindex) != len(order):
+        raise IntegrityError("duplicate unit ids")
+    if graph is None:
+        for s in subunits:
+            if s.unit_id not in uindex:
+                raise IntegrityError(
+                    f"subunit '{s.subunit_id}' references unknown unit '{s.unit_id}'"
+                )
+        unit_row = np.fromiter(
+            (uindex[s.unit_id] for s in subunits), dtype=np.intp, count=len(subunits)
         )
+        event = np.arange(len(subunits))
+    else:
+        sindex = {s.subunit_id: j for j, s in enumerate(subunits)}
+        if len(sindex) != len(subunits):
+            raise IntegrityError("duplicate subunit ids")
+        for unit_id, subunit_id in graph.edges:
+            if unit_id not in uindex:
+                raise IntegrityError(f"edge references unknown unit '{unit_id}'")
+            if subunit_id not in sindex:
+                raise IntegrityError(f"edge references unknown subunit '{subunit_id}'")
+        unit_row = np.array([uindex[u] for u, _ in graph.edges], dtype=np.intp)
+        event = np.array([sindex[s] for _, s in graph.edges], dtype=np.intp)
+
+    r = running_values(subunits)
+    z = cutoff_indicators(r, config.cutoff_rule)
+    t = z
+    if config.instrument_basis == "win_flag":
+        t = np.array([np.nan if s.win_flag is None else float(bool(s.win_flag))
+                      for s in subunits])
+        missing = event[np.isnan(t[event])]
+        if missing.size:
+            raise ConfigurationError(
+                f"instrument_basis=win_flag but subunit '{subunits[missing[0]].subunit_id}' "
+                f"has no win_flag"
+            )
+    return _EdgeIndex(
+        order, unit_row, event, r, importance_values(subunits), z, t,
+        close_mask(subunits, r, config),
+    )
+
+
+def _unit_sum(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    # bincount gives int64 zeros when no row is given
+    return np.bincount(rows, weights=values, minlength=n).astype(np.float64, copy=False)
+
+
+def _exposures(e: _EdgeIndex) -> UnitExposures:
+    """Sum each unit's edges: the treatment over all of them, the instrument
+    and the controls over close ones. Sums run in edge order."""
+    n = len(e.order)
+    s_w, r, z = e.importance[e.event], e.running[e.event], e.instrument[e.event]
+    close = e.close[e.event]
+    rows = e.unit_row[close]
+
+    def close_sum(values):
+        return _unit_sum(rows, values[close], n)
+
+    treatment = _unit_sum(e.unit_row, s_w * e.treatment[e.event], n)
+    instrument = close_sum(s_w * z)
+    controls = np.column_stack([close_sum(s_w), close_sum(s_w * r), close_sum(s_w * r * z)])
+    for i, u in enumerate(e.order):
+        if u.treatment_override is not None:
+            treatment[i] = float(u.treatment_override)
+    return UnitExposures([u.unit_id for u in e.order], treatment, instrument, controls)
 
 
 def unit_exposures(
@@ -322,213 +333,56 @@ def unit_exposures(
     controls aggregate over close ones only. A unit-level treatment_override
     replaces the aggregate for that unit.
     """
-    order = sorted(units, key=lambda u: u.unit_id)
-    unit_ids = [u.unit_id for u in order]
-    uindex = {uid: i for i, uid in enumerate(unit_ids)}
-    if len(uindex) != len(unit_ids):
-        raise IntegrityError("duplicate unit ids")
-    n = len(order)
-
-    if graph is None:
-        pairs = [(s.unit_id, s) for s in subunits]
-        for uid, s in pairs:
-            if uid not in uindex:
-                raise IntegrityError(
-                    f"subunit '{s.subunit_id}' references unknown unit '{uid}'"
-                )
-    else:
-        by_subunit = {s.subunit_id: s for s in subunits}
-        if len(by_subunit) != len(subunits):
-            raise IntegrityError("duplicate subunit ids")
-        pairs = []
-        for unit_id, subunit_id in graph.edges:
-            if unit_id not in uindex:
-                raise IntegrityError(f"edge references unknown unit '{unit_id}'")
-            if subunit_id not in by_subunit:
-                raise IntegrityError(f"edge references unknown subunit '{subunit_id}'")
-            pairs.append((unit_id, by_subunit[subunit_id]))
-
-    treatment = np.zeros(n)
-    instrument = np.zeros(n)
-    controls = np.zeros((n, 3))
-    if pairs:
-        rows = np.fromiter((uindex[uid] for uid, _ in pairs), dtype=np.intp, count=len(pairs))
-        subs = [s for _, s in pairs]
-        s_w = importance_values(subs)
-        r = running_values(subs)
-        z = cutoff_indicators(r, config.cutoff_rule)
-        t = _treatment_values(subs, z, config)
-        close = close_mask(subs, r, config)
-
-        np.add.at(treatment, rows, s_w * t)
-        crows = rows[close]
-        np.add.at(instrument, crows, (s_w * z)[close])
-        np.add.at(controls[:, 0], crows, s_w[close])
-        np.add.at(controls[:, 1], crows, (s_w * r)[close])
-        np.add.at(controls[:, 2], crows, (s_w * r * z)[close])
-
-    for i, u in enumerate(order):
-        if u.treatment_override is not None:
-            treatment[i] = float(u.treatment_override)
-    return UnitExposures(unit_ids, treatment, instrument, controls)
-
-
-def build_instrument(
-    units: Sequence[UnitRecord],
-    subunits: Sequence[SubunitRecord],
-    config: DesignConfig,
-) -> Dict[str, float]:
-    """Shift-share instrument: sum of s_j * z_j over each unit's close set.
-
-    Units with an empty close set get 0 and stay in the sample. Requires the
-    uniform kernel: kernel weighting has no place in this aggregation.
-    """
-    _require_uniform_kernel(config, "instrument construction")
-    exp = unit_exposures(units, subunits, config)
-    return dict(zip(exp.unit_ids, exp.instrument.tolist()))
-
-
-def build_rda_controls(
-    units: Sequence[UnitRecord],
-    subunits: Sequence[SubunitRecord],
-    config: DesignConfig,
-) -> Dict[str, Tuple[float, float, float]]:
-    """The aggregated control triple (sum s, sum s*r, sum s*r_plus) per unit."""
-    _require_uniform_kernel(config, "aggregated-control construction")
-    exp = unit_exposures(units, subunits, config)
-    return {uid: tuple(row) for uid, row in zip(exp.unit_ids, exp.controls.tolist())}
-
-
-def aggregate_treatment(
-    units: Sequence[UnitRecord],
-    subunits: Sequence[SubunitRecord],
-    config: DesignConfig,
-) -> Dict[str, float]:
-    """Unit treatment: sum of s_j * t_j over ALL of the unit's subunits.
-
-    t_j is the win flag under instrument_basis=win_flag (missing flags are an
-    error naming the subunit), else the cutoff indicator. A unit's
-    treatment_override wins over the aggregate.
-    """
-    exp = unit_exposures(units, subunits, config)
-    return dict(zip(exp.unit_ids, exp.treatment.tolist()))
-
-
-def stack_lower(
-    units: Sequence[UnitRecord],
-    subunits: Sequence[SubunitRecord],
-    config: DesignConfig,
-) -> List[StackedRow]:
-    """One row per close subunit, repeating the owning unit's outcome and treatment.
-
-    Rows are ordered by (unit_id, subunit_id). Total row count is the sum of
-    close-set sizes; units with empty close sets contribute nothing.
-    """
-    by_unit = {u.unit_id: u for u in units}
-    if len(by_unit) != len(units):
-        raise IntegrityError("duplicate unit ids")
-    treatment = aggregate_treatment(units, subunits, config)
-    members = close_set(subunits, config)
-    rows: List[StackedRow] = []
-    for uid in sorted(members):
-        unit = by_unit.get(uid)
-        if unit is None:
-            raise IntegrityError(f"subunit references unknown unit '{uid}'")
-        for s in members[uid]:
-            z = cutoff_indicator(s.running, config.cutoff_rule)
-            rows.append(
-                StackedRow(
-                    subunit_id=s.subunit_id,
-                    unit_id=uid,
-                    outcome=unit.outcome,
-                    treatment=treatment[uid],
-                    q=(1.0, s.running, s.running * z),
-                    instrument=z,
-                    weight=s.importance,
-                    kernel_weight=kernel_weight(s.running, config.bandwidth, config.kernel),
-                    fe_keys=dict(unit.fe_keys),
-                    extra_controls=dict(unit.extra_controls),
-                )
-            )
-    return rows
-
-
-def build_spillover_exposure(
-    graph: SpilloverGraph,
-    subunits: Sequence[SubunitRecord],
-    units: Sequence[UnitRecord],
-    config: DesignConfig,
-) -> Dict[str, Tuple[float, float, Tuple[float, float, float]]]:
-    """Per-unit (treatment, instrument, control triple) over graph edges.
-
-    Same formulas as the non-spillover builders, with each unit's subunit set
-    given by its edges; a subunit may contribute to many units. Units with no
-    edges get zeros. Dangling edges raise.
-    """
-    _require_uniform_kernel(config, "instrument construction")
-    exp = unit_exposures(units, subunits, config, graph=graph)
-    return {
-        uid: (float(x), float(z), tuple(q))
-        for uid, x, z, q in zip(
-            exp.unit_ids, exp.treatment, exp.instrument, exp.controls.tolist()
-        )
-    }
+    return _exposures(_edge_index(units, subunits, config, graph))
 
 
 @dataclass(frozen=True)
-class CollapsedRecord:
-    """One close intervention subunit with its neighbors averaged out."""
+class Stack:
+    """The stacked sample: one row per (unit, close event) edge.
 
-    subunit_id: str
-    mean_outcome: float
-    mean_treatment: float
-    n_units: int
-    weight: float  # importance * number of neighbors
-    running: float
-    instrument: float
-    q: Tuple[float, float, float]
+    Rows are ordered by (unit_id, subunit_id). ``unit_row`` indexes
+    ``unit_ids`` (every unit, sorted); ``event`` indexes the subunit
+    sequence the stack was built from. Each row repeats its unit's outcome
+    and aggregate treatment; ``kernel`` is the row's kernel weight.
+    ``n_close_events`` counts close events, linked or not.
+    """
+
+    unit_ids: List[str]
+    unit_row: np.ndarray
+    event: np.ndarray
+    running: np.ndarray
+    instrument: np.ndarray
+    importance: np.ndarray
+    kernel: np.ndarray
+    outcome: np.ndarray
+    treatment: np.ndarray
+    n_close_events: int
 
 
-def collapse_by_intervention(
-    graph: SpilloverGraph,
+def build_stack(
     units: Sequence[UnitRecord],
     subunits: Sequence[SubunitRecord],
     config: DesignConfig,
-) -> Tuple[List[CollapsedRecord], List[str]]:
-    """Collapse the bilateral spillover sample to the intervention level.
-
-    For each close subunit j, averages outcome and treatment over the units
-    linked to j (unweighted means) and assigns weight s_j * N_j. Close
-    subunits with no linked units are dropped; their ids come back in the
-    second return value.
-    """
-    exposures = unit_exposures(units, subunits, config, graph=graph)
-    xmap = dict(zip(exposures.unit_ids, exposures.treatment))
-    ymap = {u.unit_id: u.outcome for u in units}
-    incident = graph.incident_units()
-    records: List[CollapsedRecord] = []
-    dropped: List[str] = []
-    for s in sorted(subunits, key=lambda s: s.subunit_id):
-        if not is_close(s, config):
-            continue
-        neighbor_ids = incident.get(s.subunit_id, [])
-        if not neighbor_ids:
-            dropped.append(s.subunit_id)
-            continue
-        ys = [ymap[uid] for uid in neighbor_ids]
-        xs = [xmap[uid] for uid in neighbor_ids]
-        z = cutoff_indicator(s.running, config.cutoff_rule)
-        n_units = len(neighbor_ids)
-        records.append(
-            CollapsedRecord(
-                subunit_id=s.subunit_id,
-                mean_outcome=float(np.mean(ys)),
-                mean_treatment=float(np.mean(xs)),
-                n_units=n_units,
-                weight=s.importance * n_units,
-                running=s.running,
-                instrument=z,
-                q=(1.0, s.running, s.running * z),
-            )
-        )
-    return records, dropped
+    graph: Optional[SpilloverGraph] = None,
+) -> Stack:
+    """The stacked sample over the edge index; without a graph, the partition
+    graph (each close event paired with its own unit)."""
+    e = _edge_index(units, subunits, config, graph)
+    exp = _exposures(e)
+    keep = np.flatnonzero(e.close[e.event])
+    sids = np.array([subunits[j].subunit_id for j in e.event[keep].tolist()])
+    keep = keep[np.lexsort((sids, e.unit_row[keep]))]
+    unit_row, event = e.unit_row[keep], e.event[keep]
+    r = e.running[event]
+    return Stack(
+        unit_ids=exp.unit_ids,
+        unit_row=unit_row,
+        event=event,
+        running=r,
+        instrument=e.instrument[event],
+        importance=e.importance[event],
+        kernel=kernel_weights(r, config),
+        outcome=np.array([u.outcome for u in e.order])[unit_row],
+        treatment=exp.treatment[unit_row],
+        n_close_events=int(e.close.sum()),
+    )

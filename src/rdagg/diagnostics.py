@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import stats
 
-from .design import DesignConfig, SubunitRecord, UnitRecord, unit_exposures
+from .design import DesignConfig, Stack, SubunitRecord, UnitRecord, unit_exposures
 from .errors import ConfigurationError, EstimationError
 from .estimators import INTERCEPT, _control_columns, _sorted_units
 from .regress import RegressionProblem, wls_fit
@@ -169,18 +169,25 @@ class RdPlotData:
     notices: List[str] = field(default_factory=list)
 
 
-def points_from_stack(rows, value: str = "outcome") -> List[Tuple[float, float, float, str]]:
-    """(running, value, weight, id) tuples from stacked rows.
+def points_from_stack(
+    stack: Stack, subunits: Sequence[SubunitRecord], value: str = "outcome"
+) -> List[Tuple[float, float, float, str]]:
+    """(running, value, weight, id) tuples from the rows of a stack built
+    from ``subunits``.
 
     ``value`` picks the plotted column: 'outcome', 'treatment', or
     'instrument'. Row weight is importance times kernel weight.
     """
-    if value not in ("outcome", "treatment", "instrument"):
+    columns = {"outcome": stack.outcome, "treatment": stack.treatment,
+               "instrument": stack.instrument}
+    if value not in columns:
         raise ConfigurationError("value must be outcome, treatment, or instrument")
-    return [
-        (row.q[1], getattr(row, value), row.weight * row.kernel_weight, row.subunit_id)
-        for row in rows
-    ]
+    return list(zip(
+        stack.running.tolist(),
+        columns[value].tolist(),
+        (stack.importance * stack.kernel).tolist(),
+        [subunits[j].subunit_id for j in stack.event.tolist()],
+    ))
 
 
 def _greedy_bins(order: np.ndarray, weights: np.ndarray, n_bins: int) -> np.ndarray:

@@ -5,6 +5,11 @@ aggregated controls), the lower-level stacking IV (fuzzy local-linear
 regression on pooled close subunits with unit outcomes repeated), the
 under-controlled benchmark, the sharp local-linear baseline, the spillover
 variants, and the verifier for the exact upper/lower numerical equivalence.
+
+Every stacked estimator reads the one stack of ``design.build_stack``: the
+lower-level IV is the bilateral spillover IV on the partition graph, the
+collapsed spillover IV groups the same stack by event, and the verifier
+broadcasts unit-level residuals through its unit rows.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ from .design import (
     AGG_RUNNING,
     AGG_RUNNING_POS,
     AGG_WEIGHT,
+    build_stack,
     close_mask,
-    cutoff_indicator,
     cutoff_indicators,
-    is_close,
-    kernel_weight,
+    importance_values,
+    kernel_weights,
     running_values,
     unit_exposures,
 )
@@ -305,64 +310,7 @@ def estimate_upper(
     )
 
 
-def _kernel_weights(r: np.ndarray, config: DesignConfig) -> np.ndarray:
-    if config.kernel == "uniform":
-        return np.ones(len(r))
-    return 1.0 - np.abs(r) / config.bandwidth
-
-
-def _stack_arrays(
-    units: Sequence[UnitRecord],
-    subunits: Sequence[SubunitRecord],
-    config: DesignConfig,
-):
-    """Array form of the stacked sample, ordered by (unit_id, subunit_id)."""
-    order = _sorted_units(units)
-    exp = unit_exposures(order, subunits, config)
-    uindex = {uid: i for i, uid in enumerate(exp.unit_ids)}
-    r_all = running_values(subunits)
-    mask = close_mask(subunits, r_all, config)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return order, [], None
-    uids = np.array([subunits[i].unit_id for i in idx])
-    sids = np.array([subunits[i].subunit_id for i in idx])
-    idx = idx[np.lexsort((sids, uids))]
-
-    r = r_all[idx]
-    z = cutoff_indicators(r, config.cutoff_rule)
-    s_w = np.array([subunits[i].importance for i in idx])
-    k_w = _kernel_weights(r, config)
-    urow = np.fromiter(
-        (uindex[subunits[i].unit_id] for i in idx), dtype=np.intp, count=len(idx)
-    )
-    y_units = np.array([u.outcome for u in order])
-    e_units = np.array([u.analysis_weight for u in order])
-    y = y_units[urow]
-    x = exp.treatment[urow]
-    e = e_units[urow]
-    weights = s_w * k_w * (e if config.lower_unit_weights else 1.0)
-    extras = _extra_labels(order)
-    extra_mat = _extra_matrix(order, extras)[urow] if extras else None
-    fe_unit = _fe_keys(order, config.fe_dimensions)
-    fe_lists = [[keys[i] for i in urow] for keys in fe_unit]
-    arrays = {
-        "r": r,
-        "z": z,
-        "y": y,
-        "x": x,
-        "weights": weights,
-        "importance": s_w,
-        "analysis": e,
-        "extras": extras,
-        "extra_mat": extra_mat,
-        "fe_lists": fe_lists,
-        "unit_ids": [exp.unit_ids[i] for i in urow],
-    }
-    return order, [subunits[i] for i in idx], arrays
-
-
-def _q_columns(r: np.ndarray, z: np.ndarray, config: DesignConfig, with_intercept: bool):
+def _q_columns(r: np.ndarray, z: np.ndarray, with_intercept: bool):
     cols = []
     if with_intercept:
         cols.append((INTERCEPT, np.ones(len(r))))
@@ -371,42 +319,61 @@ def _q_columns(r: np.ndarray, z: np.ndarray, config: DesignConfig, with_intercep
     return cols
 
 
-def estimate_lower(
+def _estimate_stacked(
     units: Sequence[UnitRecord],
     subunits: Sequence[SubunitRecord],
     config: DesignConfig,
-    specification: str = "lower",
+    graph: Optional[SpilloverGraph],
+    specification: str,
 ) -> EstimateResult:
-    """Stacking IV on the pooled close subunits.
+    """Stacking IV on the (unit, close event) rows of ``build_stack``.
 
-    Each row repeats the owning unit's outcome and treatment; the subunit
+    Each row repeats the unit's outcome and aggregate treatment; the event's
     cutoff indicator instruments the treatment; local-linear controls
     (intercept, running value, its above-cutoff interaction) plus the unit's
     extra controls and absorbed fixed effects enter as covariates. Row
     weights are importance times kernel weight, optionally times the unit's
     analysis weight.
     """
-    order, rows, arrays = _stack_arrays(units, subunits, config)
-    if arrays is None:
-        raise EstimationError("empty stacked sample: no close subunits pass the design")
-    with_intercept = not arrays["fe_lists"]
-    cols = _q_columns(arrays["r"], arrays["z"], config, with_intercept)
-    if arrays["extras"]:
-        cols += [
-            (lab, arrays["extra_mat"][:, j]) for j, lab in enumerate(arrays["extras"])
-        ]
+    order = _sorted_units(units)
+    stack = build_stack(order, subunits, config, graph)
+    rows = stack.unit_row
+    if not rows.size:
+        raise EstimationError(
+            "empty stacked sample: no (unit, close event) pair passes the design"
+        )
+    weights = stack.importance * stack.kernel
+    if config.lower_unit_weights:
+        weights = weights * np.array([u.analysis_weight for u in order])[rows]
+    fe_lists = [[keys[i] for i in rows] for keys in _fe_keys(order, config.fe_dimensions)]
+    cols = _q_columns(stack.running, stack.instrument, with_intercept=not fe_lists)
+    extras = _extra_labels(order)
+    if extras:
+        mat = _extra_matrix(order, extras)[rows]
+        cols += [(lab, mat[:, j]) for j, lab in enumerate(extras)]
     return _iv_estimate(
-        arrays["y"],
-        arrays["x"],
-        arrays["z"],
+        stack.outcome,
+        stack.treatment,
+        stack.instrument,
         cols,
-        arrays["weights"],
-        arrays["fe_lists"],
+        weights,
+        fe_lists,
         config,
         specification,
-        n_units=len(set(arrays["unit_ids"])),
+        n_units=len(np.unique(rows)),
         n_stacked_rows=len(rows),
     )
+
+
+def estimate_lower(
+    units: Sequence[UnitRecord],
+    subunits: Sequence[SubunitRecord],
+    config: DesignConfig,
+    specification: str = "lower",
+) -> EstimateResult:
+    """Stacking IV on the pooled close subunits, each paired with its own
+    unit: the bilateral spillover IV on the partition graph."""
+    return _estimate_stacked(units, subunits, config, None, specification)
 
 
 def verify_equivalence(
@@ -450,29 +417,21 @@ def verify_equivalence(
     else:
         y_res, x_res = y, x
 
-    index = {u.unit_id: i for i, u in enumerate(order)}
-    r_all = running_values(subunits)
-    close = np.flatnonzero(close_mask(subunits, r_all, config))
-    if close.size == 0:
+    stack = build_stack(order, subunits, config)
+    rows = stack.unit_row
+    if not rows.size:
         raise EstimationError("empty stacked sample: no close subunits pass the design")
-    stack = [subunits[i] for i in close]
-    rows = np.array([index[s.unit_id] for s in stack], dtype=np.intp)
-    r = r_all[close]
-    z = cutoff_indicators(r, config.cutoff_rule)
-    s_w = np.array([s.importance for s in stack])
-    e = np.array([order[i].analysis_weight for i in rows])
-    q_cols = _q_columns(r, z, config, with_intercept=True)
     fit = _iv_estimate(
         y_res[rows],
         x_res[rows],
-        z,
-        q_cols,
-        s_w * e,
+        stack.instrument,
+        _q_columns(stack.running, stack.instrument, with_intercept=True),
+        stack.importance * w[rows],
         [],
         config,
         "lower-equivalent",
-        n_units=len({s.unit_id for s in stack}),
-        n_stacked_rows=len(stack),
+        n_units=len(np.unique(rows)),
+        n_stacked_rows=len(rows),
     )
     beta_a, beta_b = upper.beta, fit.beta
     absolute = abs(beta_a - beta_b)
@@ -501,29 +460,27 @@ def estimate_sharp_rd(
     above-cutoff interaction) within the band, weighted by importance times
     kernel weight. Requires at least 4 observations on each side.
     """
-    rows = sorted(
-        (s for s in subunits if is_close(s, config)), key=lambda s: s.subunit_id
+    r_all = running_values(subunits)
+    idx = np.array(
+        sorted(np.flatnonzero(close_mask(subunits, r_all, config)),
+               key=lambda i: subunits[i].subunit_id),
+        dtype=np.intp,
     )
-    missing = [s.subunit_id for s in rows if s.subunit_id not in outcomes]
+    missing = [subunits[i].subunit_id for i in idx if subunits[i].subunit_id not in outcomes]
     if missing:
         raise ConfigurationError(f"missing outcomes for subunits: {missing[:5]}")
-    z = np.array([cutoff_indicator(s.running, config.cutoff_rule) for s in rows])
+    r = r_all[idx]
+    z = cutoff_indicators(r, config.cutoff_rule)
     n_right = int(z.sum())
-    n_left = len(rows) - n_right
+    n_left = len(idx) - n_right
     if n_left < 4 or n_right < 4:
         raise EstimationError(
             f"need at least 4 observations on each side of the cutoff "
             f"(got {n_left} below, {n_right} above)"
         )
-    r = np.array([s.running for s in rows])
-    y = np.array([outcomes[s.subunit_id] for s in rows])
-    weights = np.array(
-        [
-            s.importance * kernel_weight(s.running, config.bandwidth, config.kernel)
-            for s in rows
-        ]
-    )
-    design = np.column_stack([z, np.ones(len(rows)), r, r * z])
+    y = np.array([outcomes[subunits[i].subunit_id] for i in idx])
+    weights = importance_values(subunits)[idx] * kernel_weights(r, config)
+    design = np.column_stack([z, np.ones(len(idx)), r, r * z])
     fit = wls_fit(
         RegressionProblem(
             response=y,
@@ -536,8 +493,8 @@ def estimate_sharp_rd(
         specification="sharp_rd",
         beta=fit.coefficients.get(CROSSING, float("nan")),
         robust_se=fit.robust_se.get(CROSSING, float("nan")),
-        n_units=len(rows),
-        n_stacked_rows=len(rows),
+        n_units=len(idx),
+        n_stacked_rows=len(idx),
         first_stage=None,
         reduced_form=None,
         control_coefficients={
@@ -557,55 +514,10 @@ def estimate_spillover_bilateral(
     """Stacking IV on (outcome unit, close intervention subunit) pairs.
 
     The unit's exposure aggregates over all its edges; a pair exists for each
-    close linked subunit. Same mechanics as the lower-level estimator, with
-    weights given by the subunit importance (times kernel weight, and
-    optionally the unit's analysis weight).
+    close linked subunit. Same mechanics as the lower-level estimator, which
+    is this estimator on the partition graph.
     """
-    order = _sorted_units(units)
-    exp = unit_exposures(order, subunits, config, graph=graph)
-    xmap = dict(zip(exp.unit_ids, exp.treatment))
-    by_unit = {u.unit_id: u for u in order}
-    by_subunit = {s.subunit_id: s for s in subunits}
-    incident = graph.incident_units()
-    pairs = []
-    for sid in sorted(incident):
-        s = by_subunit[sid]
-        if not is_close(s, config):
-            continue
-        for uid in sorted(incident[sid]):
-            pairs.append((by_unit[uid], s))
-    if not pairs:
-        raise EstimationError("empty pair sample: no close linked subunits")
-    pair_units = [u for u, _ in pairs]
-    pair_subs = [s for _, s in pairs]
-    r = np.array([s.running for s in pair_subs])
-    z = np.array([cutoff_indicator(s.running, config.cutoff_rule) for s in pair_subs])
-    s_w = np.array([s.importance for s in pair_subs])
-    k_w = np.array(
-        [kernel_weight(s.running, config.bandwidth, config.kernel) for s in pair_subs]
-    )
-    e = np.array([u.analysis_weight for u in pair_units])
-    weights = s_w * k_w * (e if config.lower_unit_weights else 1.0)
-    y = np.array([u.outcome for u in pair_units])
-    x = np.array([xmap[u.unit_id] for u in pair_units])
-    fe_lists = _fe_keys(pair_units, config.fe_dimensions)
-    cols = _q_columns(r, z, config, with_intercept=not fe_lists)
-    extras = _extra_labels(order)
-    if extras:
-        mat = _extra_matrix(pair_units, extras)
-        cols += [(lab, mat[:, j]) for j, lab in enumerate(extras)]
-    return _iv_estimate(
-        y,
-        x,
-        z,
-        cols,
-        weights,
-        fe_lists,
-        config,
-        specification,
-        n_units=len({u.unit_id for u in pair_units}),
-        n_stacked_rows=len(pairs),
-    )
+    return _estimate_stacked(units, subunits, config, graph, specification)
 
 
 def estimate_spillover_collapsed(
@@ -621,36 +533,31 @@ def estimate_spillover_collapsed(
     controls have no intervention-level counterpart and are ignored (noted).
     Equals the bilateral estimate when no extra controls are present.
     """
-    from .design import collapse_by_intervention
-
-    records, dropped = collapse_by_intervention(graph, units, subunits, config)
-    if not records:
+    stack = build_stack(units, subunits, config, graph)
+    events, first, group, counts = np.unique(
+        stack.event, return_index=True, return_inverse=True, return_counts=True
+    )
+    if not events.size:
         raise EstimationError("no collapsed records: no close linked subunits")
     notes = []
+    dropped = stack.n_close_events - events.size
     if dropped:
-        notes.append(f"dropped {len(dropped)} close subunits with no linked units")
+        notes.append(f"dropped {dropped} close subunits with no linked units")
     if _extra_labels(units):
         notes.append("extra unit controls are ignored in the collapsed specification")
-    r = np.array([c.running for c in records])
-    z = np.array([c.instrument for c in records])
-    y = np.array([c.mean_outcome for c in records])
-    x = np.array([c.mean_treatment for c in records])
-    k_w = np.array(
-        [kernel_weight(c.running, config.bandwidth, config.kernel) for c in records]
-    )
-    weights = np.array([c.weight for c in records]) * k_w
-    cols = _q_columns(r, z, config, with_intercept=True)
+    r, z = stack.running[first], stack.instrument[first]
+    weights = stack.importance[first] * counts * stack.kernel[first]
     return _iv_estimate(
-        y,
-        x,
+        np.bincount(group, weights=stack.outcome) / counts,
+        np.bincount(group, weights=stack.treatment) / counts,
         z,
-        cols,
+        _q_columns(r, z, with_intercept=True),
         weights,
         [],
         config,
         "spillover-collapsed",
-        n_units=len(records),
-        n_stacked_rows=len(records),
+        n_units=len(events),
+        n_stacked_rows=len(events),
         extra_notes=notes,
     )
 

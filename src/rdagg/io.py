@@ -257,7 +257,14 @@ def serialize_units(units: Sequence[UnitRecord]) -> str:
     lines = [",".join(header)]
     for u in sorted(units, key=lambda u: u.unit_id):
         row = [u.unit_id, _fmt(u.outcome), _fmt(u.analysis_weight)]
-        row += [str(u.fe_keys.get(d, "")) for d in fe_dims]
+        for d in fe_dims:
+            key = str(u.fe_keys.get(d, ""))
+            if not key:
+                # load_bundle rejects a blank fixed-effect cell
+                raise SchemaError(
+                    f"unit '{u.unit_id}' has no key for fixed-effect dimension '{d}'"
+                )
+            row.append(key)
         row += [_fmt(u.extra_controls[c]) if c in u.extra_controls else "" for c in ctrl_labels]
         row.append("" if u.treatment_override is None else _fmt(u.treatment_override))
         lines.append(",".join(row))
@@ -287,11 +294,16 @@ def serialize_edges(edges: SpilloverGraph) -> str:
 
 def write_bundle(bundle: InputBundle, units_path: str, subunits_path: str,
                  edges_path: Optional[str] = None) -> None:
-    """Serialize a bundle back to canonical CSV (sorted rows, full-precision floats)."""
-    with open(units_path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_units(bundle.units))
-    with open(subunits_path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_subunits(bundle.subunits))
+    """Serialize a bundle back to canonical CSV (sorted rows, full-precision floats).
+
+    Every file is serialized before any is written, so a bundle that
+    ``load_bundle`` would reject (a unit without a key for a fixed-effect
+    dimension another unit has) raises SchemaError and writes nothing.
+    """
+    texts = [(units_path, serialize_units(bundle.units)),
+             (subunits_path, serialize_subunits(bundle.subunits))]
     if edges_path is not None and bundle.edges is not None:
-        with open(edges_path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_edges(bundle.edges))
+        texts.append((edges_path, serialize_edges(bundle.edges)))
+    for path, text in texts:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)

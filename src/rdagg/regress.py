@@ -426,7 +426,8 @@ def absorb_fixed_effects(
     Iterates until the largest absolute weighted group mean across all
     dimensions and columns is at most ``tol``; a single dimension converges
     in one pass. Raises ConvergenceError (carrying the attained criterion)
-    if ``max_iter`` sweeps do not suffice.
+    if ``max_iter`` sweeps do not suffice, and ConfigurationError on a
+    non-finite column, whose NaN group means would pass the stopping check.
 
     Each group-mean pass is one ``np.bincount`` over the cell index
     ``code * k + column``, adding each cell's terms in row order. A sweep
@@ -435,6 +436,8 @@ def absorb_fixed_effects(
     C = np.asarray(columns, dtype=np.float64)
     squeeze = C.ndim == 1
     out = _as_matrix(C, "columns").copy()
+    if not np.all(np.isfinite(out)):
+        raise ConfigurationError("columns to absorb fixed effects from must be finite")
     n, k = out.shape
     dims = [list(keys) for keys in _key_dimensions(fe_keys)]
     for keys in dims:

@@ -123,9 +123,7 @@ def _draw_design(spec: DgpSpec, rng: np.random.Generator):
 
 
 def _unit_sums(values: np.ndarray, unit_idx: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n)
-    np.add.at(out, unit_idx, values)
-    return out
+    return np.bincount(unit_idx, weights=values, minlength=n)
 
 
 def generate_dgp(

@@ -331,11 +331,12 @@ def test_criterion_09_diagnostics_identities():
     units, subs = random_bundle(rng, n_units=250, extras=4)
     cfg = DesignConfig(bandwidth=0.5)
     bal = balance_test(units, subs, cfg, target="instrument")
-    from rdagg.design import build_instrument, build_rda_controls
+    from rdagg.design import unit_exposures
 
     order = sorted(units, key=lambda u: u.unit_id)
-    z = np.array([build_instrument(order, subs, cfg)[u.unit_id] for u in order])
-    Q = np.array([build_rda_controls(order, subs, cfg)[u.unit_id] for u in order])
+    exposures = unit_exposures(order, subs, cfg)
+    z = exposures.instrument
+    Q = exposures.controls
     C = np.column_stack(
         [[u.extra_controls[f"c{k}"] for u in order] for k in range(4)]
     )

@@ -9,18 +9,15 @@ from rdagg.design import (
     SpilloverGraph,
     SubunitRecord,
     UnitRecord,
-    aggregate_treatment,
-    build_instrument,
-    build_rda_controls,
-    build_spillover_exposure,
-    close_set,
-    collapse_by_intervention,
-    kernel_weight,
+    build_stack,
+    kernel_weights,
     parse_filter,
     partition_graph,
-    stack_lower,
+    unit_exposures,
 )
 from rdagg.errors import ConfigurationError, IntegrityError
+from rdagg.estimators import estimate_spillover_collapsed, estimate_upper
+from rdagg.regress import RegressionProblem, tsls_fit
 
 
 def sub(sid, uid, r, s=1.0, win=None, **attrs):
@@ -29,6 +26,40 @@ def sub(sid, uid, r, s=1.0, win=None, **attrs):
 
 def unit(uid, y=0.0, **kw):
     return UnitRecord(uid, y, **kw)
+
+
+def close_set(subs, cfg):
+    """unit_id -> its close subunits, read off the stack's rows."""
+    units = [unit(uid) for uid in sorted({s.unit_id for s in subs})]
+    stack = build_stack(units, subs, cfg)
+    got = {}
+    for row, j in zip(stack.unit_row, stack.event):
+        got.setdefault(stack.unit_ids[row], []).append(subs[j])
+    return got
+
+
+def build_instrument(units, subs, cfg):
+    exp = unit_exposures(units, subs, cfg)
+    return dict(zip(exp.unit_ids, exp.instrument.tolist()))
+
+
+def build_rda_controls(units, subs, cfg):
+    exp = unit_exposures(units, subs, cfg)
+    return {uid: tuple(row) for uid, row in zip(exp.unit_ids, exp.controls.tolist())}
+
+
+def aggregate_treatment(units, subs, cfg):
+    exp = unit_exposures(units, subs, cfg)
+    return dict(zip(exp.unit_ids, exp.treatment.tolist()))
+
+
+def build_spillover_exposure(graph, subs, units, cfg):
+    exp = unit_exposures(units, subs, cfg, graph=graph)
+    return {
+        uid: (x, z, tuple(q))
+        for uid, x, z, q in zip(exp.unit_ids, exp.treatment.tolist(),
+                                exp.instrument.tolist(), exp.controls.tolist())
+    }
 
 
 class TestCloseSet:
@@ -93,7 +124,7 @@ class TestInstrument:
 
     def test_triangular_kernel_rejected(self):
         with pytest.raises(ConfigurationError, match="uniform"):
-            build_instrument(
+            estimate_upper(
                 [unit("u")], [sub("a", "u", 0.0)], DesignConfig(kernel="triangular")
             )
 
@@ -170,6 +201,12 @@ class TestAggregateTreatment:
         got = aggregate_treatment([unit("u", treatment_override=0.024)], subs, DesignConfig())
         assert got["u"] == 0.024
 
+    def test_override_without_subunits_or_close_events(self):
+        for subs in ([], [sub("far", "u", 5.0, 1.0)]):
+            exp = unit_exposures([unit("u", treatment_override=0.5)], subs, DesignConfig())
+            assert exp.treatment[0] == 0.5
+            assert exp.instrument.dtype == exp.controls.dtype == np.float64
+
     def test_strict_rule_excludes_zero(self):
         subs = [sub("a", "u", 0.0, 1.0)]
         assert aggregate_treatment([unit("u")], subs, DesignConfig(cutoff_rule="geq"))["u"] == 1.0
@@ -189,27 +226,29 @@ class TestStack:
 
     def test_row_count_and_absent_unit(self):
         units, subs = self.make_data()
-        rows = stack_lower(units, subs, DesignConfig(bandwidth=0.1))
-        assert len(rows) == 3
-        assert {r.unit_id for r in rows} == {"u1", "u3"}
+        stack = build_stack(units, subs, DesignConfig(bandwidth=0.1))
+        assert len(stack.event) == 3
+        assert {stack.unit_ids[i] for i in stack.unit_row} == {"u1", "u3"}
 
     def test_rows_copy_unit_values(self):
         units, subs = self.make_data()
         members = close_set(subs, DesignConfig(bandwidth=0.1))
         x = aggregate_treatment(units, subs, DesignConfig(bandwidth=0.1))
-        for row in stack_lower(units, subs, DesignConfig(bandwidth=0.1)):
-            owner = next(u for u in units if u.unit_id == row.unit_id)
-            assert row.outcome == owner.outcome
-            assert row.treatment == x[row.unit_id]
-            assert abs(row.q[1]) <= 0.1
-            assert row.q[2] == row.q[1] * row.instrument
+        stack = build_stack(units, subs, DesignConfig(bandwidth=0.1))
+        for k, i in enumerate(stack.unit_row):
+            uid = stack.unit_ids[i]
+            owner = next(u for u in units if u.unit_id == uid)
+            assert stack.outcome[k] == owner.outcome
+            assert stack.treatment[k] == x[uid]
+            assert abs(stack.running[k]) <= 0.1
+            assert stack.instrument[k] == (1.0 if stack.running[k] >= 0 else 0.0)
         total = sum(len(v) for v in members.values())
         assert total == 3
 
     def test_uniform_kernel_weights_are_one(self):
         units, subs = self.make_data()
-        rows = stack_lower(units, subs, DesignConfig(bandwidth=0.1))
-        assert all(r.kernel_weight == 1.0 for r in rows)
+        stack = build_stack(units, subs, DesignConfig(bandwidth=0.1))
+        assert all(w == 1.0 for w in stack.kernel)
 
     def test_multiset_matches_close_set(self):
         rng = np.random.default_rng(2)
@@ -220,33 +259,44 @@ class TestStack:
             for j in range(int(rng.integers(1, 5)))
         ]
         cfg = DesignConfig(bandwidth=0.6)
-        rows = stack_lower(units, subs, cfg)
-        members = close_set(subs, cfg)
-        assert sorted(r.subunit_id for r in rows) == sorted(
-            s.subunit_id for v in members.values() for s in v
+        stack = build_stack(units, subs, cfg)
+        assert sorted(subs[j].subunit_id for j in stack.event) == sorted(
+            s.subunit_id for s in subs if abs(s.running) <= cfg.bandwidth
         )
+
+    def test_rows_ordered_by_unit_then_subunit(self):
+        rng = np.random.default_rng(5)
+        subs = [sub(f"s{k}", f"u{int(rng.integers(0, 4))}", float(rng.uniform(-1, 1)))
+                for k in range(30)]
+        units = [unit(f"u{i}") for i in range(4)]
+        graph = SpilloverGraph(tuple(
+            (f"u{int(rng.integers(0, 4))}", s.subunit_id) for s in subs for _ in range(2)
+        ))
+        for g in (None, graph):
+            stack = build_stack(units[::-1], subs[::-1], DesignConfig(bandwidth=0.7), g)
+            keys = [(stack.unit_ids[i], subs[::-1][j].subunit_id)
+                    for i, j in zip(stack.unit_row, stack.event)]
+            assert keys == sorted(keys)
 
 
 class TestKernel:
     def test_triangular_values(self):
-        assert kernel_weight(0.0, 1.0, "triangular") == 1.0
-        assert kernel_weight(1.0, 1.0, "triangular") == 0.0
-        assert kernel_weight(-1.0, 1.0, "triangular") == 0.0
-        assert kernel_weight(0.5, 1.0, "triangular") == pytest.approx(0.5)
+        w = kernel_weights(np.array([0.0, 1.0, -1.0, 0.5]),
+                           DesignConfig(bandwidth=1.0, kernel="triangular"))
+        assert w[0] == 1.0
+        assert w[1] == 0.0
+        assert w[2] == 0.0
+        assert w[3] == pytest.approx(0.5)
 
     def test_uniform_is_one(self):
-        for r in (-0.09, 0.0, 0.02, 0.1):
-            assert kernel_weight(r, 0.1, "uniform") == 1.0
-
-    def test_outside_band_rejected(self):
-        with pytest.raises(ConfigurationError, match="outside bandwidth"):
-            kernel_weight(0.2, 0.1, "uniform")
+        for w in kernel_weights(np.array([-0.09, 0.0, 0.02, 0.1]), DesignConfig(bandwidth=0.1)):
+            assert w == 1.0
 
     def test_edge_rows_kept_with_zero_weight(self):
         units = [unit("u")]
         subs = [sub("edge", "u", 0.1)]
-        rows = stack_lower(units, subs, DesignConfig(bandwidth=0.1, kernel="triangular"))
-        assert len(rows) == 1 and rows[0].kernel_weight == 0.0
+        stack = build_stack(units, subs, DesignConfig(bandwidth=0.1, kernel="triangular"))
+        assert len(stack.event) == 1 and stack.kernel[0] == 0.0
 
 
 class TestSpillover:
@@ -317,33 +367,62 @@ class TestSpillover:
             build_spillover_exposure(graph, [sub("j", "u1", 0.0)], [unit("u1")], DesignConfig())
 
 
+def collapsed_oracle(graph, units, subs, cfg):
+    """IV on collapsed records averaged by hand: per close subunit, the
+    unweighted mean outcome and treatment of its linked units, weight
+    importance times neighbor count."""
+    x = {uid: v[0] for uid, v in build_spillover_exposure(graph, subs, units, cfg).items()}
+    y = {u.unit_id: u.outcome for u in units}
+    recs = []
+    for s in sorted(subs, key=lambda s: s.subunit_id):
+        neighbors = [u for u, j in graph.edges if j == s.subunit_id]
+        if abs(s.running) <= cfg.bandwidth and neighbors:
+            recs.append((np.mean([y[u] for u in neighbors]), np.mean([x[u] for u in neighbors]),
+                         s.importance * len(neighbors), s.running))
+    yy, xx, w, r = (np.array(col) for col in zip(*recs))
+    z = (r >= 0).astype(float)
+    fit = tsls_fit(RegressionProblem(
+        yy, np.column_stack([xx, np.ones(len(r)), r, r * z]),
+        ["treatment", "intercept", "running", "running_pos"], w,
+        endogenous=["treatment"], instruments=z[:, None],
+    ))
+    return fit.coefficients["treatment"], len(recs)
+
+
 class TestCollapse:
+    def bundle(self, max_neighbors, n_interventions=12, orphans=0):
+        rng = np.random.default_rng(6 + max_neighbors)
+        units = [unit(f"u{i:02d}", float(rng.normal())) for i in range(20)]
+        subs = [sub(f"j{k:02d}", "x", float(rng.uniform(-0.1, 0.1)), float(rng.uniform(0.5, 2)))
+                for k in range(n_interventions + orphans)]
+        edges = []
+        for s in subs[:n_interventions]:
+            for i in rng.choice(20, size=rng.integers(1, max_neighbors + 1), replace=False):
+                edges.append((f"u{int(i):02d}", s.subunit_id))
+        return units, subs, SpilloverGraph(tuple(edges))
+
     def test_neighbor_mean(self):
-        units = [unit("u1", 1.0), unit("u2", 3.0)]
-        subs = [sub("j", "x", 0.05, 1.0)]
-        graph = SpilloverGraph((("u1", "j"), ("u2", "j")))
-        records, dropped = collapse_by_intervention(graph, units, subs, DesignConfig(bandwidth=0.1))
-        assert not dropped
-        rec = records[0]
-        assert rec.mean_outcome == pytest.approx(2.0)
-        assert rec.n_units == 2
-        assert rec.weight == pytest.approx(2.0)
+        units, subs, graph = self.bundle(max_neighbors=3)
+        cfg = DesignConfig(bandwidth=0.1)
+        got = estimate_spillover_collapsed(graph, units, subs, cfg)
+        beta, n_records = collapsed_oracle(graph, units, subs, cfg)
+        assert not any("dropped" in note for note in got.notes)
+        assert got.beta == pytest.approx(beta, rel=1e-10)
+        assert got.n_units == n_records == 12
 
     def test_single_neighbor_identity(self):
-        units = [unit("u1", 5.0)]
-        subs = [sub("j", "x", -0.03, 0.7)]
-        graph = SpilloverGraph((("u1", "j"),))
-        records, _ = collapse_by_intervention(graph, units, subs, DesignConfig(bandwidth=0.1))
-        assert records[0].mean_outcome == 5.0
-        assert records[0].weight == pytest.approx(0.7)
+        units, subs, graph = self.bundle(max_neighbors=1)
+        cfg = DesignConfig(bandwidth=0.1)
+        got = estimate_spillover_collapsed(graph, units, subs, cfg)
+        beta, _ = collapsed_oracle(graph, units, subs, cfg)
+        assert got.beta == pytest.approx(beta, rel=1e-10)
 
     def test_neighborless_close_subunit_dropped_with_notice(self):
-        units = [unit("u1", 1.0)]
-        subs = [sub("seen", "x", 0.05, 1.0), sub("orphan", "x", 0.01, 1.0)]
-        graph = SpilloverGraph((("u1", "seen"),))
-        records, dropped = collapse_by_intervention(graph, units, subs, DesignConfig(bandwidth=0.1))
-        assert [r.subunit_id for r in records] == ["seen"]
-        assert dropped == ["orphan"]
+        units, subs, graph = self.bundle(max_neighbors=3, orphans=1)
+        cfg = DesignConfig(bandwidth=0.1)
+        got = estimate_spillover_collapsed(graph, units, subs, cfg)
+        assert got.n_units == 12
+        assert "dropped 1 close subunits with no linked units" in got.notes
 
 
 class TestFilters:

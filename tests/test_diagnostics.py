@@ -85,12 +85,12 @@ class TestBalance:
         units, subs = self.synthetic_units(rng, n=200)
         cfg = DesignConfig(bandwidth=0.1)
         rep = balance_test(units, subs, cfg, target="instrument")
-        from rdagg.design import build_instrument, build_rda_controls
+        from rdagg.design import unit_exposures
 
         order = sorted(units, key=lambda u: u.unit_id)
-        z = np.array([build_instrument(order, subs, cfg)[u.unit_id] for u in order])
-        q = build_rda_controls(order, subs, cfg)
-        Q = np.array([q[u.unit_id] for u in order])
+        exposures = unit_exposures(order, subs, cfg)
+        z = exposures.instrument
+        Q = exposures.controls
         C = np.column_stack([[u.extra_controls[f"c{k}"] for u in order] for k in range(6)])
         ones = np.ones(len(order))
 

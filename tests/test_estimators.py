@@ -8,10 +8,9 @@ from rdagg.design import (
     SpilloverGraph,
     SubunitRecord,
     UnitRecord,
-    aggregate_treatment,
-    build_instrument,
-    build_rda_controls,
+    build_stack,
     partition_graph,
+    unit_exposures,
 )
 from rdagg.errors import ConfigurationError, EstimationError
 from rdagg.estimators import (
@@ -168,20 +167,21 @@ class TestLower:
 
 class TestStackConsistency:
     def test_estimate_lower_matches_manual_fit_on_stacked_rows(self):
-        from rdagg.design import stack_lower
         from rdagg.regress import RegressionProblem, tsls_fit
 
         rng = np.random.default_rng(21)
         units, subs = random_bundle(rng, n_units=35, extras=1)
         cfg = DesignConfig(bandwidth=0.8, kernel="triangular")
-        rows = stack_lower(units, subs, cfg)
-        y = np.array([row.outcome for row in rows])
-        x = np.array([row.treatment for row in rows])
-        z = np.array([row.instrument for row in rows])
-        r = np.array([row.q[1] for row in rows])
-        rp = np.array([row.q[2] for row in rows])
-        c1 = np.array([row.extra_controls["c0"] for row in rows])
-        w = np.array([row.weight * row.kernel_weight for row in rows])
+        stack = build_stack(units, subs, cfg)
+        rows = stack.unit_row
+        y = stack.outcome
+        x = stack.treatment
+        z = stack.instrument
+        r = stack.running
+        rp = stack.running * stack.instrument
+        by_id = {u.unit_id: u for u in units}
+        c1 = np.array([by_id[stack.unit_ids[i]].extra_controls["c0"] for i in rows])
+        w = stack.importance * stack.kernel
         fit = tsls_fit(
             RegressionProblem(
                 y,
@@ -233,14 +233,12 @@ def brute_force_equivalent(units, subs, cfg, perturb_control=0.0):
     run the subunit IV with explicit projections. ``perturb_control`` shifts the
     third local-linear control to break the identity on purpose."""
     order = sorted(units, key=lambda u: u.unit_id)
-    z_map = build_instrument(order, subs, cfg)
-    q_map = build_rda_controls(order, subs, cfg)
-    x_map = aggregate_treatment(order, subs, cfg)
+    exposures = unit_exposures(order, subs, cfg)
     y = np.array([u.outcome for u in order])
-    x = np.array([x_map[u.unit_id] for u in order])
+    x = exposures.treatment
     e = np.array([u.analysis_weight for u in order])
     W = np.column_stack(
-        [np.array([q_map[u.unit_id][k] for u in order]) for k in range(3)]
+        [exposures.controls[:, k] for k in range(3)]
         + [np.ones(len(order))]
         + [
             np.array([u.extra_controls[lab] for u in order])

@@ -164,6 +164,17 @@ class TestSerialize:
         lines = serialize_subunits(subs).splitlines()
         assert lines[1].startswith("a,") and lines[2].startswith("z,")
 
+    def test_missing_fixed_effect_key_refused_before_writing(self, tmp_path):
+        from rdagg.design import SubunitRecord, UnitRecord
+        from rdagg.io import InputBundle
+
+        units = [UnitRecord("a", 1.0, fe_keys={"state": "CA"}), UnitRecord("b", 2.0)]
+        subs = [SubunitRecord("s", "a", 0.0, 1.0)]
+        up, sp = tmp_path / "u.csv", tmp_path / "s.csv"
+        with pytest.raises(SchemaError, match="'b'.*'state'"):
+            write_bundle(InputBundle(units, subs), str(up), str(sp))
+        assert not up.exists() and not sp.exists()
+
 
 class TestCli:
     def test_upper_equals_lower_on_one_subunit_bundle(self, tmp_path, capsys):

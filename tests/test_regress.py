@@ -277,6 +277,16 @@ class TestResidualize:
 
 
 class TestAbsorb:
+    def test_non_finite_column_rejected(self):
+        # A NaN group mean once passed the stopping check as converged, and
+        # every column came back unabsorbed without an error.
+        cols = np.array([[1.0, 2.0], [np.nan, 3.0], [5.0, 7.0], [11.0, 13.0]])
+        keys = [["a", "a", "b", "b"], ["x", "y", "x", "y"]]
+        with pytest.raises(ConfigurationError, match="finite"):
+            absorb_fixed_effects(cols, keys, np.ones(4))
+        with pytest.raises(ConfigurationError, match="finite"):
+            absorb_fixed_effects(np.array([1.0, np.inf, 2.0, 3.0]), keys, np.ones(4))
+
     def test_single_group_demeans(self):
         rng = np.random.default_rng(14)
         x = rng.normal(size=30)

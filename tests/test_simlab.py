@@ -32,11 +32,11 @@ class TestGenerate:
     def test_equal_scheme_treatment_support(self):
         spec = DgpSpec(n_units=400, seed=2)
         units, subs, _ = generate_dgp(spec, 0)
-        from rdagg.design import aggregate_treatment
+        from rdagg.design import unit_exposures
 
-        x = aggregate_treatment(units, subs, mc_design_config(0.5, "all_three_rda"))
+        x = unit_exposures(units, subs, mc_design_config(0.5, "all_three_rda")).treatment
         grid = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}
-        for val in x.values():
+        for val in x:
             assert min(abs(val - g) for g in grid) < 1e-12
 
     def test_band_coverage_matches_normal_cdf(self):
