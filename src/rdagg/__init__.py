@@ -51,11 +51,13 @@ from .io import InputBundle, load_bundle, write_bundle
 from .regress import (
     FirstStage,
     FitResult,
+    IvFit,
+    ReducedForm,
     RegressionProblem,
     absorb_fixed_effects,
     hc1_cov,
+    iv_fit,
     residualize,
-    tsls_fit,
     wls_fit,
 )
 from .simlab import (

@@ -200,7 +200,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("--kernel", choices=("uniform", "triangular"), default=None)
     p.add_argument("--controls", choices=tuple(CONTROL_ALIASES), default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--weight-cap", type=float, default=None,
                    help="drop units whose total subunit weight exceeds this cap")
 
@@ -414,7 +413,7 @@ def _run(args) -> int:
                 specification="benchmark",
             )
         _write_json(os.path.join(args.out, "result.json"), result.to_dict())
-        write_manifest(args.out, cmd, inputs, manifest_cfg, args.seed)
+        write_manifest(args.out, cmd, inputs, manifest_cfg, None)
         print(f"{result.specification}: beta={result.beta:.6g} se={result.robust_se:.6g}")
         return 0
 
@@ -426,7 +425,7 @@ def _run(args) -> int:
         }
         result = estimate_sharp_rd(bundle.subunits, outcomes, config)
         _write_json(os.path.join(args.out, "result.json"), result.to_dict())
-        write_manifest(args.out, cmd, inputs, manifest_cfg, args.seed)
+        write_manifest(args.out, cmd, inputs, manifest_cfg, None)
         print(f"sharp_rd: beta={result.beta:.6g} se={result.robust_se:.6g}")
         return 0
 
@@ -434,7 +433,7 @@ def _run(args) -> int:
         report = verify_equivalence(bundle.units, bundle.subunits, config,
                                     tolerance=args.tolerance)
         _write_json(os.path.join(args.out, "equivalence.json"), report.to_dict())
-        write_manifest(args.out, cmd, inputs, manifest_cfg, args.seed)
+        write_manifest(args.out, cmd, inputs, manifest_cfg, None)
         print(f"pass={str(report.passed).lower()} relative_gap={report.relative_gap:.3e}")
         return 0
 
@@ -451,7 +450,7 @@ def _run(args) -> int:
             result = estimate_spillover_upper(bundle.edges, bundle.units,
                                               bundle.subunits, config)
         _write_json(os.path.join(args.out, "result.json"), result.to_dict())
-        write_manifest(args.out, f"{cmd} {args.mode}", inputs, manifest_cfg, args.seed)
+        write_manifest(args.out, f"{cmd} {args.mode}", inputs, manifest_cfg, None)
         print(f"{result.specification}: beta={result.beta:.6g} se={result.robust_se:.6g}")
         return 0
 
@@ -474,7 +473,7 @@ def _run(args) -> int:
             "n_dropped": report.n_dropped,
         }
         _write_json(os.path.join(args.out, "balance.json"), payload)
-        write_manifest(args.out, cmd, inputs, manifest_cfg, args.seed)
+        write_manifest(args.out, cmd, inputs, manifest_cfg, None)
         print(f"partial_r2={report.partial_r2:.6g} partial_f={report.partial_f:.4g} "
               f"n_significant={report.n_significant}")
         return 0
@@ -494,7 +493,7 @@ def _run(args) -> int:
              "right": {"intercept": data.right_line[0], "slope": data.right_line[1]},
              "jump": data.jump, "notices": data.notices},
         )
-        write_manifest(args.out, cmd, inputs, manifest_cfg, args.seed)
+        write_manifest(args.out, cmd, inputs, manifest_cfg, None)
         print(f"wrote {len(data.bins)} bins; jump={data.jump:.6g}")
         return 0
 

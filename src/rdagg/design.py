@@ -344,7 +344,8 @@ class Stack:
     ``unit_ids`` (every unit, sorted); ``event`` indexes the subunit
     sequence the stack was built from. Each row repeats its unit's outcome
     and aggregate treatment; ``kernel`` is the row's kernel weight.
-    ``n_close_events`` counts close events, linked or not.
+    ``n_close_events`` counts close events, linked or not. ``exposures``
+    are the unit aggregates the stack was built with.
     """
 
     unit_ids: List[str]
@@ -357,6 +358,7 @@ class Stack:
     outcome: np.ndarray
     treatment: np.ndarray
     n_close_events: int
+    exposures: UnitExposures
 
 
 def build_stack(
@@ -385,4 +387,5 @@ def build_stack(
         outcome=np.array([u.outcome for u in e.order])[unit_row],
         treatment=exp.treatment[unit_row],
         n_close_events=int(e.close.sum()),
+        exposures=exp,
     )

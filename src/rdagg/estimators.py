@@ -14,7 +14,7 @@ broadcasts unit-level residuals through its unit rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,6 +23,7 @@ from .design import (
     DesignConfig,
     SpilloverGraph,
     SubunitRecord,
+    UnitExposures,
     UnitRecord,
     AGG_RUNNING,
     AGG_RUNNING_POS,
@@ -38,25 +39,18 @@ from .design import (
 from .errors import ConfigurationError, EstimationError, IntegrityError
 from .regress import (
     FirstStage,
+    ReducedForm,
     RegressionProblem,
     absorb_fixed_effects,
     fixed_effect_dof,
+    iv_fit,
     residualize,
-    tsls_fit,
     wls_fit,
 )
 
-TREATMENT = "treatment"
-INSTRUMENT = "instrument"
 INTERCEPT = "intercept"
 RUNNING = "running"
 RUNNING_POS = "running_pos"
-
-
-@dataclass
-class ReducedForm:
-    coefficient: float
-    robust_se: float
 
 
 @dataclass
@@ -73,29 +67,9 @@ class EstimateResult:
     notes: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "specification": self.specification,
-            "beta": self.beta,
-            "robust_se": self.robust_se,
-            "n_units": self.n_units,
-            "n_stacked_rows": self.n_stacked_rows,
-            "first_stage": None
-            if self.first_stage is None
-            else {
-                "coefficient": self.first_stage.coefficient,
-                "robust_se": self.first_stage.robust_se,
-                "partial_f": self.first_stage.partial_f,
-            },
-            "reduced_form": None
-            if self.reduced_form is None
-            else {
-                "coefficient": self.reduced_form.coefficient,
-                "robust_se": self.reduced_form.robust_se,
-            },
-            "control_coefficients": dict(sorted(self.control_coefficients.items())),
-            "weak_instrument": self.weak_instrument,
-            "notes": list(self.notes),
-        }
+        out = asdict(self)
+        out["control_coefficients"] = dict(sorted(self.control_coefficients.items()))
+        return out
 
 
 @dataclass
@@ -161,15 +135,6 @@ def _control_columns(config: DesignConfig, controls: np.ndarray):
     return [], controls[:, :0]
 
 
-def _weak(fit, config: DesignConfig) -> bool:
-    fs = fit.first_stage
-    return bool(
-        fs is not None
-        and np.isfinite(fs.partial_f)
-        and fs.partial_f < config.weak_f_threshold
-    )
-
-
 def _iv_estimate(
     y: np.ndarray,
     x: np.ndarray,
@@ -183,76 +148,38 @@ def _iv_estimate(
     n_stacked_rows: int,
     extra_notes: Optional[List[str]] = None,
 ) -> EstimateResult:
-    """Shared 2SLS + reduced-form machinery on prepared columns.
+    """The IV kernel on prepared columns.
 
     Fixed effects, when present, are absorbed from every column and counted
     as extra dropped degrees of freedom.
     """
-    labels = [lab for lab, _ in control_cols]
-    ctrl = (
-        np.column_stack([col for _, col in control_cols])
-        if control_cols
-        else np.empty((len(y), 0))
-    )
     extra_dof = 0
     if fe_key_lists:
-        block = np.column_stack([y, x, z, ctrl])
+        block = np.column_stack([y, x, z] + [col for _, col in control_cols])
         block = absorb_fixed_effects(
             block, fe_key_lists, weights, tol=config.fe_tol, max_iter=config.fe_max_iter
         )
         y, x, z = block[:, 0], block[:, 1], block[:, 2]
-        ctrl = block[:, 3:]
+        control_cols = [(lab, block[:, 3 + j]) for j, (lab, _) in enumerate(control_cols)]
         extra_dof = fixed_effect_dof(fe_key_lists)
-
-    design = np.column_stack([x, ctrl])
-    problem = RegressionProblem(
-        response=y,
-        regressors=design,
-        labels=[TREATMENT] + labels,
-        weights=weights,
-        endogenous=[TREATMENT],
-        instruments=z[:, None],
-        instrument_labels=[INSTRUMENT],
-    )
-    fit = tsls_fit(problem, extra_dof=extra_dof, weak_f_threshold=config.weak_f_threshold)
-
-    rf_problem = RegressionProblem(
-        response=y,
-        regressors=np.column_stack([z, ctrl]),
-        labels=[INSTRUMENT] + labels,
-        weights=weights,
-    )
-    rf = wls_fit(rf_problem, extra_dof=extra_dof)
-
-    controls_out = {
-        lab: val for lab, val in fit.coefficients.items() if lab != TREATMENT
-    }
-    notes = list(extra_notes or []) + fit.notes
+    fit = iv_fit(y, x, z, control_cols, weights, extra_dof, config.weak_f_threshold)
     return EstimateResult(
         specification=specification,
-        beta=fit.coefficients.get(TREATMENT, float("nan")),
-        robust_se=fit.robust_se.get(TREATMENT, float("nan")),
+        beta=fit.beta,
+        robust_se=fit.robust_se,
         n_units=n_units,
         n_stacked_rows=n_stacked_rows,
         first_stage=fit.first_stage,
-        reduced_form=ReducedForm(
-            rf.coefficients.get(INSTRUMENT, float("nan")),
-            rf.robust_se.get(INSTRUMENT, float("nan")),
-        ),
-        control_coefficients=controls_out,
-        weak_instrument=_weak(fit, config),
-        notes=notes,
+        reduced_form=fit.reduced_form,
+        control_coefficients=fit.control_coefficients,
+        weak_instrument=fit.weak_instrument,
+        notes=list(extra_notes or []) + fit.notes,
     )
 
 
-def _upper_columns(
-    units: Sequence[UnitRecord],
-    subunits: Sequence[SubunitRecord],
-    config: DesignConfig,
-    graph: Optional[SpilloverGraph],
-):
-    order = _sorted_units(units)
-    exp = unit_exposures(order, subunits, config, graph=graph)
+def _upper_columns(order: Sequence[UnitRecord], exp: UnitExposures, config: DesignConfig):
+    """Outcome, weights, controls and fixed-effect keys of the unit-level IV,
+    for units sorted by id."""
     y = np.array([u.outcome for u in order])
     w = np.array([u.analysis_weight for u in order])
     labels, ctrl = _control_columns(config, exp.controls)
@@ -264,7 +191,7 @@ def _upper_columns(
     fe_lists = _fe_keys(order, config.fe_dimensions)
     if not fe_lists and config.include_intercept:
         cols.append((INTERCEPT, np.ones(len(order))))
-    return order, exp, y, w, cols, fe_lists
+    return y, w, cols, fe_lists
 
 
 def estimate_upper(
@@ -292,7 +219,9 @@ def estimate_upper(
         raise ConfigurationError(
             "control_set='none' without an intercept leaves the estimator unidentified"
         )
-    order, exp, y, w, cols, fe_lists = _upper_columns(units, subunits, config, graph)
+    order = _sorted_units(units)
+    exp = unit_exposures(order, subunits, config, graph=graph)
+    y, w, cols, fe_lists = _upper_columns(order, exp, config)
     tag = specification or (
         ("spillover-upper:" if graph is not None else "upper:") + config.control_set
     )
@@ -398,26 +327,25 @@ def verify_equivalence(
         raise ConfigurationError(
             "the equivalence requires the full aggregated control set"
         )
-    upper = estimate_upper(units, subunits, config)
-
-    order, exp, y, w, cols, fe_lists = _upper_columns(units, subunits, config, None)
-    x = exp.treatment
-    ctrl = (
-        np.column_stack([col for _, col in cols]) if cols else np.empty((len(order), 0))
-    )
-    if fe_lists:
-        block = np.column_stack([y, x, ctrl])
-        block = absorb_fixed_effects(
-            block, fe_lists, w, tol=config.fe_tol, max_iter=config.fe_max_iter
-        )
-        y, x, ctrl = block[:, 0], block[:, 1], block[:, 2:]
-    if ctrl.shape[1]:
-        res = residualize(np.column_stack([y, x]), ctrl, w)
-        y_res, x_res = res[:, 0], res[:, 1]
-    else:
-        y_res, x_res = y, x
-
+    order = _sorted_units(units)
     stack = build_stack(order, subunits, config)
+    exp = stack.exposures
+    y, w, cols, fe_lists = _upper_columns(order, exp, config)
+    upper = _iv_estimate(
+        y, exp.treatment, exp.instrument, cols, w, fe_lists, config,
+        "upper:" + config.control_set, n_units=len(order), n_stacked_rows=0,
+    )
+
+    yx = np.column_stack([y, exp.treatment])
+    ctrl = np.column_stack([col for _, col in cols])
+    if fe_lists:
+        block = absorb_fixed_effects(
+            np.column_stack([yx, ctrl]), fe_lists, w, tol=config.fe_tol,
+            max_iter=config.fe_max_iter,
+        )
+        yx, ctrl = block[:, :2], block[:, 2:]
+    y_res, x_res = residualize(yx, ctrl, w).T
+
     rows = stack.unit_row
     if not rows.size:
         raise EstimationError("empty stacked sample: no close subunits pass the design")

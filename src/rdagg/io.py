@@ -6,6 +6,7 @@ File schemas (UTF-8, header row, '.' decimal separator):
                 treatment_override (optional, may be blank per row)
 - subunits.csv: subunit_id, unit_id, running, importance,
                 win_flag (optional, 0/1, may be blank), attr_* columns
+                (blank where a subunit lacks the attribute)
 - edges.csv:    outcome_unit_id, subunit_id
 
 Prefixes are stripped on load: fe_region becomes fixed-effect dimension
@@ -154,7 +155,7 @@ def load_subunits(path: str) -> List[SubunitRecord]:
                 importance=importance,
                 win_flag=_parse_flag(row.get("win_flag", ""), path, line, "win_flag"),
                 attributes={
-                    c[5:]: _parse_float(row[c], path, line, c) for c in attr_cols
+                    c[5:]: _parse_float(row[c], path, line, c) for c in attr_cols if row[c]
                 },
             )
         )
@@ -265,7 +266,11 @@ def serialize_units(units: Sequence[UnitRecord]) -> str:
                     f"unit '{u.unit_id}' has no key for fixed-effect dimension '{d}'"
                 )
             row.append(key)
-        row += [_fmt(u.extra_controls[c]) if c in u.extra_controls else "" for c in ctrl_labels]
+        for c in ctrl_labels:
+            if c not in u.extra_controls:
+                # load_bundle rejects a blank control cell
+                raise SchemaError(f"unit '{u.unit_id}' has no value for control '{c}'")
+            row.append(_fmt(u.extra_controls[c]))
         row.append("" if u.treatment_override is None else _fmt(u.treatment_override))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
@@ -298,7 +303,8 @@ def write_bundle(bundle: InputBundle, units_path: str, subunits_path: str,
 
     Every file is serialized before any is written, so a bundle that
     ``load_bundle`` would reject (a unit without a key for a fixed-effect
-    dimension another unit has) raises SchemaError and writes nothing.
+    dimension, or a value for a control, that another unit has) raises
+    SchemaError and writes nothing.
     """
     texts = [(units_path, serialize_units(bundle.units)),
              (subunits_path, serialize_subunits(bundle.subunits))]

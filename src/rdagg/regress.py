@@ -1,10 +1,10 @@
 """Deterministic weighted linear-regression engine.
 
 Everything estimated in this package reduces to the primitives here: weighted
-least squares, just-identified two-stage least squares, weighted
-residualization (partialling out), fixed-effect sweeps by bincount, and the
-HC1 sandwich covariance. All routines are pure functions of their inputs and
-produce identical output for identical inputs in identical column order.
+least squares, the instrumental-variable kernel, weighted residualization
+(partialling out), fixed-effect sweeps by bincount, and the HC1 sandwich
+covariance. All routines are pure functions of their inputs and produce
+identical output for identical inputs in identical column order.
 
 Conventions
 -----------
@@ -14,15 +14,19 @@ Conventions
   nor HC1 standard errors.
 - Collinear columns are dropped in column order: column k is dropped when its
   residual norm, after projecting out previously kept columns in the weighted
-  metric, falls below PIVOT_RTOL times the largest weighted column norm.
-- 2SLS is restricted to just-identified systems: exactly one instrument per
-  endogenous column, exogenous regressors present in both stages.
+  metric, is at most PIVOT_RTOL times its own weighted norm. Kept columns are
+  solved at unit weighted norm, so neither the rank decision nor the solve
+  depends on the units a column is measured in.
+- Every estimator is a just-identified IV with one endogenous column.
+  ``iv_fit`` screens the controls once, partials outcome, treatment and
+  instrument out of the kept ones with one solve, and reads every IV number
+  off the partialled columns in closed form (Frisch-Waugh-Lovell).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -36,20 +40,12 @@ WEAK_F_THRESHOLD = 10.0
 
 @dataclass
 class RegressionProblem:
-    """One weighted regression: response, labeled regressors, weights.
-
-    For 2SLS, ``endogenous`` names the regressor columns to be instrumented
-    and ``instruments`` supplies one column per endogenous label (in the same
-    order). Exogenous columns serve as their own instruments.
-    """
+    """One weighted least-squares problem: response, labeled regressors, weights."""
 
     response: np.ndarray
     regressors: np.ndarray
     labels: Sequence[str]
     weights: np.ndarray
-    endogenous: Sequence[str] = ()
-    instruments: Optional[np.ndarray] = None
-    instrument_labels: Sequence[str] = ()
 
 
 @dataclass
@@ -59,6 +55,14 @@ class FirstStage:
     coefficient: float
     robust_se: float
     partial_f: float
+
+
+@dataclass
+class ReducedForm:
+    """Instrument coefficient in the outcome equation and its robust SE."""
+
+    coefficient: float
+    robust_se: float
 
 
 @dataclass
@@ -72,14 +76,25 @@ class FitResult:
     residuals: np.ndarray
     dropped_columns: list
     weighted_rss: float
-    first_stage: Optional[FirstStage] = None
     notes: list = field(default_factory=list)
 
-    def coefficient(self, label: str) -> float:
-        return self.coefficients[label]
 
-    def se(self, label: str) -> float:
-        return self.robust_se[label]
+@dataclass
+class IvFit:
+    """One just-identified IV fit with a single endogenous column.
+
+    ``control_coefficients`` holds every control label, NaN for a dropped
+    control; ``notes`` explain every non-finite number.
+    """
+
+    beta: float
+    robust_se: float
+    first_stage: FirstStage
+    reduced_form: ReducedForm
+    control_coefficients: dict
+    dropped_columns: list
+    weak_instrument: bool
+    notes: list
 
 
 def _as_vector(a, name: str) -> np.ndarray:
@@ -132,35 +147,46 @@ def _validate(problem: RegressionProblem):
     return y, X, labels, w
 
 
-def _screen_columns(xw: np.ndarray) -> list:
+def _screen_columns(xw: np.ndarray):
     """Rank screen in column order on the weighted design.
 
-    Returns indices of kept columns. Column k's pivot is the norm of its
-    residual after projecting out previously kept columns (projection applied
-    twice for numerical stability); it is dropped when the pivot falls below
-    PIVOT_RTOL times the largest weighted column norm.
+    Returns the indices of kept columns and their weighted norms. Column k's
+    pivot is the norm of its residual after projecting out previously kept
+    columns (projection applied twice for numerical stability); it is dropped
+    when the pivot is at most PIVOT_RTOL times the column's own norm.
     """
-    p = xw.shape[1]
-    if p == 0:
-        return []
     norms = np.sqrt(np.einsum("ij,ij->j", xw, xw))
-    scale = float(norms.max(initial=0.0))
-    if scale <= 0.0:
-        return []
-    threshold = PIVOT_RTOL * scale
     kept: list = []
     basis: list = []
-    for k in range(p):
+    for k in range(xw.shape[1]):
         v = xw[:, k].copy()
         for q in basis:
             v -= (q @ v) * q
         for q in basis:
             v -= (q @ v) * q
         pivot = float(np.sqrt(v @ v))
-        if pivot > threshold:
+        if pivot > PIVOT_RTOL * norms[k]:
             kept.append(k)
             basis.append(v / pivot)
-    return kept
+    return kept, norms[kept]
+
+
+def _partial(columns: np.ndarray, on: np.ndarray, w: np.ndarray):
+    """Screen ``on`` and partial every column of ``columns`` out of its kept
+    columns with one weighted least-squares solve.
+
+    Returns the kept indices, the coefficients (one row per kept column) and
+    the residuals. The solve runs on the kept columns scaled to unit
+    weighted norm; the coefficients are scaled back.
+    """
+    sw = np.sqrt(w)
+    ow = on * sw[:, None]
+    kept, norms = _screen_columns(ow)
+    if not kept:
+        return kept, np.empty((0, columns.shape[1])), columns.copy()
+    B, *_ = np.linalg.lstsq(ow[:, kept] / norms, columns * sw[:, None], rcond=None)
+    B /= norms[:, None]
+    return kept, B, columns - on[:, kept] @ B
 
 
 def hc1_cov(
@@ -194,35 +220,30 @@ def hc1_cov(
     return np.sqrt(np.clip(np.diag(cov), 0.0, None)), cov
 
 
-def _fit_core(y, X, labels, w, extra_dof: int, design_for_se=None) -> FitResult:
-    """Shared WLS machinery.
+def _no_dof_note(n_obs: int, p: int) -> str:
+    return f"no residual degrees of freedom (n={n_obs}, p={p}): SEs not available"
 
-    ``design_for_se``: matrix used for the sandwich bread/score (the fitted
-    second-stage design in 2SLS); residuals are always computed against the
-    columns of ``X`` itself.
-    """
-    sw = np.sqrt(w)
-    Xw = X * sw[:, None]
-    kept = _screen_columns(Xw)
+
+def wls_fit(problem: RegressionProblem, extra_dof: int = 0) -> FitResult:
+    """Weighted least squares with rank screening and HC1 standard errors."""
+    y, X, labels, w = _validate(problem)
+    kept, B, e = _partial(y[:, None], X, w)
     if not kept:
         raise ConfigurationError("design matrix has no usable columns after rank screening")
+    b, residuals = B[:, 0], e[:, 0]
     kept_set = set(kept)
     dropped = [labels[j] for j in range(X.shape[1]) if j not in kept_set]
-    b, *_ = np.linalg.lstsq(Xw[:, kept], y * sw, rcond=None)
-    residuals = y - X[:, kept] @ b
     n_obs = int(np.count_nonzero(w > 0))
     dof = n_obs - len(kept) - int(extra_dof)
-    weighted_rss = float(w @ (residuals * residuals))
     kept_labels = [labels[j] for j in kept]
 
-    se_design = X[:, kept] if design_for_se is None else design_for_se[:, kept]
     notes: list = []
     if dof > 0:
-        se_vals, cov = hc1_cov(se_design, residuals, w, extra_dof=extra_dof)
+        se_vals, cov = hc1_cov(X[:, kept], residuals, w, extra_dof=extra_dof)
     else:
         se_vals = np.full(len(kept), np.nan)
         cov = np.full((len(kept), len(kept)), np.nan)
-        notes.append(f"no residual degrees of freedom (n={n_obs}, p={len(kept)}): SEs not available")
+        notes.append(_no_dof_note(n_obs, len(kept)))
 
     coefficients = {lab: float(val) for lab, val in zip(kept_labels, b)}
     robust_se = {lab: float(val) for lab, val in zip(kept_labels, se_vals)}
@@ -238,133 +259,111 @@ def _fit_core(y, X, labels, w, extra_dof: int, design_for_se=None) -> FitResult:
         dof=dof,
         residuals=residuals,
         dropped_columns=dropped,
-        weighted_rss=weighted_rss,
+        weighted_rss=float(w @ (residuals * residuals)),
         notes=notes,
     )
 
 
-def wls_fit(problem: RegressionProblem, extra_dof: int = 0) -> FitResult:
-    """Weighted least squares with rank screening and HC1 standard errors."""
-    if problem.instruments is not None or problem.endogenous:
-        raise ConfigurationError("wls_fit takes no instruments; use tsls_fit")
-    y, X, labels, w = _validate(problem)
-    return _fit_core(y, X, labels, w, extra_dof)
-
-
-def tsls_fit(
-    problem: RegressionProblem,
+def iv_fit(
+    y,
+    x,
+    z,
+    controls: Sequence[Tuple[str, np.ndarray]],
+    weights,
     extra_dof: int = 0,
     weak_f_threshold: float = WEAK_F_THRESHOLD,
-) -> FitResult:
-    """Just-identified two-stage least squares.
+) -> IvFit:
+    """Just-identified IV of ``y`` on the treatment ``x``, instrumented by ``z``.
 
-    Each endogenous column is replaced by its first-stage fit on
-    [instruments + exogenous regressors]; the second stage is a WLS fit on
-    that design. Robust SEs use second-stage residuals evaluated at the
-    original endogenous values with the fitted design in the sandwich.
+    ``controls`` is a sequence of (label, column) pairs. They are screened
+    once, and y, x and z are partialled out of the kept ones with one solve.
+    With the partialled columns y~, x~, z~, the weighted inner product
+    <a, b> = sum_i w_i a_i b_i, n rows of positive weight, p = 1 + kept
+    controls and HC1 factor c = n / (n - p - extra_dof), Frisch-Waugh-Lovell
+    gives in closed form:
 
-    A first-stage partial F below ``weak_f_threshold`` adds a warning note;
-    a vanished first stage leaves the endogenous coefficient non-finite
-    (with a note) rather than raising.
+    - beta = <z~, y~> / <z~, x~> with robust SE
+      sqrt(c sum_i (w_i e_i z~_i)^2) / |<z~, x~>|, e = y~ - beta x~, which is
+      the treatment entry of the second-stage HC1 sandwich;
+    - the first-stage coefficient <z~, x~> / <z~, z~>, its HC1 SE and the
+      partial F (coefficient / SE)^2;
+    - the reduced-form coefficient <z~, y~> / <z~, z~> and its HC1 SE;
+    - the control coefficients B_y - beta B_x from the partialling solve.
+
+    An instrument with no variation beyond the controls (its partialled norm
+    at most PIVOT_RTOL times its own) or an exactly zero first stage leaves
+    beta non-finite, with a note. With n - p - extra_dof <= 0 every SE is
+    NaN, with a note. A partial F below ``weak_f_threshold`` flags a weak
+    instrument, with a note.
     """
-    y, X, labels, w = _validate(problem)
-    endo = list(problem.endogenous)
-    if not endo:
-        raise ConfigurationError("tsls_fit requires at least one endogenous column")
-    missing = [lab for lab in endo if lab not in labels]
-    if missing:
-        raise ConfigurationError(f"endogenous labels not among regressors: {missing}")
-    if problem.instruments is None:
-        raise ConfigurationError("tsls_fit requires instruments")
-    Z = _as_matrix(problem.instruments, "instruments")
-    if Z.shape[0] != y.shape[0]:
-        raise ConfigurationError("instrument rows do not match sample size")
-    if Z.shape[1] != len(endo):
+    y = _as_vector(y, "response")
+    n = y.shape[0]
+    if n == 0:
+        raise ConfigurationError("empty sample: response has zero length")
+    x, z = _as_vector(x, "treatment"), _as_vector(z, "instrument")
+    labels = [lab for lab, _ in controls]
+    if len(set(labels)) != len(labels):
+        raise ConfigurationError("control labels must be unique")
+    C = _as_matrix(np.column_stack([col for _, col in controls]) if labels
+                   else np.empty((n, 0)), "controls")
+    if not x.shape[0] == z.shape[0] == C.shape[0] == n:
         raise ConfigurationError(
-            f"just-identified 2SLS needs one instrument per endogenous column: "
-            f"{Z.shape[1]} instruments for {len(endo)} endogenous"
+            f"response length {n} does not match treatment, instrument or control rows"
         )
-    iv_labels = list(problem.instrument_labels) or [f"instrument_{i}" for i in range(Z.shape[1])]
-    if len(iv_labels) != Z.shape[1]:
-        raise ConfigurationError("instrument_labels length does not match instrument count")
+    w = _check_weights(weights, n)
+    kept, B, partialled = _partial(np.column_stack([y, x, z]), C, w)
+    yt, xt, zt = partialled.T
+    n_obs = int(np.count_nonzero(w > 0))
+    p = 1 + len(kept)
+    dof = n_obs - p - int(extra_dof)
+    wz = w * zt
+    szz, szx, szy = float(wz @ zt), float(wz @ xt), float(wz @ yt)
+    nan = float("nan")
 
-    endo_idx = [labels.index(lab) for lab in endo]
-    exog_idx = [j for j in range(X.shape[1]) if j not in set(endo_idx)]
-    fs_design = np.column_stack([Z, X[:, exog_idx]]) if exog_idx else Z.copy()
-    fs_labels = iv_labels + [labels[j] for j in exog_idx]
+    def robust_se(residuals: np.ndarray, denominator: float) -> float:
+        # HC1 entry of a coefficient whose FWL weights are w z~ / denominator
+        if dof <= 0:
+            return nan
+        return float(np.sqrt(n_obs / dof * np.sum((wz * residuals) ** 2)) / abs(denominator))
 
-    # Identification requires the instruments to retain variation after
-    # partialling out the exogenous block; otherwise the residualized
-    # instrument is zero and the IV ratio is 0/0.
-    sw = np.sqrt(w)
-    if exog_idx:
-        z_resid = residualize(Z, X[:, exog_idx], w)
-    else:
-        z_resid = Z
-    dead_instrument = [
-        float(np.linalg.norm(sw * z_resid[:, i]))
-        <= PIVOT_RTOL * max(float(np.linalg.norm(sw * Z[:, i])), 1.0)
-        for i in range(Z.shape[1])
-    ]
-
-    X_hat = X.copy()
-    first_stage = None
     notes: list = []
-    failed_endo: list = []
-    for pos, j in enumerate(endo_idx):
-        fs = _fit_core(X[:, j], fs_design, fs_labels, w, extra_dof)
-        fitted = X[:, j] - fs.residuals
-        X_hat[:, j] = fitted
-        pi = fs.coefficients.get(iv_labels[pos], float("nan"))
-        if (
-            dead_instrument[pos]
-            or iv_labels[pos] in fs.dropped_columns
-            or pi == 0.0
-            or not np.isfinite(pi)
-        ):
-            failed_endo.append(labels[j])
-        if pos == 0:
-            if dead_instrument[0]:
-                first_stage = FirstStage(float("nan"), float("nan"), float("nan"))
-                notes.append(
-                    f"instrument '{iv_labels[0]}' has no variation beyond the exogenous "
-                    f"controls: first stage vanished"
-                )
-            else:
-                pi_se = fs.robust_se.get(iv_labels[0], float("nan"))
-                partial_f = (
-                    (pi / pi_se) ** 2 if np.isfinite(pi) and pi_se > 0 else float("nan")
-                )
-                first_stage = FirstStage(pi, pi_se, float(partial_f))
-                if np.isfinite(partial_f) and partial_f < weak_f_threshold:
-                    notes.append(
-                        f"weak instrument: first-stage partial F {partial_f:.3g} "
-                        f"below {weak_f_threshold:g}"
-                    )
-
-    result = _fit_core(y, X_hat, labels, w, extra_dof, design_for_se=X_hat)
-    # Structural residuals at the original endogenous values.
-    kept_idx = [labels.index(lab) for lab in result.kept_labels]
-    b = np.array([result.coefficients[lab] for lab in result.kept_labels])
-    residuals = y - X[:, kept_idx] @ b
-    if result.dof > 0:
-        se_vals, cov = hc1_cov(X_hat[:, kept_idx], residuals, w, extra_dof=extra_dof)
-        result.robust_se = {lab: float(v) for lab, v in zip(result.kept_labels, se_vals)}
-        for lab in result.dropped_columns:
-            result.robust_se[lab] = float("nan")
-        result.robust_cov = cov
-    result.residuals = residuals
-    result.weighted_rss = float(w @ (residuals * residuals))
-    for lab in endo:
-        if lab in result.dropped_columns:
-            notes.append(f"endogenous column '{lab}' has no instrumented variation: estimate non-finite")
-    for lab in failed_endo:
-        result.coefficients[lab] = float("nan")
-        result.robust_se[lab] = float("nan")
-        notes.append(f"zero first stage for '{lab}': estimate non-finite")
-    result.first_stage = first_stage
-    result.notes = notes + result.notes
-    return result
+    beta = se = nan
+    if np.sqrt(szz) <= PIVOT_RTOL * np.sqrt(w @ (z * z)):
+        first_stage, reduced_form = FirstStage(nan, nan, nan), ReducedForm(nan, nan)
+        notes.append(
+            "instrument has no variation beyond the controls: first stage vanished, "
+            "estimate non-finite"
+        )
+    else:
+        pi, rf = szx / szz, szy / szz
+        pi_se = robust_se(xt - pi * zt, szz)
+        first_stage = FirstStage(pi, pi_se, (pi / pi_se) ** 2 if pi_se > 0 else nan)
+        reduced_form = ReducedForm(rf, robust_se(yt - rf * zt, szz))
+        if first_stage.partial_f < weak_f_threshold:
+            notes.append(
+                f"weak instrument: first-stage partial F {first_stage.partial_f:.3g} "
+                f"below {weak_f_threshold:g}"
+            )
+        if szx == 0.0:
+            notes.append("zero first stage: estimate non-finite")
+        else:
+            beta = szy / szx
+            se = robust_se(yt - beta * xt, szx)
+    if dof <= 0:
+        notes.append(_no_dof_note(n_obs, p))
+    coefficients = dict.fromkeys(labels, nan)
+    for j, value in zip(kept, B[:, 0] - beta * B[:, 1]):
+        coefficients[labels[j]] = float(value)
+    return IvFit(
+        beta=beta,
+        robust_se=se,
+        first_stage=first_stage,
+        reduced_form=reduced_form,
+        control_coefficients=coefficients,
+        dropped_columns=[lab for j, lab in enumerate(labels) if j not in kept],
+        weak_instrument=bool(first_stage.partial_f < weak_f_threshold),
+        notes=notes,
+    )
 
 
 def residualize(columns, on, weights) -> np.ndarray:
@@ -379,15 +378,7 @@ def residualize(columns, on, weights) -> np.ndarray:
     O = _as_matrix(on, "on")
     if O.shape[0] != C.shape[0]:
         raise ConfigurationError("columns and on must have the same number of rows")
-    w = _check_weights(weights, C.shape[0])
-    sw = np.sqrt(w)
-    Ow = O * sw[:, None]
-    kept = _screen_columns(Ow)
-    if kept:
-        B, *_ = np.linalg.lstsq(Ow[:, kept], C * sw[:, None], rcond=None)
-        out = C - O[:, kept] @ B
-    else:
-        out = C.copy()
+    out = _partial(C, O, _check_weights(weights, C.shape[0]))[2]
     return out[:, 0] if squeeze else out
 
 
@@ -424,14 +415,18 @@ def absorb_fixed_effects(
 
     ``fe_keys`` is one key sequence or a list of them (one per dimension).
     Iterates until the largest absolute weighted group mean across all
-    dimensions and columns is at most ``tol``; a single dimension converges
-    in one pass. Raises ConvergenceError (carrying the attained criterion)
+    dimensions and columns is at most ``tol``; a single dimension stops
+    after one pass, which is exact. Raises ConvergenceError (carrying the attained criterion)
     if ``max_iter`` sweeps do not suffice, and ConfigurationError on a
     non-finite column, whose NaN group means would pass the stopping check.
 
     Each group-mean pass is one ``np.bincount`` over the cell index
     ``code * k + column``, adding each cell's terms in row order. A sweep
     reuses the convergence check's means of the first dimension.
+
+    A column the fixed effects span, whose weighted norm falls to at most
+    PIVOT_RTOL times its norm before absorption, comes back exactly zero,
+    so that the rank screen drops it as it drops any collinear column.
     """
     C = np.asarray(columns, dtype=np.float64)
     squeeze = C.ndim == 1
@@ -446,6 +441,7 @@ def absorb_fixed_effects(
                 f"fixed-effect key length {len(keys)} does not match {n} rows"
             )
     w = _check_weights(weights, n)
+    norms = np.sqrt(w @ (out * out))
     cells = []
     for keys in dims:
         codes, n_groups = _factorize(keys)
@@ -471,6 +467,11 @@ def absorb_fixed_effects(
             if d:
                 means = group_means(flat, divisor)
             out -= np.take(means, codes, axis=0, out=gathered)
+        if len(cells) == 1:
+            # One pass demeans a single dimension exactly. The check would
+            # see rounding that grows with the column's scale.
+            attained = 0.0
+            break
         attained, means = criterion()
     if attained > tol:
         raise ConvergenceError(
@@ -478,6 +479,7 @@ def absorb_fixed_effects(
             f"(attained {attained:.3e}, tol {tol:.3e})",
             attained=attained,
         )
+    out[:, np.sqrt(w @ (out * out)) <= PIVOT_RTOL * norms] = 0.0
     return out[:, 0] if squeeze else out
 
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .design import DesignConfig, SubunitRecord, UnitRecord
-from .errors import ConfigurationError, EstimationError
+from .errors import ConfigurationError, EstimationError, RdaError
 from .estimators import estimate_lower, estimate_upper
 
 IMPORTANCE_SCHEMES = ("equal", "dirichlet_random", "unit_sum_one")
@@ -294,8 +294,10 @@ def run_monte_carlo(
     """Replication sweep over bandwidths with common random numbers.
 
     Each replication draws one dataset and every (estimator, bandwidth) pair
-    is evaluated on that same dataset. Replication failures are recorded, not
-    fatal; the summary flags runs where more than 1% of cells failed. The
+    is evaluated on that same dataset. An estimation failure (a package
+    error or a singular linear system) is recorded, not fatal; any other
+    exception propagates. The summary flags runs where more than 1% of cells
+    failed. The
     true effect must be known (zero for the built-in confound outcomes), so
     heterogeneous-effects specs go through late_gap_check instead.
     """
@@ -319,7 +321,7 @@ def run_monte_carlo(
             for h in h_grid:
                 try:
                     beta = _run_estimator(name, units, subunits, h)
-                except Exception:
+                except (RdaError, np.linalg.LinAlgError):
                     beta = float("nan")
                 out[(name, h)] = beta
         digest = dataset_digest(units, subunits) if keep_digests else ""

@@ -1,0 +1,51 @@
+"""Dense test-side oracles that share no code with ``rdagg.regress``."""
+
+import numpy as np
+
+
+def dense_tsls(y, x, z, controls, w, extra_dof=0):
+    """Textbook just-identified 2SLS on full-rank dense matrices.
+
+    Two ``np.linalg.lstsq`` stages on sqrt(w)-weighted rows, and HC1
+    sandwiches (bread^-1 meat bread^-1 by ``np.linalg.solve``) with factor
+    n / (n - k - extra_dof), where n counts rows of positive weight and k
+    the columns of the design. ``controls`` is an (n, k) matrix. Returns
+    beta and its SE, the first-stage coefficient, SE and partial F, the
+    reduced-form coefficient and SE, and the control coefficients.
+    """
+    y, x, z, w = (np.asarray(v, dtype=float) for v in (y, x, z, w))
+    C = np.asarray(controls, dtype=float).reshape(len(y), -1)
+    sw = np.sqrt(w)
+    n_obs = int(np.sum(w > 0))
+
+    def fit(target, X):
+        b = np.linalg.lstsq(X * sw[:, None], target * sw, rcond=None)[0]
+        return b, target - X @ b
+
+    def hc1(X, e):
+        dof = n_obs - X.shape[1] - extra_dof
+        if dof <= 0:
+            return np.full(X.shape[1], np.nan)
+        bread = (X * w[:, None]).T @ X
+        score = X * (w * e)[:, None]
+        meat = score.T @ score * (n_obs / dof)
+        half = np.linalg.solve(bread, meat)
+        return np.sqrt(np.diag(np.linalg.solve(bread, half.T)))
+
+    first = np.column_stack([z, C])
+    pi, e1 = fit(x, first)
+    second = np.column_stack([x - e1, C])
+    b, _ = fit(y, second)
+    se = hc1(second, y - np.column_stack([x, C]) @ b)
+    rf, e3 = fit(y, first)
+    pi_se = hc1(first, e1)[0]
+    return {
+        "beta": b[0],
+        "robust_se": se[0],
+        "fs_coefficient": pi[0],
+        "fs_se": pi_se,
+        "fs_partial_f": (pi[0] / pi_se) ** 2,
+        "rf_coefficient": rf[0],
+        "rf_se": hc1(first, e3)[0],
+        "controls": b[1:],
+    }

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import dense_tsls
 from rdagg.design import (
     DesignConfig,
     SubunitRecord,
@@ -33,8 +34,8 @@ from rdagg.estimators import (
 from rdagg.regress import (
     RegressionProblem,
     absorb_fixed_effects,
+    iv_fit,
     residualize,
-    tsls_fit,
     wls_fit,
 )
 from rdagg.simlab import DgpSpec, estimand_oracle, generate_dgp, run_monte_carlo
@@ -133,15 +134,23 @@ def test_criterion_02_regression_core_oracles():
         x = 0.7 * z + rng.normal(size=n)
         y = 1.2 * x + W @ np.array([0.5, -0.3, 0.2]) + rng.normal(size=n)
         w = rng.uniform(0.2, 2.0, size=n)
-        fit = tsls_fit(
-            RegressionProblem(
-                y, np.column_stack([x, W]), ["x", "c", "w1", "w2"], w,
-                endogenous=["x"], instruments=z[:, None],
-            )
-        )
+        fit = iv_fit(y, x, z, list(zip(["c", "w1", "w2"], W.T)), w)
         z_p, x_p, y_p = (residualize(v, W, w) for v in (z, x, y))
         oracle = float(np.sum(w * z_p * y_p) / np.sum(w * z_p * x_p))
-        worst["tsls"] = max(worst["tsls"], rel(fit.coefficients["x"], oracle))
+        dense = dense_tsls(y, x, z, W, w)
+        worst["tsls"] = max(
+            worst["tsls"],
+            rel(fit.beta, oracle),
+            rel(fit.beta, dense["beta"]),
+            rel(fit.robust_se, dense["robust_se"]),
+            rel(fit.first_stage.coefficient, dense["fs_coefficient"]),
+            rel(fit.first_stage.robust_se, dense["fs_se"]),
+            rel(fit.first_stage.partial_f, dense["fs_partial_f"]),
+            rel(fit.reduced_form.coefficient, dense["rf_coefficient"]),
+            rel(fit.reduced_form.robust_se, dense["rf_se"]),
+            *(rel(fit.control_coefficients[lab], v)
+              for lab, v in zip(["c", "w1", "w2"], dense["controls"])),
+        )
 
     for _ in range(50):
         n = int(rng.integers(120, 250))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import dense_tsls
 from rdagg.design import (
     AttributeFilter,
     DesignConfig,
@@ -17,7 +18,6 @@ from rdagg.design import (
 )
 from rdagg.errors import ConfigurationError, IntegrityError
 from rdagg.estimators import estimate_spillover_collapsed, estimate_upper
-from rdagg.regress import RegressionProblem, tsls_fit
 
 
 def sub(sid, uid, r, s=1.0, win=None, **attrs):
@@ -381,12 +381,8 @@ def collapsed_oracle(graph, units, subs, cfg):
                          s.importance * len(neighbors), s.running))
     yy, xx, w, r = (np.array(col) for col in zip(*recs))
     z = (r >= 0).astype(float)
-    fit = tsls_fit(RegressionProblem(
-        yy, np.column_stack([xx, np.ones(len(r)), r, r * z]),
-        ["treatment", "intercept", "running", "running_pos"], w,
-        endogenous=["treatment"], instruments=z[:, None],
-    ))
-    return fit.coefficients["treatment"], len(recs)
+    fit = dense_tsls(yy, xx, z, np.column_stack([np.ones(len(r)), r, r * z]), w)
+    return fit["beta"], len(recs)
 
 
 class TestCollapse:

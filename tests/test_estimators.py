@@ -1,8 +1,11 @@
 """Estimator behavior: exact identities, reductions, spillovers, gap checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from oracles import dense_tsls
 from rdagg.design import (
     DesignConfig,
     SpilloverGraph,
@@ -22,7 +25,8 @@ from rdagg.estimators import (
     late_gap_check,
     verify_equivalence,
 )
-from rdagg.simlab import DgpSpec, estimand_oracle
+from rdagg import design
+from rdagg.simlab import DgpSpec, estimand_oracle, generate_dgp
 
 
 def sub(sid, uid, r, s=1.0, **kw):
@@ -167,8 +171,6 @@ class TestLower:
 
 class TestStackConsistency:
     def test_estimate_lower_matches_manual_fit_on_stacked_rows(self):
-        from rdagg.regress import RegressionProblem, tsls_fit
-
         rng = np.random.default_rng(21)
         units, subs = random_bundle(rng, n_units=35, extras=1)
         cfg = DesignConfig(bandwidth=0.8, kernel="triangular")
@@ -182,18 +184,9 @@ class TestStackConsistency:
         by_id = {u.unit_id: u for u in units}
         c1 = np.array([by_id[stack.unit_ids[i]].extra_controls["c0"] for i in rows])
         w = stack.importance * stack.kernel
-        fit = tsls_fit(
-            RegressionProblem(
-                y,
-                np.column_stack([x, np.ones(len(rows)), r, rp, c1]),
-                ["treatment", "intercept", "running", "running_pos", "c0"],
-                w,
-                endogenous=["treatment"],
-                instruments=z[:, None],
-            )
-        )
+        fit = dense_tsls(y, x, z, np.column_stack([np.ones(len(rows)), r, rp, c1]), w)
         got = estimate_lower(units, subs, cfg)
-        assert got.beta == pytest.approx(fit.coefficients["treatment"], rel=1e-12)
+        assert got.beta == pytest.approx(fit["beta"], rel=1e-12)
         assert got.n_stacked_rows == len(rows)
 
 
@@ -285,6 +278,21 @@ class TestEquivalence:
         gap = abs(broken - rep.beta_upper) / max(1.0, abs(rep.beta_upper))
         assert gap > 1e-8
 
+    def test_builds_the_edge_index_once(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        units, subs = random_bundle(rng, n_units=40, extras=1, fe=True, weights=True)
+        cfg = DesignConfig(bandwidth=0.8, fe_dimensions=("g",))
+        calls = []
+        edge_index = design._edge_index
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return edge_index(*args, **kwargs)
+
+        monkeypatch.setattr(design, "_edge_index", counted)
+        rep = verify_equivalence(units, subs, cfg)
+        assert rep.passed and len(calls) == 1
+
     def test_requires_full_control_set(self):
         rng = np.random.default_rng(11)
         units, subs = random_bundle(rng, n_units=20)
@@ -296,6 +304,45 @@ class TestEquivalence:
         units, subs = random_bundle(rng, n_units=20)
         with pytest.raises(ConfigurationError, match="uniform"):
             verify_equivalence(units, subs, DesignConfig(kernel="triangular"))
+
+
+class TestControlScale:
+    """A control's units of measure change neither the rank decision nor
+    the estimate: at 1e9 the screen once dropped the aggregated running
+    controls, at 1e12 the estimate became NaN, both without a note."""
+
+    @pytest.mark.parametrize("estimator", [estimate_upper, estimate_lower])
+    def test_rescaled_extra_control(self, estimator):
+        units, subs, _ = generate_dgp(DgpSpec(n_units=500, seed=0), 0)
+        c = np.random.default_rng(5).normal(size=len(units))
+        cfg = DesignConfig(bandwidth=0.5)
+
+        def fit(scale):
+            scaled = [replace(u, extra_controls={"c": scale * c[i]}) for i, u in enumerate(units)]
+            return estimator(scaled, subs, cfg)
+
+        base = fit(1.0)
+        for scale in (1e9, 1e12):
+            got = fit(scale)
+            assert got.beta == pytest.approx(base.beta, rel=1e-10)
+            assert got.robust_se == pytest.approx(base.robust_se, rel=1e-10)
+            assert got.notes == base.notes
+            for lab, value in base.control_coefficients.items():
+                want = value / scale if lab == "c" else value
+                assert got.control_coefficients[lab] == pytest.approx(want, rel=1e-10)
+
+    def test_control_spanned_by_fixed_effects_is_dropped(self):
+        rng = np.random.default_rng(14)
+        units, subs = random_bundle(rng, n_units=80, extras=1, fe=True, weights=True)
+        level = {g: float(rng.normal()) * 3 for g in sorted({u.fe_keys["g"] for u in units})}
+        units = [replace(u, extra_controls={**u.extra_controls, "g_level": level[u.fe_keys["g"]]})
+                 for u in units]
+        cfg = DesignConfig(bandwidth=0.8, fe_dimensions=("g",))
+        for result in (estimate_upper(units, subs, cfg), estimate_lower(units, subs, cfg)):
+            assert np.isnan(result.control_coefficients["g_level"])
+            assert np.isfinite(result.control_coefficients["c0"])
+            assert np.isfinite(result.beta) and np.isfinite(result.robust_se)
+        assert verify_equivalence(units, subs, cfg).passed
 
 
 class TestSharpRd:

@@ -176,6 +176,30 @@ class TestSerialize:
         assert not up.exists() and not sp.exists()
 
 
+    def test_missing_control_refused_before_writing(self, tmp_path):
+        from rdagg.design import SubunitRecord, UnitRecord
+        from rdagg.io import InputBundle
+
+        units = [UnitRecord("a", 1.0, extra_controls={"x": 1.0}), UnitRecord("b", 2.0)]
+        subs = [SubunitRecord("s", "a", 0.0, 1.0)]
+        up, sp = tmp_path / "u.csv", tmp_path / "s.csv"
+        with pytest.raises(SchemaError, match="'b'.*'x'"):
+            write_bundle(InputBundle(units, subs), str(up), str(sp))
+        assert not up.exists() and not sp.exists()
+
+    def test_ragged_attributes_round_trip(self, tmp_path):
+        from rdagg.design import SubunitRecord, UnitRecord
+        from rdagg.io import InputBundle
+
+        units = [UnitRecord("a", 1.0)]
+        subs = [SubunitRecord("s1", "a", 0.1, 1.0, attributes={"votes": 30.0}),
+                SubunitRecord("s2", "a", -0.2, 1.0, attributes={"margin": 2.5})]
+        up, sp = tmp_path / "u.csv", tmp_path / "s.csv"
+        write_bundle(InputBundle(units, subs), str(up), str(sp))
+        loaded = load_bundle(str(up), str(sp))
+        assert [s.attributes for s in loaded.subunits] == [{"votes": 30.0}, {"margin": 2.5}]
+
+
 class TestCli:
     def test_upper_equals_lower_on_one_subunit_bundle(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
@@ -270,9 +294,13 @@ class TestCli:
         assert m3["inputs"]["subunits.csv"] == m1["inputs"]["subunits.csv"]
 
     def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as err:
-            main(["estimate-upper", "--nonsense"])
-        assert err.value.code == 2
+        # --seed stays on simulate only: nothing on a bundle command read it
+        for argv in (["estimate-upper", "--nonsense"],
+                     ["estimate-upper", "--units", "u.csv", "--subunits", "s.csv",
+                      "--seed", "1"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
 
     def test_computation_error_exits_1(self, tmp_path, capsys):
         up = write(tmp_path, "units.csv", "unit_id,outcome,weight\nu1,oops,1.0\n")

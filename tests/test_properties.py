@@ -1,4 +1,7 @@
-"""Property tests: estimates do not depend on input row order or id labels."""
+"""Property tests: estimates do not depend on input row order, id labels, or
+the units a control is measured in."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,3 +89,7 @@ def test_invariant_to_row_order_and_id_labels(seed, fe, data):
     unit_perm = data.draw(st.permutations(range(len(units))))
     sub_perm = data.draw(st.permutations(range(len(subunits))))
     assert_same(fits(*relabel(units, subunits, edges, unit_perm, sub_perm), config), want)
+
+    scale = data.draw(st.sampled_from([1e-6, 1e9]))
+    rescaled = [replace(u, extra_controls={"c0": scale * u.extra_controls["c0"]}) for u in units]
+    assert_same(fits(rescaled, subunits, edges, config), want)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import dense_tsls
 from rdagg.errors import ConfigurationError, ConvergenceError
 from rdagg.regress import (
     FE_MAX_ITER,
@@ -11,8 +12,8 @@ from rdagg.regress import (
     absorb_fixed_effects,
     fixed_effect_dof,
     hc1_cov,
+    iv_fit,
     residualize,
-    tsls_fit,
     wls_fit,
 )
 
@@ -31,9 +32,14 @@ def random_problem(rng, n=50, p=4):
     return y, X, w
 
 
-def make(y, X, w, labels=None, **kw):
+def make(y, X, w, labels=None):
     labels = labels or [f"x{j}" for j in range(X.shape[1])]
-    return RegressionProblem(y, X, labels, w, **kw)
+    return RegressionProblem(y, X, labels, w)
+
+
+def columns(X, labels):
+    """(label, column) pairs of a control matrix."""
+    return list(zip(labels, np.asarray(X).T))
 
 
 def reference_absorb(columns, key_sets, weights, tol=FE_TOL, max_iter=FE_MAX_ITER):
@@ -166,10 +172,8 @@ class TestTsls:
         w = rng.uniform(0.5, 2.0, size=n)
         labels = ["x", "const", "w1"]
         ols = wls_fit(make(y, X, w, labels=labels))
-        iv = tsls_fit(
-            make(y, X, w, labels=labels, endogenous=["x"], instruments=x[:, None])
-        )
-        assert iv.coefficients["x"] == pytest.approx(ols.coefficients["x"], abs=1e-12)
+        iv = iv_fit(y, x, x, columns(W, labels[1:]), w)
+        assert iv.beta == pytest.approx(ols.coefficients["x"], abs=1e-12)
 
     def test_ratio_of_covariances_oracle(self):
         rng = np.random.default_rng(6)
@@ -180,16 +184,12 @@ class TestTsls:
             x = 0.8 * z + rng.normal(size=n)
             y = 1.5 * x + W @ np.array([0.3, -0.2, 0.4]) + rng.normal(size=n)
             w = rng.uniform(0.2, 2.0, size=n)
-            X = np.column_stack([x, W])
-            fit = tsls_fit(
-                make(y, X, w, labels=["x", "c", "w1", "w2"], endogenous=["x"],
-                     instruments=z[:, None])
-            )
+            fit = iv_fit(y, x, z, columns(W, ["c", "w1", "w2"]), w)
             y_p = residualize(y, W, w)
             x_p = residualize(x, W, w)
             z_p = residualize(z, W, w)
             oracle = np.sum(w * z_p * y_p) / np.sum(w * z_p * x_p)
-            assert fit.coefficients["x"] == pytest.approx(oracle, rel=1e-10)
+            assert fit.beta == pytest.approx(oracle, rel=1e-10)
 
     def test_recovers_true_effect_in_simulation(self):
         rng = np.random.default_rng(7)
@@ -197,12 +197,8 @@ class TestTsls:
         z = rng.normal(size=n)
         x = z + rng.normal(size=n)
         y = 3.0 * x + rng.normal(size=n)
-        X = np.column_stack([x, np.ones(n)])
-        fit = tsls_fit(
-            make(y, X, np.ones(n), labels=["x", "c"], endogenous=["x"],
-                 instruments=z[:, None])
-        )
-        assert abs(fit.coefficients["x"] - 3.0) < 3 * fit.robust_se["x"]
+        fit = iv_fit(y, x, z, [("c", np.ones(n))], np.ones(n))
+        assert abs(fit.beta - 3.0) < 3 * fit.robust_se
         assert fit.first_stage.partial_f > 100
 
     def test_zero_first_stage_reports_non_finite(self):
@@ -211,12 +207,8 @@ class TestTsls:
         x = rng.normal(size=n)
         z = np.ones(n)  # collinear with the constant: no instrument variation
         y = rng.normal(size=n)
-        X = np.column_stack([x, np.ones(n)])
-        fit = tsls_fit(
-            make(y, X, np.ones(n), labels=["x", "c"], endogenous=["x"],
-                 instruments=z[:, None])
-        )
-        assert np.isnan(fit.coefficients["x"])
+        fit = iv_fit(y, x, z, [("c", np.ones(n))], np.ones(n))
+        assert np.isnan(fit.beta)
         assert any("non-finite" in note or "vanished" in note for note in fit.notes)
 
     def test_weak_instrument_is_a_warning_not_an_error(self):
@@ -225,24 +217,112 @@ class TestTsls:
         z = rng.normal(size=n)
         x = 0.01 * z + rng.normal(size=n)
         y = rng.normal(size=n)
-        X = np.column_stack([x, np.ones(n)])
-        fit = tsls_fit(
-            make(y, X, np.ones(n), labels=["x", "c"], endogenous=["x"],
-                 instruments=z[:, None])
-        )
+        fit = iv_fit(y, x, z, [("c", np.ones(n))], np.ones(n))
         assert any("weak instrument" in note for note in fit.notes)
-        assert np.isfinite(fit.coefficients["x"])
+        assert np.isfinite(fit.beta)
 
     def test_overidentified_rejected(self):
         rng = np.random.default_rng(10)
         n = 40
         x = rng.normal(size=n)
-        X = np.column_stack([x, np.ones(n)])
-        with pytest.raises(ConfigurationError, match="one instrument per endogenous"):
-            tsls_fit(
-                make(rng.normal(size=n), X, np.ones(n), labels=["x", "c"],
-                     endogenous=["x"], instruments=rng.normal(size=(n, 2)))
-            )
+        with pytest.raises(ConfigurationError, match="one-dimensional"):
+            iv_fit(rng.normal(size=n), x, rng.normal(size=(n, 2)), [("c", np.ones(n))],
+                   np.ones(n))
+
+    def test_one_screen_and_no_sandwich_per_fit(self, monkeypatch):
+        from rdagg import regress
+
+        calls = []
+
+        def counted(name):
+            original = getattr(regress, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_screen_columns", "hc1_cov"):
+            monkeypatch.setattr(regress, name, counted(name))
+        rng = np.random.default_rng(41)
+        n = 60
+        W = np.column_stack([np.ones(n), rng.normal(size=n)])
+        z = rng.normal(size=n)
+        iv_fit(rng.normal(size=n), z + rng.normal(size=n), z, columns(W, ["c", "w1"]),
+               np.ones(n))
+        assert calls == ["_screen_columns"]
+
+    def test_matches_dense_two_stage_oracle(self):
+        """Every kernel output against two dense lstsq stages and HC1
+        sandwiches, on 50 random instances that cycle through fixed-effect
+        degrees of freedom, zero-weight rows, a collinear control, no residual
+        degrees of freedom and an instrument that is a control combination."""
+        rng = np.random.default_rng(40)
+        rel = lambda a, b: abs(a - b) / max(1.0, abs(a), abs(b))
+        kinds = ("plain", "extra_dof", "zero_weights", "collinear", "no_dof", "dead")
+        seen = set()
+        for i in range(50):
+            kind = kinds[i % len(kinds)]
+            k = int(rng.integers(3, 6))
+            n = k + 2 if kind == "no_dof" else int(rng.integers(30, 120))
+            C = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
+            labels = [f"c{j}" for j in range(k)]
+            z = rng.normal(size=n)
+            if kind == "dead":
+                z = C @ rng.normal(size=k)
+            x = 0.8 * z + C @ rng.normal(size=k) + rng.normal(size=n)
+            y = 1.3 * x + C @ rng.normal(size=k) + rng.normal(size=n)
+            w = rng.uniform(0.2, 2.5, size=n)
+            extra_dof = int(rng.integers(1, 6)) if kind in ("extra_dof", "zero_weights") else 0
+            if kind == "zero_weights":
+                w[rng.permutation(n)[: n // 5]] = 0.0
+            if kind == "no_dof":
+                extra_dof = int(rng.integers(1, 4))
+            dropped = []
+            if kind == "collinear":
+                # a third column in the span of c1 and c2: the last of the
+                # three in column order is the one dropped
+                pos = int(rng.integers(1, k + 1))
+                C = np.insert(C, pos, 2.0 * C[:, 1] - 0.5 * C[:, 2], axis=1)
+                labels.insert(pos, "combo")
+                dropped = [max(("c1", "c2", "combo"), key=labels.index)]
+            fit = iv_fit(y, x, z, columns(C, labels), w, extra_dof)
+            assert fit.dropped_columns == dropped
+            kept = [j for j, lab in enumerate(labels) if lab not in dropped]
+            for lab in dropped:
+                assert np.isnan(fit.control_coefficients[lab])
+            n_obs = int(np.sum(w > 0))
+            if kind == "dead":
+                assert np.isnan(fit.beta) and np.isnan(fit.robust_se)
+                fs = fit.first_stage
+                assert np.isnan(fs.coefficient) and np.isnan(fs.robust_se)
+                assert np.isnan(fs.partial_f)
+                assert any("vanished" in note or "non-finite" in note for note in fit.notes)
+                seen.add(kind)
+                continue
+            want = dense_tsls(y, x, z, C[:, kept], w, extra_dof)
+            got = {
+                "beta": fit.beta,
+                "robust_se": fit.robust_se,
+                "fs_coefficient": fit.first_stage.coefficient,
+                "fs_se": fit.first_stage.robust_se,
+                "fs_partial_f": fit.first_stage.partial_f,
+                "rf_coefficient": fit.reduced_form.coefficient,
+                "rf_se": fit.reduced_form.robust_se,
+            }
+            point = ("beta", "fs_coefficient", "rf_coefficient")
+            if kind == "no_dof":
+                assert n_obs - len(kept) - 1 - extra_dof <= 0
+                assert all(np.isnan(v) for key, v in got.items() if key not in point)
+                assert f"no residual degrees of freedom (n={n_obs}, p={len(kept) + 1}): " \
+                    "SEs not available" in fit.notes
+            for key in got if kind != "no_dof" else point:
+                assert rel(got[key], want[key]) <= 1e-10, (i, kind, key)
+            for j, value in zip(kept, want["controls"]):
+                assert rel(fit.control_coefficients[labels[j]], value) <= 1e-10, (i, kind)
+            seen.add(kind)
+        assert seen == set(kinds)
 
 
 class TestResidualize:
@@ -293,6 +373,24 @@ class TestAbsorb:
         w = rng.uniform(0.5, 2.0, size=30)
         out = absorb_fixed_effects(x, ["g"] * 30, w)
         np.testing.assert_allclose(out, x - np.sum(w * x) / np.sum(w), atol=1e-12)
+
+    def test_single_dimension_at_large_scale(self):
+        # the stopping check once saw rounding of 1e-7 on a column of 1e9
+        # and swept until it raised ConvergenceError
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=60)
+        keys = [f"g{v}" for v in rng.integers(0, 4, size=60)]
+        w = rng.uniform(0.5, 2.0, size=60)
+        got = absorb_fixed_effects(1e9 * x, keys, w)
+        np.testing.assert_allclose(got, 1e9 * absorb_fixed_effects(x, keys, w), rtol=1e-10)
+
+    def test_column_spanned_by_fixed_effects_becomes_zero(self):
+        rng = np.random.default_rng(26)
+        g = rng.integers(0, 5, size=50)
+        level = rng.normal(size=5)[g] * 1e3
+        cols = np.column_stack([level, rng.normal(size=50)])
+        out = absorb_fixed_effects(cols, [str(v) for v in g], rng.uniform(0.5, 2.0, size=50))
+        assert np.all(out[:, 0] == 0.0) and np.all(out[:, 1] != 0.0)
 
     def test_coinciding_dimensions_match_single(self):
         rng = np.random.default_rng(15)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rdagg.errors import ConfigurationError
+from rdagg import simlab
+from rdagg.errors import ConfigurationError, EstimationError
 from rdagg.estimators import estimate_lower
 from rdagg.simlab import (
     DEFAULT_H_GRID,
@@ -154,6 +155,25 @@ class TestRunMonteCarlo:
         with pytest.raises(ConfigurationError, match="late_gap_check"):
             run_monte_carlo(DgpSpec(n_units=10, outcome_kind="heterogeneous_effects"),
                             n_replications=2)
+
+    def test_estimation_errors_counted_and_bugs_propagate(self, monkeypatch):
+        spec = DgpSpec(n_units=40, seed=12)
+        kw = dict(estimators=("upper",), h_grid=(0.5,), n_replications=2, n_bootstrap=20,
+                  seed=12)
+
+        def estimation_error(*args, **kwargs):
+            raise EstimationError("empty sample")
+
+        monkeypatch.setattr(simlab, "estimate_upper", estimation_error)
+        cell = run_monte_carlo(spec, **kw).cell("upper", 0.5)
+        assert (cell.n_ok, cell.n_fail) == (0, 2)
+
+        def bug(*args, **kwargs):
+            raise TypeError("a bug, not a failed estimate")
+
+        monkeypatch.setattr(simlab, "estimate_upper", bug)
+        with pytest.raises(TypeError, match="a bug"):
+            run_monte_carlo(spec, **kw)
 
     def test_csv_columns(self):
         spec = DgpSpec(n_units=40, seed=11)
