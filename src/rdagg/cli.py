@@ -292,30 +292,26 @@ def _load(args):
 
 
 def _read_micro(path: str):
-    from .io import _read_rows, _parse_float
+    from .io import _columns, _parse_float, _read_rows
 
     header, rows, lines = _read_rows(path)
-    for col in ("cell", "value", "weight"):
-        if col not in header:
-            raise SchemaError(f"{path}:1: missing required column '{col}'")
+    i_cell, i_value, i_weight = _columns(header, path, ("cell", "value", "weight"))
     return [
-        (row["cell"], _parse_float(row["value"], path, line, "value"),
-         _parse_float(row["weight"], path, line, "weight"))
+        (row[i_cell], _parse_float(row[i_value], path, line, "value"),
+         _parse_float(row[i_weight], path, line, "weight"))
         for row, line in zip(rows, lines)
     ]
 
 
 def _read_series(path: str):
-    from .io import _read_rows, _parse_float
+    from .io import _columns, _parse_float, _read_rows
 
     header, rows, lines = _read_rows(path)
-    for col in ("period", "actual", "shortfall"):
-        if col not in header:
-            raise SchemaError(f"{path}:1: missing required column '{col}'")
-    periods = [row["period"] for row in rows]
-    actual = [_parse_float(row["actual"], path, line, "actual") for row, line in zip(rows, lines)]
+    i_period, i_actual, i_shortfall = _columns(header, path, ("period", "actual", "shortfall"))
+    periods = [row[i_period] for row in rows]
+    actual = [_parse_float(row[i_actual], path, line, "actual") for row, line in zip(rows, lines)]
     shortfall = [
-        _parse_float(row["shortfall"], path, line, "shortfall")
+        _parse_float(row[i_shortfall], path, line, "shortfall")
         for row, line in zip(rows, lines)
     ]
     return periods, actual, shortfall

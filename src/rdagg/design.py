@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,7 +52,7 @@ class SubunitRecord:
     attributes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not np.isfinite(self.running):
+        if not isfinite(self.running):
             raise ConfigurationError(f"subunit '{self.subunit_id}': running variable not finite")
         if not (self.importance > 0):
             raise ConfigurationError(f"subunit '{self.subunit_id}': importance must be positive")

@@ -11,14 +11,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .design import DesignConfig, Stack, SubunitRecord, UnitRecord, unit_exposures
 from .errors import ConfigurationError, EstimationError
 from .estimators import INTERCEPT, _control_columns, _sorted_units
 from .regress import RegressionProblem, wls_fit
 
-Z_CRITICAL_5PCT = float(stats.norm.ppf(0.975))
+# scipy.stats.norm.ppf(0.975) to the bit, written out so that importing this
+# module does not import scipy (statistics.NormalDist differs in the last digit)
+Z_CRITICAL_5PCT = 1.959963984540054
 
 
 @dataclass
@@ -118,6 +119,8 @@ def balance_test(
         partial_f = ((rss_restricted - full.weighted_rss) / k) / (
             full.weighted_rss / full.dof
         )
+        from scipy import stats
+
         pvalue = float(stats.f.sf(partial_f, k, full.dof))
     else:
         idx = [full.kept_labels.index(lab) for lab in kept_covs]
@@ -128,6 +131,8 @@ def balance_test(
         except np.linalg.LinAlgError:
             wald = float(b @ np.linalg.pinv(V) @ b)
         partial_f = wald / k
+        from scipy import stats
+
         pvalue = float(stats.chi2.sf(wald, k))
 
     rows: Dict[str, CovariateRow] = {}

@@ -20,9 +20,8 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .design import SpilloverGraph, SubunitRecord, UnitRecord
 from .errors import IntegrityError, SchemaError
@@ -43,7 +42,12 @@ class InputBundle:
     report: ValidationReport = field(default_factory=ValidationReport)
 
 
-def _read_rows(path: str) -> Tuple[List[str], List[dict], List[int]]:
+def _read_rows(path: str) -> Tuple[List[str], List[List[str]], List[int]]:
+    """Header, the rows as lists of stripped cells, and each row's line number.
+
+    Every row is split and counted before any cell is parsed, so a row with
+    the wrong number of fields is reported before a bad value.
+    """
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -57,17 +61,24 @@ def _read_rows(path: str) -> Tuple[List[str], List[dict], List[int]]:
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             raise SchemaError(f"{path}:1: duplicate column names")
+        width = len(header)
         rows, lines = [], []
         for lineno, raw in enumerate(reader, start=2):
             if not raw or (len(raw) == 1 and raw[0].strip() == ""):
                 continue
-            if len(raw) != len(header):
-                raise SchemaError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(raw)}"
-                )
-            rows.append(dict(zip(header, (cell.strip() for cell in raw))))
+            if len(raw) != width:
+                raise SchemaError(f"{path}:{lineno}: expected {width} fields, got {len(raw)}")
+            rows.append(list(map(str.strip, raw)))
             lines.append(lineno)
     return header, rows, lines
+
+
+def _columns(header: List[str], path: str, required: Sequence[str]) -> List[int]:
+    """Positions of the ``required`` columns in ``header``."""
+    for col in required:
+        if col not in header:
+            raise SchemaError(f"{path}:1: missing required column '{col}'")
+    return [header.index(col) for col in required]
 
 
 def _parse_float(value: str, path: str, line: int, column: str) -> float:
@@ -75,7 +86,7 @@ def _parse_float(value: str, path: str, line: int, column: str) -> float:
         out = float(value)
     except ValueError:
         raise SchemaError(f"{path}:{line}:{column}: cannot parse '{value}' as a number")
-    if not np.isfinite(out):
+    if not isfinite(out):
         raise SchemaError(f"{path}:{line}:{column}: value must be finite, got '{value}'")
     return out
 
@@ -92,34 +103,30 @@ def _parse_flag(value: str, path: str, line: int, column: str) -> Optional[bool]
 
 def load_units(path: str) -> List[UnitRecord]:
     header, rows, lines = _read_rows(path)
-    required = ("unit_id", "outcome", "weight")
-    for col in required:
-        if col not in header:
-            raise SchemaError(f"{path}:1: missing required column '{col}'")
-    fe_cols = [c for c in header if c.startswith("fe_")]
-    ctrl_cols = [c for c in header if c.startswith("ctrl_")]
-    known = set(required) | set(fe_cols) | set(ctrl_cols) | {"treatment_override"}
-    unknown = [c for c in header if c not in known]
+    i_id, i_outcome, i_weight = _columns(header, path, ("unit_id", "outcome", "weight"))
+    fe_cols = [(i, c) for i, c in enumerate(header) if c.startswith("fe_")]
+    ctrl_cols = [(i, c) for i, c in enumerate(header) if c.startswith("ctrl_")]
+    known = {"unit_id", "outcome", "weight", "treatment_override"}
+    unknown = [c for c in header if c not in known and not c.startswith(("fe_", "ctrl_"))]
     if unknown:
         raise SchemaError(f"{path}:1: unknown columns {unknown}")
+    i_override = header.index("treatment_override") if "treatment_override" in header else None
     units = []
     for row, line in zip(rows, lines):
-        uid = row["unit_id"]
+        uid = row[i_id]
         if not uid:
             raise SchemaError(f"{path}:{line}:unit_id: empty id")
-        for c in fe_cols:
-            if not row[c]:
+        for i, c in fe_cols:
+            if not row[i]:
                 raise SchemaError(f"{path}:{line}:{c}: empty fixed-effect key")
-        override = row.get("treatment_override", "")
+        override = "" if i_override is None else row[i_override]
         units.append(
             UnitRecord(
                 unit_id=uid,
-                outcome=_parse_float(row["outcome"], path, line, "outcome"),
-                analysis_weight=_parse_float(row["weight"], path, line, "weight"),
-                fe_keys={c[3:]: row[c] for c in fe_cols},
-                extra_controls={
-                    c[5:]: _parse_float(row[c], path, line, c) for c in ctrl_cols
-                },
+                outcome=_parse_float(row[i_outcome], path, line, "outcome"),
+                analysis_weight=_parse_float(row[i_weight], path, line, "weight"),
+                fe_keys={c[3:]: row[i] for i, c in fe_cols},
+                extra_controls={c[5:]: _parse_float(row[i], path, line, c) for i, c in ctrl_cols},
                 treatment_override=(
                     None if override == "" else _parse_float(override, path, line, "treatment_override")
                 ),
@@ -130,32 +137,34 @@ def load_units(path: str) -> List[UnitRecord]:
 
 def load_subunits(path: str) -> List[SubunitRecord]:
     header, rows, lines = _read_rows(path)
-    required = ("subunit_id", "unit_id", "running", "importance")
-    for col in required:
-        if col not in header:
-            raise SchemaError(f"{path}:1: missing required column '{col}'")
-    attr_cols = [c for c in header if c.startswith("attr_")]
-    known = set(required) | set(attr_cols) | {"win_flag"}
-    unknown = [c for c in header if c not in known]
+    i_id, i_unit, i_running, i_importance = _columns(
+        header, path, ("subunit_id", "unit_id", "running", "importance")
+    )
+    attr_cols = [(i, c) for i, c in enumerate(header) if c.startswith("attr_")]
+    known = {"subunit_id", "unit_id", "running", "importance", "win_flag"}
+    unknown = [c for c in header if c not in known and not c.startswith("attr_")]
     if unknown:
         raise SchemaError(f"{path}:1: unknown columns {unknown}")
+    i_win = header.index("win_flag") if "win_flag" in header else None
     subunits = []
     for row, line in zip(rows, lines):
-        sid = row["subunit_id"]
+        sid = row[i_id]
         if not sid:
             raise SchemaError(f"{path}:{line}:subunit_id: empty id")
-        importance = _parse_float(row["importance"], path, line, "importance")
+        importance = _parse_float(row[i_importance], path, line, "importance")
         if importance <= 0:
             raise SchemaError(f"{path}:{line}:importance: must be positive")
         subunits.append(
             SubunitRecord(
                 subunit_id=sid,
-                unit_id=row["unit_id"],
-                running=_parse_float(row["running"], path, line, "running"),
+                unit_id=row[i_unit],
+                running=_parse_float(row[i_running], path, line, "running"),
                 importance=importance,
-                win_flag=_parse_flag(row.get("win_flag", ""), path, line, "win_flag"),
+                win_flag=(
+                    None if i_win is None else _parse_flag(row[i_win], path, line, "win_flag")
+                ),
                 attributes={
-                    c[5:]: _parse_float(row[c], path, line, c) for c in attr_cols if row[c]
+                    c[5:]: _parse_float(row[i], path, line, c) for i, c in attr_cols if row[i]
                 },
             )
         )
@@ -164,14 +173,12 @@ def load_subunits(path: str) -> List[SubunitRecord]:
 
 def load_edges(path: str) -> SpilloverGraph:
     header, rows, lines = _read_rows(path)
-    for col in ("outcome_unit_id", "subunit_id"):
-        if col not in header:
-            raise SchemaError(f"{path}:1: missing required column '{col}'")
+    i_unit, i_sub = _columns(header, path, ("outcome_unit_id", "subunit_id"))
     edges = []
     for row, line in zip(rows, lines):
-        if not row["outcome_unit_id"] or not row["subunit_id"]:
+        if not row[i_unit] or not row[i_sub]:
             raise SchemaError(f"{path}:{line}: empty edge endpoint")
-        edges.append((row["outcome_unit_id"], row["subunit_id"]))
+        edges.append((row[i_unit], row[i_sub]))
     return SpilloverGraph(tuple(edges))
 
 
@@ -224,15 +231,15 @@ def load_bundle(
             totals[s.unit_id] = totals.get(s.unit_id, 0.0) + s.importance
         flagged = sorted(uid for uid, tot in totals.items() if tot > weight_cap)
         if flagged:
+            flagged_set = set(flagged)
             report.dropped_unit_ids = flagged
             report.dropped_subunit_ids = sorted(
-                s.subunit_id for s in subunits if s.unit_id in set(flagged)
+                s.subunit_id for s in subunits if s.unit_id in flagged_set
             )
             report.messages.append(
                 f"dropped {len(flagged)} units with total subunit weight above "
                 f"{weight_cap:g} (and {len(report.dropped_subunit_ids)} subunits)"
             )
-            flagged_set = set(flagged)
             units = [u for u in units if u.unit_id not in flagged_set]
             subunits = [s for s in subunits if s.unit_id not in flagged_set]
             if edges is not None:

@@ -290,11 +290,11 @@ def iv_fit(
     - the reduced-form coefficient <z~, y~> / <z~, z~> and its HC1 SE;
     - the control coefficients B_y - beta B_x from the partialling solve.
 
-    An instrument with no variation beyond the controls (its partialled norm
-    at most PIVOT_RTOL times its own) or an exactly zero first stage leaves
-    beta non-finite, with a note. With n - p - extra_dof <= 0 every SE is
-    NaN, with a note. A partial F below ``weak_f_threshold`` flags a weak
-    instrument, with a note.
+    An instrument or a treatment with no variation beyond the controls (its
+    partialled norm at most PIVOT_RTOL times its own) or an exactly zero
+    first stage leaves beta non-finite, with a note. With n - p - extra_dof
+    <= 0 every SE is NaN, with a note. A partial F below ``weak_f_threshold``
+    flags a weak instrument, with a note.
     """
     y = _as_vector(y, "response")
     n = y.shape[0]
@@ -344,7 +344,9 @@ def iv_fit(
                 f"weak instrument: first-stage partial F {first_stage.partial_f:.3g} "
                 f"below {weak_f_threshold:g}"
             )
-        if szx == 0.0:
+        if np.sqrt(w @ (xt * xt)) <= PIVOT_RTOL * np.sqrt(w @ (x * x)):
+            notes.append("treatment has no variation beyond the controls: estimate non-finite")
+        elif szx == 0.0:
             notes.append("zero first stage: estimate non-finite")
         else:
             beta = szy / szx

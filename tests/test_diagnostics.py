@@ -5,6 +5,7 @@ import pytest
 
 from rdagg.design import DesignConfig, SubunitRecord, UnitRecord
 from rdagg.diagnostics import (
+    Z_CRITICAL_5PCT,
     balance_test,
     counterfactual_path,
     rd_plot_data,
@@ -122,6 +123,30 @@ class TestBalance:
         rep = balance_test(units, subs, DesignConfig(bandwidth=0.1),
                            target="instrument", classical_f=True)
         assert np.isfinite(rep.partial_f) and 0.0 <= rep.partial_f_pvalue <= 1.0
+
+    @pytest.mark.parametrize("classical_f", [False, True])
+    def test_p_values_match_scipy_tails(self, classical_f):
+        from scipy import stats
+
+        rng = np.random.default_rng(6)
+        units, subs = self.synthetic_units(rng, n=150)
+        rep = balance_test(units, subs, DesignConfig(bandwidth=0.1),
+                           target="instrument", classical_f=classical_f)
+        assert rep.dropped_columns == []
+        k = len(rep.covariates)
+        if classical_f:
+            # covariates, the three aggregated controls and the intercept
+            dof = rep.n_obs - k - 3 - 1
+            want = stats.f.sf(rep.partial_f, k, dof)
+        else:
+            want = stats.chi2.sf(rep.partial_f * k, k)
+        assert 0.0 < want < 1.0
+        assert rep.partial_f_pvalue == pytest.approx(float(want), rel=1e-12)
+
+    def test_critical_value_is_the_normal_quantile(self):
+        from scipy import stats
+
+        assert Z_CRITICAL_5PCT == float(stats.norm.ppf(0.975))
 
 
 class TestRdPlot:

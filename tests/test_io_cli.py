@@ -138,6 +138,27 @@ class TestLoad:
         assert len(bundle.units) == n and len(bundle.subunits) == n
         assert elapsed < 1.0
 
+    def test_ten_thousand_units_all_over_weight_cap_load_fast(self, tmp_path):
+        rows_u = ["unit_id,outcome,weight"]
+        rows_s = ["subunit_id,unit_id,running,importance"]
+        rng = np.random.default_rng(2)
+        n = 10_000
+        for i in range(n):
+            rows_u.append(f"u{i:05d},{rng.normal():.4f},1.0")
+            rows_s.append(f"u{i:05d}-s0,u{i:05d},{rng.normal():.4f},1.0")
+        up = write(tmp_path, "units.csv", "\n".join(rows_u) + "\n")
+        sp = write(tmp_path, "subunits.csv", "\n".join(rows_s) + "\n")
+        t0 = time.time()
+        bundle = load_bundle(up, sp, weight_cap=0.5)
+        elapsed = time.time() - t0
+        assert bundle.units == [] and bundle.subunits == []
+        assert bundle.report.dropped_unit_ids == [f"u{i:05d}" for i in range(n)]
+        assert bundle.report.dropped_subunit_ids == [f"u{i:05d}-s0" for i in range(n)]
+        assert bundle.report.messages == [
+            f"dropped {n} units with total subunit weight above 0.5 (and {n} subunits)"
+        ]
+        assert elapsed < 1.0
+
     def test_spillover_mode_allows_unattached_subunits(self, tmp_path):
         up = write(tmp_path, "units.csv", MINIMAL_UNITS)
         sp = write(
@@ -150,6 +171,82 @@ class TestLoad:
         bad = write(tmp_path, "edges_bad.csv", "outcome_unit_id,subunit_id\nu1,nope\n")
         with pytest.raises(IntegrityError, match="nope"):
             load_bundle(up, sp, bad)
+
+
+class TestLoadErrors:
+    """Every loader error names its file, line and (where there is one)
+    column; the messages below are part of the CSV contract."""
+
+    SUB_HEADER = "subunit_id,unit_id,running,importance,win_flag\n"
+
+    def load_subunit_row(self, tmp_path, row):
+        up = write(tmp_path, "units.csv", MINIMAL_UNITS)
+        sp = write(tmp_path, "subunits.csv", self.SUB_HEADER + "u1-s0,u1,0.05,1.0,1\n" + row)
+        return load_bundle(up, sp)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_running(self, tmp_path, value):
+        with pytest.raises(SchemaError) as err:
+            self.load_subunit_row(tmp_path, f"u1-s1,u1,{value},1.0,\n")
+        assert str(err.value).endswith(
+            f"subunits.csv:3:running: value must be finite, got '{value}'"
+        )
+
+    def test_zero_importance(self, tmp_path):
+        with pytest.raises(SchemaError) as err:
+            self.load_subunit_row(tmp_path, "u1-s1,u1,0.1,0,\n")
+        assert str(err.value).endswith("subunits.csv:3:importance: must be positive")
+
+    def test_win_flag_out_of_range(self, tmp_path):
+        with pytest.raises(SchemaError) as err:
+            self.load_subunit_row(tmp_path, "u1-s1,u1,0.1,1.0,2\n")
+        assert str(err.value).endswith("subunits.csv:3:win_flag: win_flag must be 0/1, got '2'")
+
+    def test_wrong_field_count(self, tmp_path):
+        with pytest.raises(SchemaError) as err:
+            self.load_subunit_row(tmp_path, "u1-s1,u1,0.1,1.0,1,extra\n")
+        assert str(err.value).endswith("subunits.csv:3: expected 5 fields, got 6")
+
+    def test_wrong_field_count_reported_before_bad_values(self, tmp_path):
+        # the whole file is split into rows before any cell is parsed
+        with pytest.raises(SchemaError) as err:
+            self.load_subunit_row(tmp_path, "u1-s1,u1,abc,1.0,\nu1-s2,u1,0.1\n")
+        assert str(err.value).endswith("subunits.csv:4: expected 5 fields, got 3")
+
+    def test_empty_subunit_id(self, tmp_path):
+        with pytest.raises(SchemaError) as err:
+            self.load_subunit_row(tmp_path, " ,u1,0.1,1.0,\n")
+        assert str(err.value).endswith("subunits.csv:3:subunit_id: empty id")
+
+    def test_blank_edge_endpoint(self, tmp_path):
+        up = write(tmp_path, "units.csv", MINIMAL_UNITS)
+        sp = write(tmp_path, "subunits.csv", MINIMAL_SUBUNITS)
+        ep = write(tmp_path, "edges.csv", "outcome_unit_id,subunit_id\nu1,u1-s0\n,u1-s0\n")
+        with pytest.raises(SchemaError) as err:
+            load_bundle(up, sp, ep)
+        assert str(err.value).endswith("edges.csv:3: empty edge endpoint")
+
+    def test_treatment_override_not_a_number(self, tmp_path):
+        up = write(tmp_path, "units.csv",
+                   "unit_id,outcome,weight,treatment_override\nu1,1.5,1.0,\nu2,1.0,1.0,half\n")
+        sp = write(tmp_path, "subunits.csv", MINIMAL_SUBUNITS)
+        with pytest.raises(SchemaError) as err:
+            load_bundle(up, sp)
+        assert str(err.value).endswith(
+            "units.csv:3:treatment_override: cannot parse 'half' as a number"
+        )
+
+    def test_padded_and_underscored_numbers_parse(self, tmp_path):
+        up = write(tmp_path, "units.csv",
+                   "unit_id,outcome,weight,ctrl_x\n u1 , 1.5 ,1_000,2_5.0_1\n")
+        sp = write(tmp_path, "subunits.csv",
+                   self.SUB_HEADER + " u1-s0 ,u1, 1.5 , 1_000 , 1 \n")
+        bundle = load_bundle(up, sp)
+        (unit,), (subunit,) = bundle.units, bundle.subunits
+        assert (unit.unit_id, unit.outcome, unit.analysis_weight) == ("u1", 1.5, 1000.0)
+        assert unit.extra_controls == {"x": 25.01}
+        assert (subunit.subunit_id, subunit.unit_id) == ("u1-s0", "u1")
+        assert (subunit.running, subunit.importance, subunit.win_flag) == (1.5, 1000.0, True)
 
 
 class TestSerialize:

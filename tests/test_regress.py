@@ -211,6 +211,18 @@ class TestTsls:
         assert np.isnan(fit.beta)
         assert any("non-finite" in note or "vanished" in note for note in fit.notes)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e9])
+    def test_treatment_spanned_by_controls_reports_non_finite(self, scale):
+        rng = np.random.default_rng(12)
+        n = 100
+        c = rng.normal(size=n)
+        x = scale * (2.0 * c + 1.0)  # no variation beyond the controls [1, c]
+        fit = iv_fit(rng.normal(size=n), x, rng.normal(size=n),
+                     [("one", np.ones(n)), ("c", c)], np.ones(n))
+        assert np.isnan(fit.beta) and np.isnan(fit.robust_se)
+        assert "treatment has no variation beyond the controls: estimate non-finite" \
+            in fit.notes
+
     def test_weak_instrument_is_a_warning_not_an_error(self):
         rng = np.random.default_rng(9)
         n = 200
