@@ -8,11 +8,14 @@ __version__ = "0.1.0"
 
 from .design import (
     AttributeFilter,
+    Design,
     DesignConfig,
     SpilloverGraph,
     SubunitRecord,
     UnitRecord,
     build_stack,
+    design_exposures,
+    design_stack,
     parse_filter,
     partition_graph,
     unit_exposures,
@@ -22,6 +25,7 @@ from .diagnostics import (
     CounterfactualPath,
     RdPlotData,
     VarianceDecomposition,
+    balance,
     balance_test,
     counterfactual_path,
     rd_plot_data,
@@ -38,16 +42,20 @@ from .errors import (
 from .estimators import (
     EquivalenceReport,
     EstimateResult,
+    collapsed_iv,
+    equivalence,
     estimate_lower,
     estimate_sharp_rd,
     estimate_spillover_bilateral,
     estimate_spillover_collapsed,
     estimate_spillover_upper,
     estimate_upper,
-    late_gap_check,
+    sharp_rd,
+    stacked_iv,
+    upper_iv,
     verify_equivalence,
 )
-from .io import InputBundle, load_bundle, write_bundle
+from .io import InputBundle, load_bundle, load_design, write_bundle
 from .regress import (
     FirstStage,
     FitResult,
@@ -67,6 +75,8 @@ from .simlab import (
     OracleEstimand,
     bootstrap_median_ci,
     estimand_oracle,
+    generate_design,
     generate_dgp,
+    late_gap_check,
     run_monte_carlo,
 )

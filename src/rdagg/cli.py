@@ -14,29 +14,21 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Dict, List, Optional
 
 from . import __version__
-from .design import DesignConfig, build_stack, parse_filter
+from .design import DesignConfig, design_stack, parse_filter
 from .diagnostics import (
-    balance_test,
+    balance,
     counterfactual_path,
     points_from_stack,
     rd_plot_data,
     variance_decomposition,
 )
 from .errors import RdaError, SchemaError
-from .estimators import (
-    estimate_lower,
-    estimate_sharp_rd,
-    estimate_spillover_bilateral,
-    estimate_spillover_collapsed,
-    estimate_spillover_upper,
-    estimate_upper,
-    verify_equivalence,
-)
-from .io import load_bundle
+from .estimators import collapsed_iv, equivalence, sharp_rd, stacked_iv, upper_iv
+from .io import _FirstError, _columns, _number_column, _read_columns, load_design
 from .simlab import (
     DEFAULT_H_GRID,
     MC_ESTIMATORS,
@@ -143,9 +135,7 @@ def build_dgp_spec(file_cfg: Dict[str, str], args) -> DgpSpec:
 
 def _config_echo(config: DesignConfig) -> dict:
     echo = asdict(config)
-    echo["filters"] = [
-        f.describe() if hasattr(f, "describe") else repr(f) for f in config.filters
-    ]
+    echo["filters"] = [f.describe() for f in config.filters]
     echo["fe_dimensions"] = list(config.fe_dimensions)
     return echo
 
@@ -185,16 +175,13 @@ def write_manifest(out_dir: str, command: str, inputs: List[str], config: dict, 
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _add_bundle_args(p: argparse.ArgumentParser, edges: bool = False):
+def _bundle_command(sub, name: str, help: str, edges: bool = False) -> argparse.ArgumentParser:
+    """A subcommand that reads a CSV bundle, with the design flags."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--units", required=True, help="units CSV path")
     p.add_argument("--subunits", required=True, help="subunits CSV path")
-    if edges:
-        p.add_argument("--edges", required=True, help="edges CSV path")
-    else:
-        p.add_argument("--edges", default=None, help="optional edges CSV path")
-
-
-def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--edges", required=edges, default=None,
+                   help="edges CSV path" if edges else "optional edges CSV path")
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--bandwidth", type=float, default=None)
@@ -202,6 +189,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--controls", choices=tuple(CONTROL_ALIASES), default=None)
     p.add_argument("--weight-cap", type=float, default=None,
                    help="drop units whose total subunit weight exceeds this cap")
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -213,25 +201,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("estimate-upper", "estimate-lower", "estimate-benchmark"):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} on a bundle")
-        _add_bundle_args(p)
-        _add_common(p)
+        _bundle_command(sub, name, f"{name.replace('-', ' ')} on a bundle")
 
-    p = sub.add_parser("sharp-rd", help="sharp local-linear estimate on subunit outcomes")
-    _add_bundle_args(p)
-    _add_common(p)
+    p = _bundle_command(sub, "sharp-rd", "sharp local-linear estimate on subunit outcomes")
     p.add_argument("--outcome-attr", default="outcome",
                    help="attr_* column holding the per-subunit outcome")
 
-    p = sub.add_parser("verify-equivalence", help="check the upper/lower identity")
-    _add_bundle_args(p)
-    _add_common(p)
+    p = _bundle_command(sub, "verify-equivalence", "check the upper/lower identity")
     p.add_argument("--tolerance", type=float, default=1e-8)
 
-    p = sub.add_parser("spillover", help="spillover estimators over an edges file")
+    p = _bundle_command(sub, "spillover", "spillover estimators over an edges file", edges=True)
     p.add_argument("mode", choices=("bilateral", "collapsed", "upper"))
-    _add_bundle_args(p, edges=True)
-    _add_common(p)
 
     p = sub.add_parser("simulate", help="Monte Carlo sweep over a bandwidth grid")
     p.add_argument("--config", default=None)
@@ -252,15 +232,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimators", default=",".join(MC_ESTIMATORS))
     p.add_argument("--h-grid", default=None, help="comma-separated bandwidths")
 
-    p = sub.add_parser("balance", help="covariate balance report")
-    _add_bundle_args(p)
-    _add_common(p)
+    p = _bundle_command(sub, "balance", "covariate balance report")
     p.add_argument("--target", choices=("treatment", "instrument"), default="instrument")
     p.add_argument("--classical-f", action="store_true")
 
-    p = sub.add_parser("plot-data", help="weight-balanced bins and fitted lines")
-    _add_bundle_args(p)
-    _add_common(p)
+    p = _bundle_command(sub, "plot-data", "weight-balanced bins and fitted lines")
     p.add_argument("--value", choices=("outcome", "treatment", "instrument"),
                    default="outcome")
     p.add_argument("--bins", type=int, default=20)
@@ -281,40 +257,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args):
-    bundle = load_bundle(
-        args.units,
-        args.subunits,
-        edges_path=getattr(args, "edges", None),
-        weight_cap=getattr(args, "weight_cap", None),
-    )
-    return bundle
-
-
-def _read_micro(path: str):
-    from .io import _columns, _parse_float, _read_rows
-
-    header, rows, lines = _read_rows(path)
-    i_cell, i_value, i_weight = _columns(header, path, ("cell", "value", "weight"))
-    return [
-        (row[i_cell], _parse_float(row[i_value], path, line, "value"),
-         _parse_float(row[i_weight], path, line, "weight"))
-        for row, line in zip(rows, lines)
-    ]
-
-
-def _read_series(path: str):
-    from .io import _columns, _parse_float, _read_rows
-
-    header, rows, lines = _read_rows(path)
-    i_period, i_actual, i_shortfall = _columns(header, path, ("period", "actual", "shortfall"))
-    periods = [row[i_period] for row in rows]
-    actual = [_parse_float(row[i_actual], path, line, "actual") for row, line in zip(rows, lines)]
-    shortfall = [
-        _parse_float(row[i_shortfall], path, line, "shortfall")
-        for row, line in zip(rows, lines)
-    ]
-    return periods, actual, shortfall
+def _read_numbers(path: str, key: str, numbers) -> tuple:
+    """The ``key`` column of a CSV file and its ``numbers`` columns as lists."""
+    header, columns, lines = _read_columns(path)
+    positions = _columns(header, path, (key,) + tuple(numbers))
+    errors = _FirstError(path, lines)
+    values = [_number_column(columns[i], name, errors).tolist()
+              for i, name in zip(positions[1:], numbers)]
+    errors.raise_first()
+    return (columns[positions[0]], *values)
 
 
 def _run(args) -> int:
@@ -325,20 +276,12 @@ def _run(args) -> int:
 
     if cmd == "simulate":
         spec = build_dgp_spec(file_cfg, args)
-        h_grid = (
-            [float(x) for x in args.h_grid.split(",")] if args.h_grid else list(DEFAULT_H_GRID)
-        )
+        h_grid = list(map(float, args.h_grid.split(","))) if args.h_grid else list(DEFAULT_H_GRID)
         estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
         seed = args.seed if args.seed is not None else spec.seed
-        summary = run_monte_carlo(
-            spec,
-            estimators=estimators,
-            h_grid=h_grid,
-            n_replications=args.reps,
-            n_bootstrap=args.boot,
-            seed=seed,
-            threads=args.threads,
-        )
+        summary = run_monte_carlo(spec, estimators=estimators, h_grid=h_grid,
+                                  n_replications=args.reps, n_bootstrap=args.boot, seed=seed,
+                                  threads=args.threads)
         out_csv = os.path.join(args.out, "mc_summary.csv")
         with open(out_csv, "w", encoding="utf-8") as fh:
             fh.write(summary.to_csv())
@@ -353,7 +296,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "var-decomp":
-        records = _read_micro(args.micro)
+        records = list(zip(*_read_numbers(args.micro, "cell", ("value", "weight"))))
         dec = variance_decomposition(records)
         _write_json(os.path.join(args.out, "decomposition.json"),
                     {"total": dec.total, "within": dec.within, "between": dec.between})
@@ -362,7 +305,8 @@ def _run(args) -> int:
         return 0
 
     if cmd == "counterfactual":
-        periods, actual, shortfall = _read_series(args.series)
+        periods, actual, shortfall = _read_numbers(args.series, "period",
+                                                   ("actual", "shortfall"))
         path = counterfactual_path(
             actual, shortfall, args.beta, (args.beta_lo, args.beta_hi),
             cumulative=not args.per_period,
@@ -389,94 +333,52 @@ def _run(args) -> int:
 
     # The remaining commands consume a bundle.
     config = build_design_config(file_cfg, args)
-    bundle = _load(args)
-    inputs = [args.units, args.subunits] + ([args.edges] if getattr(args, "edges", None) else [])
+    design, report = load_design(args.units, args.subunits, edges_path=args.edges,
+                                 weight_cap=args.weight_cap)
+    inputs = [args.units, args.subunits] + ([args.edges] if args.edges else [])
     manifest_cfg = {"design": _config_echo(config)}
-    if bundle.report.messages:
-        manifest_cfg["validation"] = bundle.report.messages
+    if report.messages:
+        manifest_cfg["validation"] = report.messages
 
-    if cmd in ("estimate-upper", "estimate-lower", "estimate-benchmark"):
-        if cmd == "estimate-upper":
-            result = estimate_upper(bundle.units, bundle.subunits, config)
-        elif cmd == "estimate-lower":
-            result = estimate_lower(bundle.units, bundle.subunits, config)
-        else:
-            from dataclasses import replace as _replace
-
-            result = estimate_upper(
-                bundle.units, bundle.subunits,
-                _replace(config, control_set="total_weight_only"),
-                specification="benchmark",
-            )
+    fits = {
+        "estimate-upper": lambda: upper_iv(design, config),
+        "estimate-lower": lambda: stacked_iv(design, config),
+        "estimate-benchmark": lambda: upper_iv(
+            design, replace(config, control_set="total_weight_only"), specification="benchmark"
+        ),
+        "sharp-rd": lambda: sharp_rd(design, design.events.attribute(args.outcome_attr), config),
+        "spillover bilateral": lambda: stacked_iv(design, config, spillover=True),
+        "spillover collapsed": lambda: collapsed_iv(design, config),
+        "spillover upper": lambda: upper_iv(design, config, spillover=True),
+    }
+    command = f"{cmd} {args.mode}" if cmd == "spillover" else cmd
+    if command in fits:
+        result = fits[command]()
         _write_json(os.path.join(args.out, "result.json"), result.to_dict())
-        write_manifest(args.out, cmd, inputs, manifest_cfg, None)
+        write_manifest(args.out, command, inputs, manifest_cfg, None)
         print(f"{result.specification}: beta={result.beta:.6g} se={result.robust_se:.6g}")
-        return 0
-
-    if cmd == "sharp-rd":
-        outcomes = {
-            s.subunit_id: s.attributes[args.outcome_attr]
-            for s in bundle.subunits
-            if args.outcome_attr in s.attributes
-        }
-        result = estimate_sharp_rd(bundle.subunits, outcomes, config)
-        _write_json(os.path.join(args.out, "result.json"), result.to_dict())
-        write_manifest(args.out, cmd, inputs, manifest_cfg, None)
-        print(f"sharp_rd: beta={result.beta:.6g} se={result.robust_se:.6g}")
         return 0
 
     if cmd == "verify-equivalence":
-        report = verify_equivalence(bundle.units, bundle.subunits, config,
-                                    tolerance=args.tolerance)
-        _write_json(os.path.join(args.out, "equivalence.json"), report.to_dict())
+        check = equivalence(design, config, tolerance=args.tolerance)
+        _write_json(os.path.join(args.out, "equivalence.json"), check.to_dict())
         write_manifest(args.out, cmd, inputs, manifest_cfg, None)
-        print(f"pass={str(report.passed).lower()} relative_gap={report.relative_gap:.3e}")
-        return 0
-
-    if cmd == "spillover":
-        if bundle.edges is None:
-            raise SchemaError("spillover estimation requires an edges file")
-        if args.mode == "bilateral":
-            result = estimate_spillover_bilateral(bundle.edges, bundle.units,
-                                                  bundle.subunits, config)
-        elif args.mode == "collapsed":
-            result = estimate_spillover_collapsed(bundle.edges, bundle.units,
-                                                  bundle.subunits, config)
-        else:
-            result = estimate_spillover_upper(bundle.edges, bundle.units,
-                                              bundle.subunits, config)
-        _write_json(os.path.join(args.out, "result.json"), result.to_dict())
-        write_manifest(args.out, f"{cmd} {args.mode}", inputs, manifest_cfg, None)
-        print(f"{result.specification}: beta={result.beta:.6g} se={result.robust_se:.6g}")
+        print(f"pass={str(check.passed).lower()} relative_gap={check.relative_gap:.3e}")
         return 0
 
     if cmd == "balance":
-        report = balance_test(bundle.units, bundle.subunits, config,
-                              target=args.target, classical_f=args.classical_f)
-        payload = {
-            "target": args.target,
-            "covariates": {
-                lab: {"coefficient": row.coefficient, "robust_se": row.robust_se,
-                      "significant": row.significant}
-                for lab, row in report.covariates.items()
-            },
-            "n_significant": report.n_significant,
-            "partial_r2": report.partial_r2,
-            "partial_f": report.partial_f,
-            "partial_f_pvalue": report.partial_f_pvalue,
-            "control_set": report.control_set,
-            "n_obs": report.n_obs,
-            "n_dropped": report.n_dropped,
-        }
+        bal = balance(design, config, target=args.target, classical_f=args.classical_f)
+        payload = {**asdict(bal), "target": args.target}
+        del payload["dropped_columns"]
         _write_json(os.path.join(args.out, "balance.json"), payload)
         write_manifest(args.out, cmd, inputs, manifest_cfg, None)
-        print(f"partial_r2={report.partial_r2:.6g} partial_f={report.partial_f:.4g} "
-              f"n_significant={report.n_significant}")
+        print(f"partial_r2={bal.partial_r2:.6g} partial_f={bal.partial_f:.4g} "
+              f"n_significant={bal.n_significant}")
         return 0
 
     if cmd == "plot-data":
-        stack = build_stack(bundle.units, bundle.subunits, config)
-        data = rd_plot_data(points_from_stack(stack, bundle.subunits, value=args.value),
+        stack = design_stack(design, config)
+        data = rd_plot_data(points_from_stack(stack, design, value=args.value),
                             n_bins_per_side=args.bins, cutoff_rule=config.cutoff_rule)
         lines = ["side,running,value,weight,n"]
         for b in data.bins:

@@ -1,18 +1,38 @@
 """Data model and construction of every aggregated-discontinuity ingredient.
 
 Subunits are discontinuity events (a running variable, an importance weight,
-optionally an observed win flag); units carry the outcome. Every aggregate
-is read off one edge index: two integer arrays mapping each edge to a unit
-row and to an event. Without a spillover graph the index is the partition
-graph, where event j links only to its own unit; with one, an event may link
-to many units. Per-event arrays (running value, importance, cutoff
-indicator, treatment outcome, close-set membership) are computed once and
-summed over edges with ``np.bincount``.
+optionally an observed win flag); units carry the outcome. A ``Design``
+holds one dataset as numpy arrays, built once:
+
+- units, sorted by id: outcome, analysis weight, ``treatment_override``
+  (NaN when absent), control columns by label (NaN where a unit lacks the
+  control), and the keys and one integer code array per fixed-effect
+  dimension (-1 where a unit lacks a key);
+- events, in input order: the owning unit's row, running value,
+  importance, ``win_flag`` (NaN when unobserved), attribute columns by
+  label (NaN where an event lacks the attribute) and the rank of the
+  subunit id;
+- optionally the edges of a spillover graph, as unit rows and event indices.
+
+A design has three constructors: ``io.load_design`` (CSV columns),
+``simlab.generate_design`` (the generator's own arrays) and
+``Design.from_records`` (the record API). ``Design.to_records`` gives the
+records back on request. Events keep their input order, so every sum below
+runs in the order the events were given.
+
+Every aggregate is read off one edge index: two integer arrays mapping each
+edge to a unit row and to an event. Without a spillover graph the index is
+the partition graph, where event j links only to its own unit; with one, an
+event may link to many units. Per-event arrays (cutoff indicator, treatment
+outcome, close-set membership) are computed once and summed over edges with
+``np.bincount``.
 
 Two things are built on that index: the unit exposures (treatment,
 shift-share instrument, and the three aggregated local-linear controls) and
 the stack, one row per (unit, close event) edge, which every stacked
-estimator reads.
+estimator reads. The record functions ``unit_exposures`` and ``build_stack``
+build a design from records and call ``design_exposures`` and
+``design_stack``.
 
 Construction is pure and deterministic: outputs are ordered by id and depend
 only on the inputs.
@@ -21,9 +41,9 @@ only on the inputs.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from math import isfinite
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,9 +106,9 @@ _OPS = {
 
 @dataclass(frozen=True)
 class AttributeFilter:
-    """Threshold predicate over a subunit attribute; callable on a record.
-
-    A missing attribute fails the filter. ``absolute`` compares |value|.
+    """Threshold predicate over a subunit attribute: ``mask`` tests a column,
+    a call tests one record. A missing attribute (NaN in the column) fails
+    the filter, whatever the operator. ``absolute`` compares |value|.
     """
 
     attribute: str
@@ -100,12 +120,14 @@ class AttributeFilter:
         if self.op not in _OPS:
             raise ConfigurationError(f"unknown filter operator '{self.op}'")
 
+    def mask(self, values: np.ndarray) -> np.ndarray:
+        """Which entries of an attribute column pass."""
+        x = np.abs(values) if self.absolute else values
+        return _OPS[self.op](x, self.value) & ~np.isnan(values)
+
     def __call__(self, subunit: SubunitRecord) -> bool:
-        raw = subunit.attributes.get(self.attribute)
-        if raw is None:
-            return False
-        x = abs(float(raw)) if self.absolute else float(raw)
-        return bool(_OPS[self.op](x, self.value))
+        return bool(self.mask(np.array([subunit.attributes.get(self.attribute, np.nan)],
+                                       dtype=np.float64))[0])
 
     def describe(self) -> str:
         prefix = "abs:" if self.absolute else ""
@@ -140,7 +162,7 @@ class DesignConfig:
     kernel: str = "uniform"
     cutoff_rule: str = "geq"
     tie_policy: str = "keep"
-    filters: Tuple[Callable[[SubunitRecord], bool], ...] = ()
+    filters: Tuple[AttributeFilter, ...] = ()
     instrument_basis: str = "cutoff_crossing"
     control_set: str = "all_three_rda"
     fe_dimensions: Tuple[str, ...] = ()
@@ -163,6 +185,10 @@ class DesignConfig:
             raise ConfigurationError(f"instrument_basis must be one of {TREATMENT_BASES}")
         if self.control_set not in CONTROL_SETS:
             raise ConfigurationError(f"control_set must be one of {CONTROL_SETS}")
+        if not all(isinstance(f, AttributeFilter) for f in self.filters):
+            raise ConfigurationError(
+                "filters must be AttributeFilter instances (see parse_filter)"
+            )
 
 
 @dataclass(frozen=True)
@@ -181,30 +207,193 @@ def partition_graph(subunits: Sequence[SubunitRecord]) -> SpilloverGraph:
     return SpilloverGraph(tuple((s.unit_id, s.subunit_id) for s in subunits))
 
 
-def running_values(subunits: Sequence[SubunitRecord]) -> np.ndarray:
-    return np.fromiter((s.running for s in subunits), dtype=np.float64, count=len(subunits))
+class _Table:
+    """Columns of one length: lists, arrays, or dicts of arrays keyed by label."""
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows: np.ndarray):
+        """The table on ``rows``, an index array."""
+        def pick(col):
+            if isinstance(col, dict):
+                return {label: pick(c) for label, c in col.items()}
+            return col[rows] if isinstance(col, np.ndarray) else [col[i] for i in rows.tolist()]
+
+        return replace(self, **{f.name: pick(getattr(self, f.name)) for f in fields(self)})
 
 
-def importance_values(subunits: Sequence[SubunitRecord]) -> np.ndarray:
-    return np.fromiter((s.importance for s in subunits), dtype=np.float64, count=len(subunits))
+@dataclass(frozen=True, eq=False)
+class Units(_Table):
+    """Unit columns. ``controls`` maps a label to its column (NaN where a
+    unit lacks the control), ``fe`` a dimension to its keys (None where a
+    unit lacks one); ``override`` is NaN where absent."""
+
+    ids: List[str]
+    outcome: np.ndarray
+    weight: np.ndarray
+    override: np.ndarray
+    controls: Dict[str, np.ndarray]
+    fe: Dict[str, list]
+
+
+@dataclass(frozen=True, eq=False)
+class Events(_Table):
+    """Subunit columns. ``win_flag`` is 1, 0 or NaN (unobserved);
+    ``attributes`` maps a label to its column (NaN where absent)."""
+
+    ids: List[str]
+    unit_ids: List[str]
+    running: np.ndarray
+    importance: np.ndarray
+    win_flag: np.ndarray
+    attributes: Dict[str, np.ndarray]
+
+    def attribute(self, label: str) -> np.ndarray:
+        """An attribute column; all NaN when no event has the attribute."""
+        return self.attributes.get(label, np.full(len(self), np.nan))
+
+
+def _floats(values) -> np.ndarray:
+    return np.fromiter(values, dtype=np.float64)
+
+
+def _codes(keys: list) -> np.ndarray:
+    """Integer codes of ``keys`` in order of first appearance; -1 for None."""
+    index: dict = {}
+    return np.array([-1 if k is None else index.setdefault(k, len(index)) for k in keys],
+                    dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class Design:
+    """One dataset as arrays (see the module docstring): ``units`` sorted by
+    id with labels sorted, ``events`` in input order. ``event_unit`` is each
+    event's unit row (-1 when its unit id names no unit, which a graph
+    allows), ``event_rank`` the rank of its id, ``fe_codes`` the codes of
+    each fixed-effect dimension, and ``edge_unit``/``edge_event`` the
+    graph's edges, if any."""
+
+    units: Units
+    events: Events
+    event_unit: np.ndarray
+    event_rank: np.ndarray
+    fe_codes: Dict[str, np.ndarray]
+    edge_unit: Optional[np.ndarray] = None
+    edge_event: Optional[np.ndarray] = None
+
+    @classmethod
+    def assemble(cls, units: Units, events: Events,
+                 graph: Optional[SpilloverGraph] = None) -> "Design":
+        """Sort the units, code the fixed effects, rank the events and
+        resolve the graph. Raises on duplicate unit ids, and with a graph on
+        duplicate subunit ids and on edges to unknown units or subunits."""
+        units = units.take(np.array(sorted(range(len(units)), key=units.ids.__getitem__),
+                                    dtype=np.intp))
+        units = replace(units, controls=dict(sorted(units.controls.items())),
+                        fe=dict(sorted(units.fe.items())))
+        events = replace(events, attributes=dict(sorted(events.attributes.items())))
+        rows = dict(zip(units.ids, range(len(units))))
+        if len(rows) != len(units):
+            raise IntegrityError("duplicate unit ids")
+        rank = np.empty(len(events), dtype=np.intp)
+        rank[sorted(range(len(events)), key=events.ids.__getitem__)] = np.arange(len(events))
+        edge_unit = edge_event = None
+        if graph is not None:
+            index = dict(zip(events.ids, range(len(events))))
+            if len(index) != len(events):
+                raise IntegrityError("duplicate subunit ids")
+            for unit_id, subunit_id in graph.edges:
+                if unit_id not in rows:
+                    raise IntegrityError(f"edge references unknown unit '{unit_id}'")
+                if subunit_id not in index:
+                    raise IntegrityError(f"edge references unknown subunit '{subunit_id}'")
+            edge_unit = np.array([rows[u] for u, _ in graph.edges], dtype=np.intp)
+            edge_event = np.array([index[s] for _, s in graph.edges], dtype=np.intp)
+        return cls(
+            units=units,
+            events=events,
+            event_unit=np.fromiter(map(rows.get, events.unit_ids, [-1] * len(events)),
+                                   dtype=np.intp, count=len(events)),
+            event_rank=rank,
+            fe_codes={dim: _codes(keys) for dim, keys in units.fe.items()},
+            edge_unit=edge_unit,
+            edge_event=edge_event,
+        )
+
+    @classmethod
+    def from_records(cls, units: Sequence[UnitRecord], subunits: Sequence[SubunitRecord],
+                     graph: Optional[SpilloverGraph] = None) -> "Design":
+        """The design of the record API's units, subunits and graph."""
+        controls = {k for u in units for k in u.extra_controls}
+        dims = {k for u in units for k in u.fe_keys}
+        attributes = {k for s in subunits for k in s.attributes}
+        return cls.assemble(
+            Units(
+                ids=[u.unit_id for u in units],
+                outcome=_floats(u.outcome for u in units),
+                weight=_floats(u.analysis_weight for u in units),
+                override=_floats(np.nan if u.treatment_override is None
+                                 else u.treatment_override for u in units),
+                controls={c: _floats(u.extra_controls.get(c, np.nan) for u in units)
+                          for c in controls},
+                fe={d: [u.fe_keys.get(d) for u in units] for d in dims},
+            ),
+            Events(
+                ids=[s.subunit_id for s in subunits],
+                unit_ids=[s.unit_id for s in subunits],
+                running=_floats(s.running for s in subunits),
+                importance=_floats(s.importance for s in subunits),
+                win_flag=_floats(np.nan if s.win_flag is None else float(bool(s.win_flag))
+                                 for s in subunits),
+                attributes={a: _floats(s.attributes.get(a, np.nan) for s in subunits)
+                            for a in attributes},
+            ),
+            graph,
+        )
+
+    def to_records(self) -> Tuple[List[UnitRecord], List[SubunitRecord],
+                                  Optional[SpilloverGraph]]:
+        """Units (sorted by id), subunits (in input order) and the graph, if any."""
+        u, e = self.units, self.events
+        controls = [(c, col.tolist()) for c, col in u.controls.items()]
+        attributes = [(a, col.tolist()) for a, col in e.attributes.items()]
+        units = [
+            UnitRecord(uid, outcome,
+                       extra_controls={c: col[i] for c, col in controls if col[i] == col[i]},
+                       fe_keys={d: keys[i] for d, keys in u.fe.items() if keys[i] is not None},
+                       analysis_weight=weight,
+                       treatment_override=None if override != override else override)
+            for i, (uid, outcome, weight, override) in enumerate(zip(
+                u.ids, u.outcome.tolist(), u.weight.tolist(), u.override.tolist()))
+        ]
+        subunits = [
+            SubunitRecord(sid, uid, r, s, win_flag=None if flag != flag else bool(flag),
+                          attributes={a: col[j] for a, col in attributes if col[j] == col[j]})
+            for j, (sid, uid, r, s, flag) in enumerate(zip(
+                e.ids, e.unit_ids, e.running.tolist(), e.importance.tolist(),
+                e.win_flag.tolist()))
+        ]
+        graph = None
+        if self.edge_unit is not None:
+            graph = SpilloverGraph(tuple((u.ids[i], e.ids[j]) for i, j in zip(
+                self.edge_unit.tolist(), self.edge_event.tolist())))
+        return units, subunits, graph
 
 
 def cutoff_indicators(r: np.ndarray, cutoff_rule: str) -> np.ndarray:
     return (r >= 0.0).astype(np.float64) if cutoff_rule == "geq" else (r > 0.0).astype(np.float64)
 
 
-def close_mask(
-    subunits: Sequence[SubunitRecord], r: np.ndarray, config: DesignConfig
-) -> np.ndarray:
-    """Vectorized close-set membership; filters fall back to per-record calls."""
+def close_mask(design: Design, config: DesignConfig) -> np.ndarray:
+    """Close-set membership of every event: in band, past the tie policy,
+    and passing every filter."""
+    r = design.events.running
     mask = np.abs(r) <= config.bandwidth
     if config.tie_policy == "drop_exact_zero":
         mask &= r != 0.0
-    if config.filters:
-        for i in np.flatnonzero(mask):
-            s = subunits[i]
-            if not all(predicate(s) for predicate in config.filters):
-                mask[i] = False
+    for f in config.filters:
+        mask &= f.mask(design.events.attribute(f.attribute))
     return mask
 
 
@@ -227,72 +416,40 @@ class UnitExposures:
 
 @dataclass(frozen=True)
 class _EdgeIndex:
-    """The edge index: units sorted by id, edge -> unit row, edge -> event,
-    and the per-event arrays every aggregate reads."""
+    """The edge index: edge -> unit row, edge -> event, and the per-event
+    arrays every aggregate reads."""
 
-    order: List[UnitRecord]
     unit_row: np.ndarray
     event: np.ndarray
-    running: np.ndarray
-    importance: np.ndarray
     instrument: np.ndarray
     treatment: np.ndarray
     close: np.ndarray
 
 
-def _edge_index(
-    units: Sequence[UnitRecord],
-    subunits: Sequence[SubunitRecord],
-    config: DesignConfig,
-    graph: Optional[SpilloverGraph],
-) -> _EdgeIndex:
-    """Resolve records (and a graph) into the edge index.
-
-    Without a graph, edge j is event j linked to its owning unit. Dangling
-    references raise.
-    """
-    order = sorted(units, key=lambda u: u.unit_id)
-    uindex = {u.unit_id: i for i, u in enumerate(order)}
-    if len(uindex) != len(order):
-        raise IntegrityError("duplicate unit ids")
-    if graph is None:
-        for s in subunits:
-            if s.unit_id not in uindex:
-                raise IntegrityError(
-                    f"subunit '{s.subunit_id}' references unknown unit '{s.unit_id}'"
-                )
-        unit_row = np.fromiter(
-            (uindex[s.unit_id] for s in subunits), dtype=np.intp, count=len(subunits)
-        )
-        event = np.arange(len(subunits))
+def _edge_index(design: Design, config: DesignConfig, spillover: bool) -> _EdgeIndex:
+    """The design's graph edges, or without ``spillover`` the partition
+    graph, where edge j is event j linked to its owning unit (which must be
+    one of the units)."""
+    if spillover:
+        if design.edge_unit is None:
+            raise ConfigurationError("spillover estimation requires a graph")
+        unit_row, event = design.edge_unit, design.edge_event
     else:
-        sindex = {s.subunit_id: j for j, s in enumerate(subunits)}
-        if len(sindex) != len(subunits):
-            raise IntegrityError("duplicate subunit ids")
-        for unit_id, subunit_id in graph.edges:
-            if unit_id not in uindex:
-                raise IntegrityError(f"edge references unknown unit '{unit_id}'")
-            if subunit_id not in sindex:
-                raise IntegrityError(f"edge references unknown subunit '{subunit_id}'")
-        unit_row = np.array([uindex[u] for u, _ in graph.edges], dtype=np.intp)
-        event = np.array([sindex[s] for _, s in graph.edges], dtype=np.intp)
-
-    r = running_values(subunits)
-    z = cutoff_indicators(r, config.cutoff_rule)
+        foreign = np.flatnonzero(design.event_unit < 0)
+        if foreign.size:
+            j = foreign[0]
+            raise IntegrityError(f"subunit '{design.events.ids[j]}' references unknown unit "
+                                 f"'{design.events.unit_ids[j]}'")
+        unit_row, event = design.event_unit, np.arange(len(design.events))
+    z = cutoff_indicators(design.events.running, config.cutoff_rule)
     t = z
     if config.instrument_basis == "win_flag":
-        t = np.array([np.nan if s.win_flag is None else float(bool(s.win_flag))
-                      for s in subunits])
+        t = design.events.win_flag
         missing = event[np.isnan(t[event])]
         if missing.size:
-            raise ConfigurationError(
-                f"instrument_basis=win_flag but subunit '{subunits[missing[0]].subunit_id}' "
-                f"has no win_flag"
-            )
-    return _EdgeIndex(
-        order, unit_row, event, r, importance_values(subunits), z, t,
-        close_mask(subunits, r, config),
-    )
+            raise ConfigurationError(f"instrument_basis=win_flag but subunit "
+                                     f"'{design.events.ids[missing[0]]}' has no win_flag")
+    return _EdgeIndex(unit_row, event, z, t, close_mask(design, config))
 
 
 def _unit_sum(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -300,11 +457,11 @@ def _unit_sum(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(rows, weights=values, minlength=n).astype(np.float64, copy=False)
 
 
-def _exposures(e: _EdgeIndex) -> UnitExposures:
+def _exposures(design: Design, e: _EdgeIndex) -> UnitExposures:
     """Sum each unit's edges: the treatment over all of them, the instrument
     and the controls over close ones. Sums run in edge order."""
-    n = len(e.order)
-    s_w, r, z = e.importance[e.event], e.running[e.event], e.instrument[e.event]
+    n, events = len(design.units), design.events
+    s_w, r, z = events.importance[e.event], events.running[e.event], e.instrument[e.event]
     close = e.close[e.event]
     rows = e.unit_row[close]
 
@@ -314,27 +471,28 @@ def _exposures(e: _EdgeIndex) -> UnitExposures:
     treatment = _unit_sum(e.unit_row, s_w * e.treatment[e.event], n)
     instrument = close_sum(s_w * z)
     controls = np.column_stack([close_sum(s_w), close_sum(s_w * r), close_sum(s_w * r * z)])
-    for i, u in enumerate(e.order):
-        if u.treatment_override is not None:
-            treatment[i] = float(u.treatment_override)
-    return UnitExposures([u.unit_id for u in e.order], treatment, instrument, controls)
+    override = ~np.isnan(design.units.override)
+    treatment[override] = design.units.override[override]
+    return UnitExposures(design.units.ids, treatment, instrument, controls)
 
 
-def unit_exposures(
-    units: Sequence[UnitRecord],
-    subunits: Sequence[SubunitRecord],
-    config: DesignConfig,
-    graph: Optional[SpilloverGraph] = None,
-) -> UnitExposures:
+def design_exposures(design: Design, config: DesignConfig,
+                     spillover: bool = False) -> UnitExposures:
     """Treatment, instrument, and aggregated controls for every unit.
 
-    Without a graph, each subunit contributes to its own unit. With a graph,
-    contributions follow the edges and a subunit may reach many units. The
-    treatment aggregates over all linked subunits; the instrument and the
-    controls aggregate over close ones only. A unit-level treatment_override
-    replaces the aggregate for that unit.
+    Without ``spillover``, each subunit contributes to its own unit. With
+    it, contributions follow the design's graph and a subunit may reach many
+    units. The treatment aggregates over all linked subunits; the instrument
+    and the controls aggregate over close ones only. A unit-level
+    treatment_override replaces the aggregate for that unit.
     """
-    return _exposures(_edge_index(units, subunits, config, graph))
+    return _exposures(design, _edge_index(design, config, spillover))
+
+
+def unit_exposures(units: Sequence[UnitRecord], subunits: Sequence[SubunitRecord],
+                   config: DesignConfig, graph: Optional[SpilloverGraph] = None) -> UnitExposures:
+    """``design_exposures`` on records, over ``graph`` when one is given."""
+    return design_exposures(Design.from_records(units, subunits, graph), config, graph is not None)
 
 
 @dataclass(frozen=True)
@@ -342,11 +500,11 @@ class Stack:
     """The stacked sample: one row per (unit, close event) edge.
 
     Rows are ordered by (unit_id, subunit_id). ``unit_row`` indexes
-    ``unit_ids`` (every unit, sorted); ``event`` indexes the subunit
-    sequence the stack was built from. Each row repeats its unit's outcome
-    and aggregate treatment; ``kernel`` is the row's kernel weight.
-    ``n_close_events`` counts close events, linked or not. ``exposures``
-    are the unit aggregates the stack was built with.
+    ``unit_ids`` (every unit, sorted); ``event`` indexes the design's
+    events. Each row repeats its unit's outcome and aggregate treatment;
+    ``kernel`` is the row's kernel weight. ``n_close_events`` counts close
+    events, linked or not. ``exposures`` are the unit aggregates the stack
+    was built with.
     """
 
     unit_ids: List[str]
@@ -362,31 +520,22 @@ class Stack:
     exposures: UnitExposures
 
 
-def build_stack(
-    units: Sequence[UnitRecord],
-    subunits: Sequence[SubunitRecord],
-    config: DesignConfig,
-    graph: Optional[SpilloverGraph] = None,
-) -> Stack:
-    """The stacked sample over the edge index; without a graph, the partition
-    graph (each close event paired with its own unit)."""
-    e = _edge_index(units, subunits, config, graph)
-    exp = _exposures(e)
+def design_stack(design: Design, config: DesignConfig, spillover: bool = False) -> Stack:
+    """The stacked sample over the edge index: the design's graph, or
+    without ``spillover`` the partition graph (each close event paired with
+    its own unit)."""
+    e = _edge_index(design, config, spillover)
+    exp = _exposures(design, e)
     keep = np.flatnonzero(e.close[e.event])
-    sids = np.array([subunits[j].subunit_id for j in e.event[keep].tolist()])
-    keep = keep[np.lexsort((sids, e.unit_row[keep]))]
+    keep = keep[np.lexsort((design.event_rank[e.event[keep]], e.unit_row[keep]))]
     unit_row, event = e.unit_row[keep], e.event[keep]
-    r = e.running[event]
-    return Stack(
-        unit_ids=exp.unit_ids,
-        unit_row=unit_row,
-        event=event,
-        running=r,
-        instrument=e.instrument[event],
-        importance=e.importance[event],
-        kernel=kernel_weights(r, config),
-        outcome=np.array([u.outcome for u in e.order])[unit_row],
-        treatment=exp.treatment[unit_row],
-        n_close_events=int(e.close.sum()),
-        exposures=exp,
-    )
+    r = design.events.running[event]
+    return Stack(exp.unit_ids, unit_row, event, r, e.instrument[event],
+                 design.events.importance[event], kernel_weights(r, config),
+                 design.units.outcome[unit_row], exp.treatment[unit_row], int(e.close.sum()), exp)
+
+
+def build_stack(units: Sequence[UnitRecord], subunits: Sequence[SubunitRecord],
+                config: DesignConfig, graph: Optional[SpilloverGraph] = None) -> Stack:
+    """``design_stack`` on records, over ``graph`` when one is given."""
+    return design_stack(Design.from_records(units, subunits, graph), config, graph is not None)

@@ -1,8 +1,10 @@
 """Application-layer analytics: balance tests, plot data, variance splits,
 counterfactual paths.
 
-These consume the same unit/subunit records as the estimators and emit plain
-data (bin tables, coefficient pairs, report objects) for external tooling.
+The balance test and the plot points read the same ``design.Design`` as the
+estimators (``balance_test`` is its record form); everything here emits
+plain data (bin tables, coefficient pairs, report objects) for external
+tooling.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import DesignConfig, Stack, SubunitRecord, UnitRecord, unit_exposures
+from .design import Design, DesignConfig, Stack, SubunitRecord, UnitRecord, design_exposures
 from .errors import ConfigurationError, EstimationError
-from .estimators import INTERCEPT, _control_columns, _sorted_units
+from .estimators import INTERCEPT, _control_columns
 from .regress import RegressionProblem, wls_fit
 
 # scipy.stats.norm.ppf(0.975) to the bit, written out so that importing this
@@ -42,9 +44,8 @@ class BalanceReport:
     dropped_columns: List[str] = field(default_factory=list)
 
 
-def balance_test(
-    units: Sequence[UnitRecord],
-    subunits: Sequence[SubunitRecord],
+def balance(
+    design: Design,
     config: DesignConfig,
     target: str = "instrument",
     covariates: Optional[Sequence[str]] = None,
@@ -52,59 +53,43 @@ def balance_test(
 ) -> BalanceReport:
     """Regress the treatment or the instrument on unit covariates.
 
-    Analysis-weighted WLS of the target on the covariates, the configured
-    aggregated controls, and an intercept. Units missing any requested
-    covariate are dropped (count reported). The partial R^2 is the share of
-    the controls-only residual sum of squares explained by adding the
+    Analysis-weighted WLS of the target on the covariates (by default every
+    extra control), the configured aggregated controls, and an intercept.
+    Units missing any requested covariate are dropped (count reported), with
+    their subunits; so are subunits of no unit. The partial R^2 is the share
+    of the controls-only residual sum of squares explained by adding the
     covariates; the partial F is the robust Wald statistic for their joint
     nullity divided by their count, with a chi-square tail p-value
     (``classical_f=True`` switches to the RSS-based F with an F tail).
     """
     if target not in ("treatment", "instrument"):
         raise ConfigurationError("target must be 'treatment' or 'instrument'")
-    order = _sorted_units(units)
-    if covariates is None:
-        covariates = sorted({k for u in order for k in u.extra_controls})
-    covariates = list(covariates)
+    covariates = list(design.units.controls if covariates is None else covariates)
     if not covariates:
         raise ConfigurationError("no covariates to test")
 
-    keep = [
-        u
-        for u in order
-        if all(lab in u.extra_controls and np.isfinite(u.extra_controls[lab]) for lab in covariates)
-    ]
-    n_dropped = len(order) - len(keep)
-    if len(keep) < len(covariates) + 2:
+    missing = np.full(len(design.units), np.nan)
+    cov_mat = np.column_stack([design.units.controls.get(lab, missing) for lab in covariates])
+    complete = np.isfinite(cov_mat).all(axis=1)
+    n_keep = int(complete.sum())
+    n_dropped = len(design.units) - n_keep
+    if n_keep < len(covariates) + 2:
         raise EstimationError("too few complete observations for the balance test")
 
-    keep_ids = {u.unit_id for u in keep}
-    subunits = [s for s in subunits if s.unit_id in keep_ids]
-    exp = unit_exposures(keep, subunits, config)
+    owner = design.event_unit
+    design = Design.assemble(design.units.take(np.flatnonzero(complete)),
+                             design.events.take(np.flatnonzero((owner >= 0) & complete[owner])))
+    exp = design_exposures(design, config)
     y = exp.treatment if target == "treatment" else exp.instrument
-    w = np.array([u.analysis_weight for u in keep])
-    cov_mat = np.column_stack(
-        [[float(u.extra_controls[lab]) for u in keep] for lab in covariates]
-    )
+    w = design.units.weight
+    cov_mat = cov_mat[complete]
     ctrl_labels, ctrl = _control_columns(config, exp.controls)
-    ones = np.ones(len(keep))
+    ones = np.ones(n_keep)
 
-    full = wls_fit(
-        RegressionProblem(
-            response=y,
-            regressors=np.column_stack([cov_mat, ctrl, ones]),
-            labels=covariates + ctrl_labels + [INTERCEPT],
-            weights=w,
-        )
-    )
-    controls_only = wls_fit(
-        RegressionProblem(
-            response=y,
-            regressors=np.column_stack([ctrl, ones]),
-            labels=ctrl_labels + [INTERCEPT],
-            weights=w,
-        )
-    )
+    full = wls_fit(RegressionProblem(y, np.column_stack([cov_mat, ctrl, ones]),
+                                     covariates + ctrl_labels + [INTERCEPT], w))
+    controls_only = wls_fit(RegressionProblem(y, np.column_stack([ctrl, ones]),
+                                              ctrl_labels + [INTERCEPT], w))
     rss_restricted = controls_only.weighted_rss
     partial_r2 = (
         (rss_restricted - full.weighted_rss) / rss_restricted if rss_restricted > 0 else 0.0
@@ -174,11 +159,24 @@ class RdPlotData:
     notices: List[str] = field(default_factory=list)
 
 
+def balance_test(
+    units: Sequence[UnitRecord],
+    subunits: Sequence[SubunitRecord],
+    config: DesignConfig,
+    target: str = "instrument",
+    covariates: Optional[Sequence[str]] = None,
+    classical_f: bool = False,
+) -> BalanceReport:
+    """``balance`` on records."""
+    return balance(Design.from_records(units, subunits), config, target, covariates,
+                   classical_f)
+
+
 def points_from_stack(
-    stack: Stack, subunits: Sequence[SubunitRecord], value: str = "outcome"
+    stack: Stack, design: Design, value: str = "outcome"
 ) -> List[Tuple[float, float, float, str]]:
     """(running, value, weight, id) tuples from the rows of a stack built
-    from ``subunits``.
+    from ``design``.
 
     ``value`` picks the plotted column: 'outcome', 'treatment', or
     'instrument'. Row weight is importance times kernel weight.
@@ -191,7 +189,7 @@ def points_from_stack(
         stack.running.tolist(),
         columns[value].tolist(),
         (stack.importance * stack.kernel).tolist(),
-        [subunits[j].subunit_id for j in stack.event.tolist()],
+        [design.events.ids[j] for j in stack.event.tolist()],
     ))
 
 
@@ -225,24 +223,12 @@ def rd_plot_data(
     """
     if n_bins_per_side < 1:
         raise ConfigurationError("n_bins_per_side must be positive")
-    parsed = []
-    for p in points:
-        if len(p) == 3:
-            r, v, w = p
-            pid = ""
-        else:
-            r, v, w, pid = p
-        parsed.append((float(r), float(v), float(w), str(pid)))
-    if not parsed:
+    points = list(points)
+    if not points:
         raise EstimationError("no points to bin")
-    r = np.array([p[0] for p in parsed])
-    v = np.array([p[1] for p in parsed])
-    w = np.array([p[2] for p in parsed])
-    ids = [p[3] for p in parsed]
-    if cutoff_rule == "geq":
-        right = r >= 0.0
-    else:
-        right = r > 0.0
+    r, v, w = (np.array([float(p[k]) for p in points]) for k in range(3))
+    ids = [str(p[3]) if len(p) > 3 else "" for p in points]
+    right = r >= 0.0 if cutoff_rule == "geq" else r > 0.0
     if not right.any() or right.all():
         raise EstimationError("need observations on both sides of the cutoff")
 

@@ -11,8 +11,25 @@ File schemas (UTF-8, header row, '.' decimal separator):
 
 Prefixes are stripped on load: fe_region becomes fixed-effect dimension
 "region", ctrl_share_male becomes extra control "share_male", attr_votes
-becomes attribute "votes". Parsing is strict; schema errors carry file,
-line, and column.
+becomes attribute "votes".
+
+``load_design`` reads the files straight into a ``design.Design`` of numpy
+arrays; ``load_bundle`` is ``load_design`` plus record materialization.
+Each file is read in one ``csv.reader`` pass, split into columns of
+stripped cells, and each numeric column is converted whole with
+``np.array(column, dtype=np.float64)``, which accepts exactly the strings
+``float()`` accepts. The checks (non-empty ids and fixed-effect keys,
+numbers that parse and are finite, positive importance, 0/1 win flags,
+nonnegative weights) then run on whole columns. Parsing is strict, and a
+failing file reports the error a row-by-row reader would have met first:
+each check finds its first failing row, the earliest row wins, and within
+a row the checks keep a fixed order. units.csv checks unit_id, the fe_*
+keys, outcome, weight, the ctrl_* columns, treatment_override, then the
+sign of the weight; subunits.csv checks subunit_id, importance (a number,
+then positive), running, win_flag, then the attr_* columns. Schema errors
+carry file, line, and column. Every row is split and counted before any
+cell is checked, so a row with the wrong number of fields is reported
+before a bad value.
 """
 
 from __future__ import annotations
@@ -21,16 +38,20 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import List, Optional, Sequence, Tuple
 
-from .design import SpilloverGraph, SubunitRecord, UnitRecord
-from .errors import IntegrityError, SchemaError
+import numpy as np
+
+from .design import Design, Events, SpilloverGraph, SubunitRecord, UnitRecord, Units
+from .errors import ConfigurationError, IntegrityError, SchemaError
 
 
 @dataclass
 class ValidationReport:
     dropped_unit_ids: List[str] = field(default_factory=list)
     dropped_subunit_ids: List[str] = field(default_factory=list)
+    dropped_edges: int = 0
     messages: List[str] = field(default_factory=list)
 
 
@@ -42,11 +63,11 @@ class InputBundle:
     report: ValidationReport = field(default_factory=ValidationReport)
 
 
-def _read_rows(path: str) -> Tuple[List[str], List[List[str]], List[int]]:
-    """Header, the rows as lists of stripped cells, and each row's line number.
+def _read_columns(path: str) -> Tuple[List[str], List[List[str]], Sequence[int]]:
+    """Header, the columns as lists of stripped cells, and each row's line number.
 
-    Every row is split and counted before any cell is parsed, so a row with
-    the wrong number of fields is reported before a bad value.
+    Blank rows are skipped; every row is split and counted before any cell
+    is parsed.
     """
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -61,16 +82,18 @@ def _read_rows(path: str) -> Tuple[List[str], List[List[str]], List[int]]:
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             raise SchemaError(f"{path}:1: duplicate column names")
-        width = len(header)
-        rows, lines = [], []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or (len(raw) == 1 and raw[0].strip() == ""):
-                continue
-            if len(raw) != width:
-                raise SchemaError(f"{path}:{lineno}: expected {width} fields, got {len(raw)}")
-            rows.append(list(map(str.strip, raw)))
-            lines.append(lineno)
-    return header, rows, lines
+        rows = list(reader)
+    width = len(header)
+    lines: Sequence[int] = range(2, len(rows) + 2)
+    if width == 1 or set(map(len, rows)) - {width}:
+        kept = [(line, row) for line, row in zip(lines, rows)
+                if len(row) > 1 or (row and row[0].strip())]
+        for line, row in kept:
+            if len(row) != width:
+                raise SchemaError(f"{path}:{line}: expected {width} fields, got {len(row)}")
+        lines, rows = [line for line, _ in kept], [row for _, row in kept]
+    columns = [list(map(str.strip, map(itemgetter(i), rows))) for i in range(width)]
+    return header, columns, lines
 
 
 def _columns(header: List[str], path: str, required: Sequence[str]) -> List[int]:
@@ -81,28 +104,83 @@ def _columns(header: List[str], path: str, required: Sequence[str]) -> List[int]
     return [header.index(col) for col in required]
 
 
-def _parse_float(value: str, path: str, line: int, column: str) -> float:
+def _first(cells: List[str], value: str) -> Optional[int]:
     try:
-        out = float(value)
+        return cells.index(value)
     except ValueError:
-        raise SchemaError(f"{path}:{line}:{column}: cannot parse '{value}' as a number")
-    if not isfinite(out):
-        raise SchemaError(f"{path}:{line}:{column}: value must be finite, got '{value}'")
-    return out
-
-
-def _parse_flag(value: str, path: str, line: int, column: str) -> Optional[bool]:
-    if value == "":
         return None
-    if value in ("0", "1"):
-        return value == "1"
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    raise SchemaError(f"{path}:{line}:{column}: win_flag must be 0/1, got '{value}'")
 
 
-def load_units(path: str) -> List[UnitRecord]:
-    header, rows, lines = _read_rows(path)
+class _FirstError:
+    """The error a row-by-row reader of one file would raise first: checks
+    note their first failing row in the order a row is checked, and the
+    earliest row wins, on a tie the check noted first."""
+
+    def __init__(self, path: str, lines: Sequence[int]):
+        self.path, self.lines, self.first = path, lines, None
+
+    def note(self, row, error: Exception) -> None:
+        if row is not None and (self.first is None or row < self.first[0]):
+            self.first = (int(row), error)
+
+    def cell(self, row, column: str, text: str) -> None:
+        if row is not None:
+            self.note(row, SchemaError(f"{self.path}:{self.lines[row]}:{column}: {text}"))
+
+    def raise_first(self) -> None:
+        if self.first is not None:
+            raise self.first[1]
+
+
+def _number_column(cells: List[str], column: str, errors: _FirstError,
+                   blank: bool = False) -> np.ndarray:
+    """A column of finite numbers; with ``blank``, a blank cell is NaN.
+
+    When a cell does not parse, the rows from it on come back NaN; the rows
+    before it are what any later check of this row order can still see.
+    """
+    try:
+        values = np.array([c or "nan" for c in cells] if blank else cells, dtype=np.float64)
+    except ValueError:
+        values = np.full(len(cells), np.nan)
+        for i, c in enumerate(cells):
+            if blank and not c:
+                continue
+            try:
+                x = float(c)
+            except ValueError:
+                errors.cell(i, column, f"cannot parse '{c}' as a number")
+                return values
+            if not isfinite(x):
+                break
+            values[i] = x
+    bad = ~np.isfinite(values)
+    if blank:
+        bad &= np.array([c != "" for c in cells], dtype=bool)
+    i = next(iter(np.flatnonzero(bad)), None)
+    if i is not None:
+        errors.cell(i, column, f"value must be finite, got '{cells[i]}'")
+    return values
+
+
+_FLAGS = {"": np.nan, "0": 0.0, "1": 1.0}
+
+
+def _flag_column(cells: List[str], errors: _FirstError) -> np.ndarray:
+    """win_flag as 1, 0 or NaN (blank); 'true'/'false' in any case count."""
+    values = set(cells)
+    lookup = {v: float(v.lower() == "true") for v in values if v.lower() in ("true", "false")}
+    lookup.update(_FLAGS)
+    if not values <= lookup.keys():
+        i = next(i for i, c in enumerate(cells) if c not in lookup)
+        errors.cell(i, "win_flag", f"win_flag must be 0/1, got '{cells[i]}'")
+    return np.fromiter(map(lookup.get, cells, [np.nan] * len(cells)), dtype=np.float64,
+                       count=len(cells))
+
+
+def load_units(path: str) -> Units:
+    """The columns of units.csv, checked."""
+    header, columns, lines = _read_columns(path)
     i_id, i_outcome, i_weight = _columns(header, path, ("unit_id", "outcome", "weight"))
     fe_cols = [(i, c) for i, c in enumerate(header) if c.startswith("fe_")]
     ctrl_cols = [(i, c) for i, c in enumerate(header) if c.startswith("ctrl_")]
@@ -110,142 +188,129 @@ def load_units(path: str) -> List[UnitRecord]:
     unknown = [c for c in header if c not in known and not c.startswith(("fe_", "ctrl_"))]
     if unknown:
         raise SchemaError(f"{path}:1: unknown columns {unknown}")
-    i_override = header.index("treatment_override") if "treatment_override" in header else None
-    units = []
-    for row, line in zip(rows, lines):
-        uid = row[i_id]
-        if not uid:
-            raise SchemaError(f"{path}:{line}:unit_id: empty id")
-        for i, c in fe_cols:
-            if not row[i]:
-                raise SchemaError(f"{path}:{line}:{c}: empty fixed-effect key")
-        override = "" if i_override is None else row[i_override]
-        units.append(
-            UnitRecord(
-                unit_id=uid,
-                outcome=_parse_float(row[i_outcome], path, line, "outcome"),
-                analysis_weight=_parse_float(row[i_weight], path, line, "weight"),
-                fe_keys={c[3:]: row[i] for i, c in fe_cols},
-                extra_controls={c[5:]: _parse_float(row[i], path, line, c) for i, c in ctrl_cols},
-                treatment_override=(
-                    None if override == "" else _parse_float(override, path, line, "treatment_override")
-                ),
-            )
-        )
-    return units
+    ids = columns[i_id]
+    errors = _FirstError(path, lines)
+    errors.cell(_first(ids, ""), "unit_id", "empty id")
+    for i, c in fe_cols:
+        errors.cell(_first(columns[i], ""), c, "empty fixed-effect key")
+    outcome = _number_column(columns[i_outcome], "outcome", errors)
+    weight = _number_column(columns[i_weight], "weight", errors)
+    controls = {c[5:]: _number_column(columns[i], c, errors) for i, c in ctrl_cols}
+    override = np.full(len(ids), np.nan) if "treatment_override" not in header else (
+        _number_column(columns[header.index("treatment_override")], "treatment_override",
+                       errors, blank=True))
+    negative = next(iter(np.flatnonzero(weight < 0)), None)
+    if negative is not None:
+        errors.note(negative, ConfigurationError(
+            f"unit '{ids[negative]}': analysis_weight must be nonnegative"))
+    errors.raise_first()
+    return Units(ids, outcome, weight, override, controls, {c[3:]: columns[i] for i, c in fe_cols})
 
 
-def load_subunits(path: str) -> List[SubunitRecord]:
-    header, rows, lines = _read_rows(path)
-    i_id, i_unit, i_running, i_importance = _columns(
-        header, path, ("subunit_id", "unit_id", "running", "importance")
-    )
+def load_subunits(path: str) -> Events:
+    """The columns of subunits.csv, checked."""
+    header, columns, lines = _read_columns(path)
+    i_id, i_unit, i_running, i_importance = _columns(header, path, (
+        "subunit_id", "unit_id", "running", "importance"))
     attr_cols = [(i, c) for i, c in enumerate(header) if c.startswith("attr_")]
     known = {"subunit_id", "unit_id", "running", "importance", "win_flag"}
     unknown = [c for c in header if c not in known and not c.startswith("attr_")]
     if unknown:
         raise SchemaError(f"{path}:1: unknown columns {unknown}")
-    i_win = header.index("win_flag") if "win_flag" in header else None
-    subunits = []
-    for row, line in zip(rows, lines):
-        sid = row[i_id]
-        if not sid:
-            raise SchemaError(f"{path}:{line}:subunit_id: empty id")
-        importance = _parse_float(row[i_importance], path, line, "importance")
-        if importance <= 0:
-            raise SchemaError(f"{path}:{line}:importance: must be positive")
-        subunits.append(
-            SubunitRecord(
-                subunit_id=sid,
-                unit_id=row[i_unit],
-                running=_parse_float(row[i_running], path, line, "running"),
-                importance=importance,
-                win_flag=(
-                    None if i_win is None else _parse_flag(row[i_win], path, line, "win_flag")
-                ),
-                attributes={
-                    c[5:]: _parse_float(row[i], path, line, c) for i, c in attr_cols if row[i]
-                },
-            )
-        )
-    return subunits
+    ids = columns[i_id]
+    errors = _FirstError(path, lines)
+    errors.cell(_first(ids, ""), "subunit_id", "empty id")
+    importance = _number_column(columns[i_importance], "importance", errors)
+    errors.cell(next(iter(np.flatnonzero(importance <= 0)), None), "importance",
+                "must be positive")
+    running = _number_column(columns[i_running], "running", errors)
+    win_flag = np.full(len(ids), np.nan) if "win_flag" not in header else (
+        _flag_column(columns[header.index("win_flag")], errors))
+    attributes = {c[5:]: _number_column(columns[i], c, errors, blank=True) for i, c in attr_cols}
+    errors.raise_first()
+    return Events(ids, columns[i_unit], running, importance, win_flag, attributes)
 
 
 def load_edges(path: str) -> SpilloverGraph:
-    header, rows, lines = _read_rows(path)
+    header, columns, lines = _read_columns(path)
     i_unit, i_sub = _columns(header, path, ("outcome_unit_id", "subunit_id"))
-    edges = []
-    for row, line in zip(rows, lines):
-        if not row[i_unit] or not row[i_sub]:
-            raise SchemaError(f"{path}:{line}: empty edge endpoint")
-        edges.append((row[i_unit], row[i_sub]))
-    return SpilloverGraph(tuple(edges))
+    blank = [i for i in (_first(columns[i_unit], ""), _first(columns[i_sub], "")) if i is not None]
+    if blank:
+        raise SchemaError(f"{path}:{lines[min(blank)]}: empty edge endpoint")
+    return SpilloverGraph(tuple(zip(columns[i_unit], columns[i_sub])))
 
 
-def load_bundle(
-    units_path: str,
-    subunits_path: str,
-    edges_path: Optional[str] = None,
-    weight_cap: Optional[float] = None,
-) -> InputBundle:
-    """Load and validate a full input set.
+def load_design(units_path: str, subunits_path: str, edges_path: Optional[str] = None,
+                weight_cap: Optional[float] = None) -> Tuple[Design, ValidationReport]:
+    """Load and validate a full input set as a Design, with its report.
 
     Checks duplicate ids and referential integrity: without an edges file,
     every subunit must belong to a known unit; with one, every edge endpoint
     must resolve. ``weight_cap`` optionally drops units whose total subunit
-    importance exceeds the cap (with their subunits), a consistency guard
-    against impossible aggregates; dropped ids land in the report.
+    importance exceeds the cap, with their subunits and every edge touching
+    either, a consistency guard against impossible aggregates; dropped ids
+    land in the report, which also counts the edges from kept units to
+    dropped subunits.
     """
     units = load_units(units_path)
-    subunits = load_subunits(subunits_path)
+    events = load_subunits(subunits_path)
     report = ValidationReport()
 
-    unit_ids = [u.unit_id for u in units]
-    dup_units = sorted(uid for uid, k in Counter(unit_ids).items() if k > 1)
-    if dup_units:
-        raise IntegrityError(f"duplicate unit ids: {dup_units[:5]}")
-    sub_ids = [s.subunit_id for s in subunits]
-    dup_subs = sorted(sid for sid, k in Counter(sub_ids).items() if k > 1)
-    if dup_subs:
-        raise IntegrityError(f"duplicate subunit ids: {dup_subs[:5]}")
+    for kind, ids in (("unit", units.ids), ("subunit", events.ids)):
+        if len(set(ids)) != len(ids):
+            dup = sorted(i for i, k in Counter(ids).items() if k > 1)
+            raise IntegrityError(f"duplicate {kind} ids: {dup[:5]}")
 
-    known_units = set(unit_ids)
-    edges = None
+    known_units = set(units.ids)
+    graph = None
     if edges_path is None:
-        orphans = sorted({s.subunit_id for s in subunits if s.unit_id not in known_units})
-        if orphans:
+        missing = set(events.unit_ids) - known_units
+        if missing:
+            orphans = sorted({s for s, u in zip(events.ids, events.unit_ids) if u in missing})
             raise IntegrityError(f"subunits referencing missing units: {orphans[:5]}")
     else:
-        edges = load_edges(edges_path)
-        known_subs = set(sub_ids)
+        graph = load_edges(edges_path)
+        known_subs = set(events.ids)
         bad = sorted(
-            {u for u, s in edges.edges if u not in known_units}
-            | {s for u, s in edges.edges if s not in known_subs}
+            {u for u, s in graph.edges if u not in known_units}
+            | {s for u, s in graph.edges if s not in known_subs}
         )
         if bad:
             raise IntegrityError(f"edges referencing missing endpoints: {bad[:5]}")
 
     if weight_cap is not None:
-        totals: Dict[str, float] = {}
-        for s in subunits:
-            totals[s.unit_id] = totals.get(s.unit_id, 0.0) + s.importance
-        flagged = sorted(uid for uid, tot in totals.items() if tot > weight_cap)
-        if flagged:
-            flagged_set = set(flagged)
-            report.dropped_unit_ids = flagged
-            report.dropped_subunit_ids = sorted(
-                s.subunit_id for s in subunits if s.unit_id in flagged_set
-            )
+        names: dict = {}
+        owner = np.fromiter((names.setdefault(u, len(names)) for u in events.unit_ids),
+                            dtype=np.intp, count=len(events))
+        flagged = np.bincount(owner, weights=events.importance, minlength=len(names)) > weight_cap
+        if flagged.any():
+            dropped = {u for u, f in zip(names, flagged) if f}
+            gone = flagged[owner]
+            report.dropped_unit_ids = sorted(dropped)
+            report.dropped_subunit_ids = sorted(s for s, g in zip(events.ids, gone) if g)
             report.messages.append(
-                f"dropped {len(flagged)} units with total subunit weight above "
+                f"dropped {len(dropped)} units with total subunit weight above "
                 f"{weight_cap:g} (and {len(report.dropped_subunit_ids)} subunits)"
             )
-            units = [u for u in units if u.unit_id not in flagged_set]
-            subunits = [s for s in subunits if s.unit_id not in flagged_set]
-            if edges is not None:
-                edges = SpilloverGraph(
-                    tuple((u, s) for u, s in edges.edges if u not in flagged_set)
-                )
+            units = units.take(np.flatnonzero([u not in dropped for u in units.ids]))
+            events = events.take(np.flatnonzero(~gone))
+            if graph is not None:
+                kept = [(u, s) for u, s in graph.edges if u not in dropped]
+                dropped_subunits = set(report.dropped_subunit_ids)
+                graph = SpilloverGraph(tuple(e for e in kept if e[1] not in dropped_subunits))
+                report.dropped_edges = len(kept) - len(graph.edges)
+                if report.dropped_edges:
+                    report.messages.append(f"dropped {report.dropped_edges} edges from kept "
+                                           f"units to dropped subunits")
+    return Design.assemble(units, events, graph), report
+
+
+def load_bundle(units_path: str, subunits_path: str, edges_path: Optional[str] = None,
+                weight_cap: Optional[float] = None) -> InputBundle:
+    """``load_design`` as records: units sorted by id, subunits and edges in
+    file order."""
+    design, report = load_design(units_path, subunits_path, edges_path, weight_cap)
+    units, subunits, edges = design.to_records()
     return InputBundle(units=units, subunits=subunits, edges=edges, report=report)
 
 

@@ -11,6 +11,11 @@ known potential outcomes for the oracle.
 Reproducibility: every stream comes from SeedSequence(seed, spawn_key=...),
 so datasets depend only on (seed, replication_index) and summaries do not
 depend on scheduling or thread count.
+
+``generate_design`` emits a dataset as a ``design.Design`` straight from the
+generator's arrays; ``generate_dgp`` is its record form. A Monte Carlo
+replication builds one design and evaluates every (estimator, bandwidth)
+cell on it.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import DesignConfig, SubunitRecord, UnitRecord
+from .design import Design, DesignConfig, Events, SubunitRecord, UnitRecord, Units
 from .errors import ConfigurationError, EstimationError, RdaError
-from .estimators import estimate_lower, estimate_upper
+from .estimators import stacked_iv, upper_iv
 
 IMPORTANCE_SCHEMES = ("equal", "dirichlet_random", "unit_sum_one")
 OUTCOME_KINDS = (
@@ -126,9 +131,7 @@ def _unit_sums(values: np.ndarray, unit_idx: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(unit_idx, weights=values, minlength=n)
 
 
-def generate_dgp(
-    spec: DgpSpec, replication_index: int = 0
-) -> Tuple[List[UnitRecord], List[SubunitRecord], DgpTruth]:
+def generate_design(spec: DgpSpec, replication_index: int = 0) -> Tuple[Design, DgpTruth]:
     """One simulated dataset, fully determined by (spec.seed, replication_index)."""
     rng = _rng(spec.seed, 0, replication_index)
     counts, unit_idx, r, s, _zeta = _draw_design(spec, rng)
@@ -136,21 +139,17 @@ def generate_dgp(
     z = (r > 0.0).astype(np.float64)
     x = _unit_sums(s * z, unit_idx, n)
 
-    unit_effects = None
+    unit_effects, truth = None, 0.0
     if spec.outcome_kind == "linear":
         y = _unit_sums(s * r, unit_idx, n)
-        truth = 0.0
     elif spec.outcome_kind == "symmetric_quadratic":
         y = _unit_sums(s * r * r, unit_idx, n)
-        truth = 0.0
     elif spec.outcome_kind == "kinked_quadratic":
         y = _unit_sums(s * r * r * z, unit_idx, n)
-        truth = 0.0
     elif spec.outcome_kind == "single_subunit":
         offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
         picks = offsets + rng.integers(0, counts)
         y = r[picks]
-        truth = 0.0
     else:
         # heterogeneous_effects: unit-specific slopes on top of a kinked
         # baseline confound localized near the cutoff (support (0, 0.6],
@@ -159,33 +158,27 @@ def generate_dgp(
         beta_i = spec.effect_mean + spec.effect_sd * rng.standard_normal(n)
         g = HET_KINK_SCALE * r * r * z * (r <= HET_KINK_SUPPORT)
         y = _unit_sums(s * g, unit_idx, n) + beta_i * x
-        truth = None
-        unit_effects = beta_i
+        truth, unit_effects = None, beta_i
     if spec.noise_sd > 0:
         y = y + spec.noise_sd * rng.standard_normal(n)
 
     width = max(5, len(str(n - 1)))
     unit_ids = [f"u{i:0{width}d}" for i in range(n)]
-    units = [UnitRecord(unit_id=unit_ids[i], outcome=float(y[i])) for i in range(n)]
-    subunits = []
-    pos = 0
-    for i in range(n):
-        for k in range(int(counts[i])):
-            subunits.append(
-                SubunitRecord(
-                    subunit_id=f"{unit_ids[i]}-s{k}",
-                    unit_id=unit_ids[i],
-                    running=float(r[pos]),
-                    importance=float(s[pos]),
-                )
-            )
-            pos += 1
-    effects = (
-        {unit_ids[i]: float(unit_effects[i]) for i in range(n)}
-        if unit_effects is not None
-        else None
+    design = Design.assemble(
+        Units(unit_ids, y, np.ones(n), np.full(n, np.nan), {}, {}),
+        Events([f"{unit_ids[i]}-s{k}" for i in range(n) for k in range(int(counts[i]))],
+               [unit_ids[i] for i in unit_idx.tolist()], r, s, np.full(r.size, np.nan), {}),
     )
-    return units, subunits, DgpTruth(true_beta=truth, unit_effects=effects)
+    effects = dict(zip(unit_ids, unit_effects.tolist())) if unit_effects is not None else None
+    return design, DgpTruth(true_beta=truth, unit_effects=effects)
+
+
+def generate_dgp(spec: DgpSpec, replication_index: int = 0
+                 ) -> Tuple[List[UnitRecord], List[SubunitRecord], DgpTruth]:
+    """``generate_design`` as records."""
+    design, truth = generate_design(spec, replication_index)
+    units, subunits, _ = design.to_records()
+    return units, subunits, truth
 
 
 def dataset_digest(units: Sequence[UnitRecord], subunits: Sequence[SubunitRecord]) -> str:
@@ -200,22 +193,17 @@ def dataset_digest(units: Sequence[UnitRecord], subunits: Sequence[SubunitRecord
 
 def mc_design_config(h: float, control_set: str) -> DesignConfig:
     """Estimation settings used in simulation sweeps (strict cutoff rule)."""
-    return DesignConfig(
-        bandwidth=h,
-        kernel="uniform",
-        cutoff_rule="strict_gt",
-        tie_policy="keep",
-        control_set=control_set,
-    )
+    return DesignConfig(bandwidth=h, kernel="uniform", cutoff_rule="strict_gt",
+                        tie_policy="keep", control_set=control_set)
 
 
-def _run_estimator(name: str, units, subunits, h: float) -> float:
+def _run_estimator(name: str, design: Design, h: float) -> float:
     if name == "upper":
-        return estimate_upper(units, subunits, mc_design_config(h, "all_three_rda")).beta
+        return upper_iv(design, mc_design_config(h, "all_three_rda")).beta
     if name == "benchmark":
-        return estimate_upper(units, subunits, mc_design_config(h, "total_weight_only")).beta
+        return upper_iv(design, mc_design_config(h, "total_weight_only")).beta
     if name == "lower":
-        return estimate_lower(units, subunits, mc_design_config(h, "all_three_rda")).beta
+        return stacked_iv(design, mc_design_config(h, "all_three_rda")).beta
     raise ConfigurationError(f"unknown estimator '{name}' (choose from {MC_ESTIMATORS})")
 
 
@@ -297,50 +285,42 @@ def run_monte_carlo(
     is evaluated on that same dataset. An estimation failure (a package
     error or a singular linear system) is recorded, not fatal; any other
     exception propagates. The summary flags runs where more than 1% of cells
-    failed. The
-    true effect must be known (zero for the built-in confound outcomes), so
-    heterogeneous-effects specs go through late_gap_check instead.
+    failed. The true effect must be known (zero for the built-in confound
+    outcomes), so heterogeneous-effects specs go through late_gap_check
+    instead.
     """
     if n_replications < 2:
         raise ConfigurationError("n_replications must be at least 2")
-    spec = replace(spec, seed=seed)
-    probe = generate_dgp(spec, 0)[2]
-    if probe.true_beta is None:
+    if spec.outcome_kind == "heterogeneous_effects":
         raise ConfigurationError(
             "run_monte_carlo needs a known true effect; use late_gap_check for "
             "heterogeneous-effects specs"
         )
-    true_beta = probe.true_beta
+    spec = replace(spec, seed=seed)
+    true_beta = 0.0  # every other generator is a pure confound
     estimators = list(estimators)
     h_grid = [float(h) for h in h_grid]
 
     def one_replication(rep: int):
-        units, subunits, _ = generate_dgp(spec, rep)
+        design, _ = generate_design(spec, rep)
         out = {}
         for name in estimators:
             for h in h_grid:
                 try:
-                    beta = _run_estimator(name, units, subunits, h)
+                    beta = _run_estimator(name, design, h)
                 except (RdaError, np.linalg.LinAlgError):
                     beta = float("nan")
                 out[(name, h)] = beta
-        digest = dataset_digest(units, subunits) if keep_digests else ""
-        return rep, out, digest
+        return out, dataset_digest(*design.to_records()[:2]) if keep_digests else ""
 
-    results: List[Optional[dict]] = [None] * n_replications
-    digests: List[str] = [""] * n_replications
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rep, out, digest in pool.map(one_replication, range(n_replications)):
-                results[rep] = out
-                digests[rep] = digest
+            outputs = list(pool.map(one_replication, range(n_replications)))
     else:
-        for rep in range(n_replications):
-            rep, out, digest = one_replication(rep)
-            results[rep] = out
-            digests[rep] = digest
+        outputs = [one_replication(rep) for rep in range(n_replications)]
+    results, digests = zip(*outputs)
 
     cells: List[McCell] = []
     estimates: Dict[Tuple[str, float], np.ndarray] = {}
@@ -385,7 +365,7 @@ def run_monte_carlo(
         cells=cells,
         n_replications=n_replications,
         estimates=estimates,
-        dataset_digests=digests if keep_digests else [],
+        dataset_digests=list(digests) if keep_digests else [],
         high_failure=total_fail > 0.01 * n_cells,
     )
 
@@ -441,6 +421,50 @@ def estimand_oracle(
     cov_ab = float(np.cov(num, den, ddof=1)[0, 1]) if m > 1 else 0.0
     var_ratio = (var_a / b**2 + a**2 * var_b / b**4 - 2 * a * cov_ab / b**3) / m
     return OracleEstimand(beta0=beta0, se=float(np.sqrt(max(var_ratio, 0.0))), n_slice=m)
+
+
+@dataclass
+class LateGapRow:
+    bandwidth: float
+    beta_upper: float
+    sim_se_upper: float
+    beta_lower: float
+    sim_se_lower: float
+    beta0: float
+    oracle_se: float
+    gap_upper: float
+    gap_lower: float
+
+
+def late_gap_check(
+    spec: DgpSpec,
+    h_grid: Sequence[float],
+    n_replications: int = 12,
+    seed: int = 0,
+    oracle: Optional[OracleEstimand] = None,
+) -> List[LateGapRow]:
+    """Compare both estimators against the cutoff-slice estimand per bandwidth.
+
+    For each bandwidth, averages the upper- and lower-level estimates over
+    replicated draws from ``spec`` (common datasets across bandwidths) and
+    reports the gaps to the oracle value of the limiting estimand. Used to
+    confirm that gaps shrink as the bandwidth shrinks.
+    """
+    if oracle is None:
+        oracle = estimand_oracle(spec, seed=seed)
+    designs = [generate_design(spec, rep)[0] for rep in range(n_replications)]
+    rows: List[LateGapRow] = []
+    for h in h_grid:
+        cfg = mc_design_config(h, "all_three_rda")
+        moments = []
+        for fit in (upper_iv, stacked_iv):
+            b = np.array([fit(design, cfg).beta for design in designs])
+            sim_se = float(b.std(ddof=1) / np.sqrt(len(b))) if len(b) > 1 else float("nan")
+            moments += [float(b.mean()), sim_se]
+        bu, se_u, bl, se_l = moments
+        rows.append(LateGapRow(float(h), bu, se_u, bl, se_l, oracle.beta0, oracle.se,
+                               abs(bu - oracle.beta0), abs(bl - oracle.beta0)))
+    return rows
 
 
 def close_importance_weights(

@@ -28,7 +28,6 @@ from rdagg.estimators import (
     estimate_lower,
     estimate_spillover_bilateral,
     estimate_spillover_collapsed,
-    late_gap_check,
     verify_equivalence,
 )
 from rdagg.regress import (
@@ -38,7 +37,13 @@ from rdagg.regress import (
     residualize,
     wls_fit,
 )
-from rdagg.simlab import DgpSpec, estimand_oracle, generate_dgp, run_monte_carlo
+from rdagg.simlab import (
+    DgpSpec,
+    estimand_oracle,
+    generate_dgp,
+    late_gap_check,
+    run_monte_carlo,
+)
 
 SEED = 7
 H_GRID = tuple(k / 100 for k in range(25, 126, 10))

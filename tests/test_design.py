@@ -435,6 +435,15 @@ class TestFilters:
         with pytest.raises(ConfigurationError):
             parse_filter("votes!!20")
 
+    def test_only_attribute_filters_accepted(self):
+        with pytest.raises(ConfigurationError, match="AttributeFilter"):
+            DesignConfig(filters=(lambda s: True,))
+
+    def test_column_mask_fails_missing_values_for_every_operator(self):
+        values = np.array([25.0, np.nan, -30.0, 20.0])
+        assert parse_filter("votes!=20").mask(values).tolist() == [True, False, True, False]
+        assert parse_filter("abs:votes>=25").mask(values).tolist() == [True, False, True, False]
+
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):

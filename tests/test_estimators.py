@@ -22,11 +22,10 @@ from rdagg.estimators import (
     estimate_spillover_bilateral,
     estimate_spillover_collapsed,
     estimate_upper,
-    late_gap_check,
     verify_equivalence,
 )
 from rdagg import design
-from rdagg.simlab import DgpSpec, estimand_oracle, generate_dgp
+from rdagg.simlab import DgpSpec, estimand_oracle, generate_dgp, late_gap_check
 
 
 def sub(sid, uid, r, s=1.0, **kw):

@@ -1,14 +1,29 @@
 """CSV schemas, bundle validation, round trips, and the command-line surface."""
 
 import json
+import math
+import struct
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rdagg import simlab
 from rdagg.cli import main
-from rdagg.errors import IntegrityError, SchemaError
-from rdagg.io import load_bundle, serialize_subunits, serialize_units, write_bundle
+from rdagg.design import DesignConfig, SubunitRecord, UnitRecord
+from rdagg.errors import ConfigurationError, IntegrityError, SchemaError
+from rdagg.estimators import estimate_spillover_bilateral
+from rdagg.io import (
+    InputBundle,
+    _FirstError,
+    _number_column,
+    load_bundle,
+    serialize_subunits,
+    serialize_units,
+    write_bundle,
+)
 
 MINIMAL_UNITS = "unit_id,outcome,weight\nu1,1.5,1.0\n"
 MINIMAL_SUBUNITS = "subunit_id,unit_id,running,importance\nu1-s0,u1,0.05,1.0\n"
@@ -159,6 +174,57 @@ class TestLoad:
         ]
         assert elapsed < 1.0
 
+    def weight_cap_bundle(self, tmp_path, cross_edge):
+        """Twelve units with three events each; u00's events weigh 1.5 in all,
+        over a cap of 1.2, the others 0.9. With ``cross_edge``, u01 is also
+        linked to u00's first event."""
+        rng = np.random.default_rng(21)
+        units, subs, edges = ["unit_id,outcome,weight"], ["subunit_id,unit_id,running,importance"], []
+        for i in range(12):
+            uid = f"u{i:02d}"
+            units.append(f"{uid},{rng.normal():.6f},1.0")
+            for j in range(3):
+                subs.append(f"{uid}-s{j},{uid},{rng.uniform(-0.5, 0.5):.6f},"
+                            f"{0.5 if i == 0 else 0.3}")
+                edges.append(f"{uid},{uid}-s{j}")
+        if cross_edge:
+            edges.append("u01,u00-s0")
+        return (write(tmp_path, "units.csv", "\n".join(units) + "\n"),
+                write(tmp_path, "subunits.csv", "\n".join(subs) + "\n"),
+                write(tmp_path, "edges.csv",
+                      "outcome_unit_id,subunit_id\n" + "\n".join(edges) + "\n"))
+
+    def test_weight_cap_drops_edges_to_dropped_subunits(self, tmp_path):
+        paths = self.weight_cap_bundle(tmp_path, cross_edge=True)
+        bundle = load_bundle(*paths, weight_cap=1.2)
+        assert bundle.report.dropped_unit_ids == ["u00"]
+        assert bundle.report.dropped_subunit_ids == ["u00-s0", "u00-s1", "u00-s2"]
+        assert bundle.report.dropped_edges == 1
+        assert bundle.report.messages == [
+            "dropped 1 units with total subunit weight above 1.2 (and 3 subunits)",
+            "dropped 1 edges from kept units to dropped subunits",
+        ]
+        assert len(bundle.edges.edges) == 33
+        assert all(not s.startswith("u00") for _, s in bundle.edges.edges)
+        result = estimate_spillover_bilateral(bundle.edges, bundle.units, bundle.subunits,
+                                              DesignConfig(bandwidth=1.0))
+        assert result.n_stacked_rows == 33
+        out = tmp_path / "cli"
+        assert main(["spillover", "bilateral", "--units", paths[0], "--subunits", paths[1],
+                     "--edges", paths[2], "--weight-cap", "1.2", "--bandwidth", "1.0",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["validation"] == bundle.report.messages
+
+    def test_weight_cap_without_cross_edges_adds_no_message(self, tmp_path):
+        bundle = load_bundle(*self.weight_cap_bundle(tmp_path, cross_edge=False),
+                             weight_cap=1.2)
+        assert bundle.report.dropped_edges == 0
+        assert bundle.report.messages == [
+            "dropped 1 units with total subunit weight above 1.2 (and 3 subunits)"
+        ]
+        assert len(bundle.edges.edges) == 33
+
     def test_spillover_mode_allows_unattached_subunits(self, tmp_path):
         up = write(tmp_path, "units.csv", MINIMAL_UNITS)
         sp = write(
@@ -249,6 +315,74 @@ class TestLoadErrors:
         assert (subunit.running, subunit.importance, subunit.win_flag) == (1.5, 1000.0, True)
 
 
+class TestFirstOfTwoErrors:
+    """With two bad cells, the message is the one a row-by-row reader meets
+    first: the earliest row, and in it the earliest check."""
+
+    def load(self, tmp_path, units=MINIMAL_UNITS, subunit_rows=""):
+        up = write(tmp_path, "units.csv", units)
+        sp = write(tmp_path, "subunits.csv", TestLoadErrors.SUB_HEADER
+                   + "u1-s0,u1,0.05,1.0,1\n" + subunit_rows)
+        return load_bundle(up, sp)
+
+    def test_in_different_rows_and_columns(self, tmp_path):
+        # a later column on an earlier row beats an earlier column on a later row
+        with pytest.raises(SchemaError) as err:
+            self.load(tmp_path, units="unit_id,outcome,weight,ctrl_x\nu1,1.0,1.0,oops\n"
+                                      "u2,inf,1.0,2.0\n")
+        assert str(err.value).endswith("units.csv:2:ctrl_x: cannot parse 'oops' as a number")
+        with pytest.raises(SchemaError) as err:
+            self.load(tmp_path, subunit_rows="u1-s1,u1,0.1,1.0,yes\nu1-s2,u1,0.2,0,\n")
+        assert str(err.value).endswith("subunits.csv:3:win_flag: win_flag must be 0/1, got 'yes'")
+        with pytest.raises(ConfigurationError) as err:
+            self.load(tmp_path, units="unit_id,outcome,weight\nu1,1.0,1.0\nu2,2.0,-2\n"
+                                      "u3,x,1.0\n")
+        assert str(err.value) == "unit 'u2': analysis_weight must be nonnegative"
+
+    def test_in_one_row(self, tmp_path):
+        # importance is checked before running, whatever the column order
+        with pytest.raises(SchemaError) as err:
+            self.load(tmp_path, subunit_rows="u1-s1,u1,nan,-1,\n")
+        assert str(err.value).endswith("subunits.csv:3:importance: must be positive")
+        # every cell parses before the nonnegative-weight check
+        with pytest.raises(SchemaError) as err:
+            self.load(tmp_path, units="unit_id,outcome,weight,treatment_override\n"
+                                      "u1,1.0,-2,half\n")
+        assert str(err.value).endswith(
+            "units.csv:2:treatment_override: cannot parse 'half' as a number"
+        )
+
+
+FLOAT_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.floats(width=32).map(str),
+    st.text(alphabet="0123456789_.eE+-infatyINFATY \t", max_size=10),
+    st.sampled_from(["1e500", "-1e500", "1e-400", "Infinity", "-iNf", "+nan", "-NaN",
+                     "nan(1)", "1_000", "1__0", "_1", " 1.5 ", "\u0661\u0662", "0x10", "",
+                     "1,5", "\u2003-2.5\u2003"]),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cells=st.lists(FLOAT_TEXT, min_size=1, max_size=4))
+def test_column_parse_accepts_exactly_what_float_accepts(cells):
+    errors = _FirstError("f.csv", range(2, len(cells) + 2))
+    values = _number_column(cells, "x", errors)
+    expected = None
+    for i, cell in enumerate(cells):
+        try:
+            x = float(cell)
+        except ValueError:
+            expected = f"f.csv:{i + 2}:x: cannot parse '{cell}' as a number"
+            break
+        if not math.isfinite(x):
+            expected = f"f.csv:{i + 2}:x: value must be finite, got '{cell}'"
+            break
+        assert struct.pack("<d", values[i]) == struct.pack("<d", x)
+    assert (None if errors.first is None else str(errors.first[1])) == expected
+
+
 class TestSerialize:
     def test_canonical_ordering(self):
         from rdagg.design import SubunitRecord, UnitRecord
@@ -330,6 +464,26 @@ class TestCli:
         report = json.loads((out / "equivalence.json").read_text())
         assert report["pass"] is True
         assert report["relative_gap"] <= 1e-8
+
+    def test_estimation_commands_build_no_records(self, tmp_path, monkeypatch):
+        units, subunits, _ = simlab.generate_dgp(simlab.DgpSpec(n_units=60, seed=3))
+        up, sp = str(tmp_path / "units.csv"), str(tmp_path / "subunits.csv")
+        write_bundle(InputBundle(units, subunits), up, sp)
+        built = []
+        for cls in (UnitRecord, SubunitRecord):
+            init = cls.__init__
+
+            def counted(self, *args, _init=init, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        for command in ("estimate-upper", "estimate-lower", "verify-equivalence"):
+            assert main([command, "--units", up, "--subunits", sp, "--bandwidth", "0.8",
+                         "--out", str(tmp_path / command)]) == 0
+        assert built == []
+        UnitRecord("u", 0.0)  # the wrapper counts
+        assert built == ["UnitRecord"]
 
     def test_simulate_byte_identical(self, tmp_path):
         args = ["simulate", "--outcome", "linear", "--reps", "12", "--seed", "7",

@@ -164,16 +164,35 @@ class TestRunMonteCarlo:
         def estimation_error(*args, **kwargs):
             raise EstimationError("empty sample")
 
-        monkeypatch.setattr(simlab, "estimate_upper", estimation_error)
+        monkeypatch.setattr(simlab, "upper_iv", estimation_error)
         cell = run_monte_carlo(spec, **kw).cell("upper", 0.5)
         assert (cell.n_ok, cell.n_fail) == (0, 2)
 
         def bug(*args, **kwargs):
             raise TypeError("a bug, not a failed estimate")
 
-        monkeypatch.setattr(simlab, "estimate_upper", bug)
+        monkeypatch.setattr(simlab, "upper_iv", bug)
         with pytest.raises(TypeError, match="a bug"):
             run_monte_carlo(spec, **kw)
+
+    def test_generates_one_design_per_replication(self, monkeypatch):
+        calls = {"generate_design": 0, "generate_dgp": 0}
+        for name in calls:
+            original = getattr(simlab, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(simlab, name, counted)
+        run_monte_carlo(DgpSpec(n_units=40, seed=13), h_grid=(0.5, 0.9), n_replications=3,
+                        n_bootstrap=20, seed=13)
+        assert calls == {"generate_design": 3, "generate_dgp": 0}
+
+    def test_late_gap_check_lives_next_to_the_oracle(self):
+        import rdagg
+
+        assert rdagg.late_gap_check is simlab.late_gap_check
 
     def test_csv_columns(self):
         spec = DgpSpec(n_units=40, seed=11)
