@@ -156,7 +156,15 @@ def parse_filter(text: str) -> AttributeFilter:
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Bandwidth, kernel, cutoff/tie policy, filters, and control selection."""
+    """Bandwidth, kernel, cutoff/tie policy, filters, and control selection.
+
+    ``fe_tol`` and ``fe_max_iter`` govern absorbing two or more
+    ``fe_dimensions`` (one is exact): a column has converged when its
+    largest weighted group mean of the residual is at most ``fe_tol`` times
+    its weighted RMS before absorption, and ConvergenceError is raised if
+    ``fe_max_iter`` conjugate-gradient iterations do not get every column
+    there.
+    """
 
     bandwidth: float = 0.1
     kernel: str = "uniform"

@@ -35,6 +35,7 @@ before a bad value.
 from __future__ import annotations
 
 import csv
+import gc
 from collections import Counter
 from dataclasses import dataclass, field
 from math import isfinite
@@ -82,7 +83,15 @@ def _read_columns(path: str) -> Tuple[List[str], List[List[str]], Sequence[int]]
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             raise SchemaError(f"{path}:1: duplicate column names")
-        rows = list(reader)
+        # The row lists are acyclic, but the cyclic collector would rescan
+        # them again and again while they pile up.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            rows = list(reader)
+        finally:
+            if collecting:
+                gc.enable()
     width = len(header)
     lines: Sequence[int] = range(2, len(rows) + 2)
     if width == 1 or set(map(len, rows)) - {width}:

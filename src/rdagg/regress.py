@@ -2,7 +2,7 @@
 
 Everything estimated in this package reduces to the primitives here: weighted
 least squares, the instrumental-variable kernel, weighted residualization
-(partialling out), fixed-effect sweeps by bincount, and the HC1 sandwich
+(partialling out), fixed-effect absorption, and the HC1 sandwich
 covariance. All routines are pure functions of their inputs and produce
 identical output for identical inputs in identical column order.
 
@@ -21,6 +21,12 @@ Conventions
   ``iv_fit`` screens the controls once, partials outcome, treatment and
   instrument out of the kept ones with one solve, and reads every IV number
   off the partialled columns in closed form (Frisch-Waugh-Lovell).
+- Fixed effects are absorbed before the fit. One dimension is one exact
+  demeaning pass; two or more are one Jacobi-preconditioned conjugate-
+  gradient solve of the dummy normal equations for all columns at once,
+  stopped when every column's largest weighted group mean of the residual
+  is at most ``tol`` times the column's weighted RMS, so the rule does not
+  depend on the units of a column.
 """
 
 from __future__ import annotations
@@ -385,11 +391,14 @@ def residualize(columns, on, weights) -> np.ndarray:
 
 
 def _factorize(keys) -> tuple:
-    index: dict = {}
-    codes = np.empty(len(keys), dtype=np.intp)
-    for i, k in enumerate(keys):
-        codes[i] = index.setdefault(k, len(index))
-    return codes, len(index)
+    """Integer group codes of one key array, and the number of groups."""
+    keys = np.asarray(keys)
+    if keys.ndim != 1:
+        raise ConfigurationError(
+            f"fixed-effect keys must be one-dimensional, got shape {keys.shape}"
+        )
+    groups, codes = np.unique(keys, return_inverse=True)
+    return codes.astype(np.intp, copy=False), groups.size
 
 
 def _key_dimensions(fe_keys) -> list:
@@ -413,18 +422,26 @@ def absorb_fixed_effects(
     tol: float = FE_TOL,
     max_iter: int = FE_MAX_ITER,
 ) -> np.ndarray:
-    """Sweep out fixed effects by alternating weighted within-group demeaning.
+    """Remove the weighted projection of ``columns`` onto fixed-effect dummies.
 
     ``fe_keys`` is one key sequence or a list of them (one per dimension).
-    Iterates until the largest absolute weighted group mean across all
-    dimensions and columns is at most ``tol``; a single dimension stops
-    after one pass, which is exact. Raises ConvergenceError (carrying the attained criterion)
-    if ``max_iter`` sweeps do not suffice, and ConfigurationError on a
-    non-finite column, whose NaN group means would pass the stopping check.
+    A single dimension is one exact pass: subtract each row's weighted group
+    mean. Two or more dimensions solve the normal equations
+    D'WD a = D'W y for every column at once by conjugate gradients with a
+    Jacobi preconditioner (1 / group weight sum, 0 for an empty group), and
+    return y - D a (Correia 2017, reghdfe; Gaure 2013, lfe). The
+    preconditioned residual is the weighted group means of y - D a, and a
+    column has converged when the largest of them is at most ``tol`` times
+    the column's weighted RMS before absorption, a rule that does not depend
+    on the column's scale. Raises ConvergenceError (carrying the largest
+    attained ratio) if ``max_iter`` iterations do not suffice, and
+    ConfigurationError on a non-finite column.
 
-    Each group-mean pass is one ``np.bincount`` over the cell index
-    ``code * k + column``, adding each cell's terms in row order. A sweep
-    reuses the convergence check's means of the first dimension.
+    Group sums are ``np.bincount`` calls over the cell index
+    ``code * k + column``, adding each cell's terms in row order; D a is
+    ``np.take`` of the group values by row. Rows of zero weight are not
+    identified: they get the effects fitted to their groups, zero for a
+    group of zero weight.
 
     A column the fixed effects span, whose weighted norm falls to at most
     PIVOT_RTOL times its norm before absorption, comes back exactly zero,
@@ -432,55 +449,71 @@ def absorb_fixed_effects(
     """
     C = np.asarray(columns, dtype=np.float64)
     squeeze = C.ndim == 1
-    out = _as_matrix(C, "columns").copy()
-    if not np.all(np.isfinite(out)):
+    y = _as_matrix(C, "columns")
+    if not np.all(np.isfinite(y)):
         raise ConfigurationError("columns to absorb fixed effects from must be finite")
-    n, k = out.shape
-    dims = [list(keys) for keys in _key_dimensions(fe_keys)]
-    for keys in dims:
-        if len(keys) != n:
+    n, k = y.shape
+    coded = [_factorize(keys) for keys in _key_dimensions(fe_keys)]
+    for codes, _ in coded:
+        if codes.size != n:
             raise ConfigurationError(
-                f"fixed-effect key length {len(keys)} does not match {n} rows"
+                f"fixed-effect key length {codes.size} does not match {n} rows"
             )
     w = _check_weights(weights, n)
-    norms = np.sqrt(w @ (out * out))
-    cells = []
-    for keys in dims:
-        codes, n_groups = _factorize(keys)
-        wsum = np.bincount(codes, weights=w, minlength=n_groups)
-        flat = (codes[:, None] * k + np.arange(k)).ravel()
-        cells.append((codes, flat, np.where(wsum > 0, wsum, 1.0)[:, None]))
-    weighted, gathered = np.empty_like(out), np.empty_like(out)
+    norms = np.sqrt(w @ (y * y))
+    cells = [((codes[:, None] * k + np.arange(k)).ravel(), n_groups) for codes, n_groups in coded]
+    wsum = np.concatenate([np.bincount(codes, weights=w, minlength=g) for codes, g in coded])
 
-    def group_means(flat, divisor) -> np.ndarray:
-        np.multiply(out, w[:, None], out=weighted)
-        sums = np.bincount(flat, weights=weighted.ravel(), minlength=divisor.size * k)
-        return sums.reshape(divisor.size, k) / divisor
+    def group_sums(v: np.ndarray) -> np.ndarray:
+        # D'W v, the dimensions' groups stacked in order
+        wv = (v * w[:, None]).ravel()
+        return np.concatenate([
+            np.bincount(flat, weights=wv, minlength=g * k) for flat, g in cells
+        ]).reshape(-1, k)
 
-    def criterion():
-        means = [group_means(flat, divisor) for _, flat, divisor in cells]
-        return max(0.0, *(float(np.abs(m).max(initial=0.0)) for m in means)), means[0]
+    if len(coded) == 1:
+        means = group_sums(y) / np.where(wsum > 0, wsum, 1.0)[:, None]
+        out = y - np.take(means, coded[0][0], axis=0)
+    else:
+        offsets = np.cumsum([0] + [g for _, g in coded])
+        rows = [codes + offset for (codes, _), offset in zip(coded, offsets)]
 
-    attained, means = criterion()
-    for _ in range(max_iter):
-        if attained <= tol:
-            break
-        for d, (codes, flat, divisor) in enumerate(cells):
-            if d:
-                means = group_means(flat, divisor)
-            out -= np.take(means, codes, axis=0, out=gathered)
-        if len(cells) == 1:
-            # One pass demeans a single dimension exactly. The check would
-            # see rounding that grows with the column's scale.
-            attained = 0.0
-            break
-        attained, means = criterion()
-    if attained > tol:
-        raise ConvergenceError(
-            f"fixed-effect absorption did not converge in {max_iter} sweeps "
-            f"(attained {attained:.3e}, tol {tol:.3e})",
-            attained=attained,
-        )
+        def expand(a: np.ndarray) -> np.ndarray:
+            # D a: each row's group values summed over the dimensions
+            total = np.take(a, rows[0], axis=0)
+            for r in rows[1:]:
+                total += np.take(a, r, axis=0)
+            return total
+
+        dinv = np.divide(1.0, wsum, out=np.zeros_like(wsum), where=wsum > 0)[:, None]
+        rms = norms / np.sqrt(w.sum())
+        alpha = np.zeros((wsum.size, k))
+        resid = group_sums(y)
+        means = dinv * resid
+        direction = means.copy()
+        rz = np.einsum("gj,gj->j", resid, means)
+        for iteration in range(max_iter + 1):
+            worst = np.abs(means).max(axis=0, initial=0.0)
+            active = worst > tol * rms
+            if not active.any():
+                break
+            if iteration == max_iter:
+                attained = float(np.max(worst[active] / rms[active]))
+                raise ConvergenceError(
+                    f"fixed-effect absorption did not converge in {max_iter} iterations "
+                    f"(attained {attained:.3e}, tol {tol:.3e})",
+                    attained=attained,
+                )
+            image = group_sums(expand(direction))
+            step = np.divide(rz, np.einsum("gj,gj->j", direction, image),
+                             out=np.zeros(k), where=active)
+            alpha += step * direction
+            resid -= step * image
+            means = dinv * resid
+            rz_next = np.einsum("gj,gj->j", resid, means)
+            direction = means + np.divide(rz_next, rz, out=np.zeros(k), where=active) * direction
+            rz = rz_next
+        out = y - expand(alpha)
     out[:, np.sqrt(w @ (out * out)) <= PIVOT_RTOL * norms] = 0.0
     return out[:, 0] if squeeze else out
 
@@ -495,7 +528,7 @@ def fixed_effect_dof(fe_keys) -> int:
     dimension and groups-minus-one of each further one, which ignores
     disconnected components.
     """
-    coded = [_factorize(list(keys)) for keys in _key_dimensions(fe_keys)]
+    coded = [_factorize(keys) for keys in _key_dimensions(fe_keys)]
     if len(coded) != 2:
         return sum(g if d == 0 else max(g - 1, 0) for d, (_, g) in enumerate(coded))
     (codes1, g1), (codes2, g2) = coded

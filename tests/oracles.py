@@ -49,3 +49,22 @@ def dense_tsls(y, x, z, controls, w, extra_dof=0):
         "rf_se": hc1(first, e3)[0],
         "controls": b[1:],
     }
+
+
+def dense_absorb(columns, key_sets, w):
+    """Weighted residuals of ``columns`` on explicit dummies of every key set.
+
+    One ``np.linalg.lstsq`` on sqrt(w)-weighted rows of the dense dummy
+    matrix, all groups of every dimension included (the minimum-norm
+    solution handles its rank deficiency). Rows of zero weight are not
+    identified; compare positive-weight rows only.
+    """
+    C = np.asarray(columns, dtype=float)
+    w = np.asarray(w, dtype=float)
+    D = np.column_stack([
+        (np.asarray(keys)[:, None] == np.unique(keys)[None, :]).astype(float)
+        for keys in key_sets
+    ])
+    sw = np.sqrt(w)
+    b = np.linalg.lstsq(D * sw[:, None], (C.T * sw).T, rcond=None)[0]
+    return C - D @ b

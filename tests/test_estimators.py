@@ -7,11 +7,14 @@ import pytest
 
 from oracles import dense_tsls
 from rdagg.design import (
+    Design,
     DesignConfig,
     SpilloverGraph,
     SubunitRecord,
     UnitRecord,
     build_stack,
+    design_exposures,
+    design_stack,
     partition_graph,
     unit_exposures,
 )
@@ -22,6 +25,8 @@ from rdagg.estimators import (
     estimate_spillover_bilateral,
     estimate_spillover_collapsed,
     estimate_upper,
+    stacked_iv,
+    upper_iv,
     verify_equivalence,
 )
 from rdagg import design
@@ -303,6 +308,80 @@ class TestEquivalence:
         units, subs = random_bundle(rng, n_units=20)
         with pytest.raises(ConfigurationError, match="uniform"):
             verify_equivalence(units, subs, DesignConfig(kernel="triangular"))
+
+
+def two_way_panel(rng, n_units=90, n_states=4, block=3):
+    """Units with state and industry keys, industries mostly nested in their
+    state's block; each event links to its own unit and one other unit."""
+    units, subs, edges = [], [], []
+    for i in range(n_units):
+        uid = f"u{i:03d}"
+        state = int(rng.integers(0, n_states))
+        industry = (state * block + int(rng.integers(0, block)) if rng.random() < 0.8
+                    else int(rng.integers(0, n_states * block)))
+        units.append(UnitRecord(
+            uid, float(rng.normal() + 0.5 * state),
+            extra_controls={"c0": float(rng.normal())},
+            fe_keys={"state": f"s{state}", "industry": f"i{industry}"},
+            analysis_weight=float(rng.uniform(0.5, 2.0)),
+        ))
+        for j in range(int(rng.integers(1, 6))):
+            sid = f"{uid}-s{j}"
+            subs.append(sub(sid, uid, float(rng.normal()), float(rng.uniform(0.2, 2.0))))
+            edges += [(uid, sid), (f"u{int(rng.integers(0, n_units)):03d}", sid)]
+    return units, subs, SpilloverGraph(tuple(sorted(set(edges))))
+
+
+def independent_dummies(key_sets):
+    """Dummy columns of every key set, keeping each only if it raises the rank."""
+    kept = np.empty((len(key_sets[0]), 0))
+    for keys in key_sets:
+        keys = np.asarray(keys)
+        for value in np.unique(keys):
+            trial = np.column_stack([kept, (keys == value).astype(float)])
+            if np.linalg.matrix_rank(trial) > kept.shape[1]:
+                kept = trial
+    return kept
+
+
+class TestTwoWayFixedEffects:
+    """Two absorbed fixed-effect dimensions against dense 2SLS on dummies."""
+
+    cfg = DesignConfig(bandwidth=0.8, fe_dimensions=("industry", "state"))
+
+    def assert_matches(self, got, oracle):
+        assert got.beta == pytest.approx(oracle["beta"], rel=1e-8)
+        assert got.robust_se == pytest.approx(oracle["robust_se"], rel=1e-8)
+        assert got.first_stage.coefficient == pytest.approx(oracle["fs_coefficient"], rel=1e-8)
+        assert got.first_stage.partial_f == pytest.approx(oracle["fs_partial_f"], rel=1e-8)
+
+    def test_upper_and_stacked_match_dense_dummies(self):
+        rng = np.random.default_rng(41)
+        units, subs, graph = two_way_panel(rng)
+        data = Design.from_records(units, subs, graph)
+        keys = [data.units.fe["industry"], data.units.fe["state"]]
+        c0 = data.units.controls["c0"]
+        for spillover in (False, True):
+            exp = design_exposures(data, self.cfg, spillover)
+            dummies = independent_dummies(keys)
+            oracle = dense_tsls(data.units.outcome, exp.treatment, exp.instrument,
+                                np.column_stack([exp.controls, c0, dummies]), data.units.weight)
+            self.assert_matches(upper_iv(data, self.cfg, spillover), oracle)
+
+            stack = design_stack(data, self.cfg, spillover)
+            rows = stack.unit_row
+            dummies = independent_dummies([np.asarray(k)[rows] for k in keys])
+            controls = np.column_stack(
+                [stack.running, stack.running * stack.instrument, c0[rows], dummies])
+            oracle = dense_tsls(stack.outcome, stack.treatment, stack.instrument, controls,
+                                stack.importance * stack.kernel)
+            self.assert_matches(stacked_iv(data, self.cfg, spillover), oracle)
+
+    def test_equivalence_holds(self):
+        for seed in (42, 43):
+            units, subs, _ = two_way_panel(np.random.default_rng(seed))
+            rep = verify_equivalence(units, subs, self.cfg)
+            assert rep.passed and rep.relative_gap <= 1e-8, rep
 
 
 class TestControlScale:

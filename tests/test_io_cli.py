@@ -1,5 +1,7 @@
 """CSV schemas, bundle validation, round trips, and the command-line surface."""
 
+import csv
+import gc
 import json
 import math
 import struct
@@ -136,6 +138,22 @@ class TestLoad:
         assert [u.unit_id for u in bundle.units] == ["u1"]
         assert bundle.report.dropped_unit_ids == ["u2"]
         assert len(bundle.report.dropped_subunit_ids) == 2
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_reader_leaves_the_collector_as_it_found_it(self, tmp_path, collecting):
+        up = write(tmp_path, "units.csv", MINIMAL_UNITS)
+        sp = write(tmp_path, "subunits.csv", MINIMAL_SUBUNITS)
+        huge = write(tmp_path, "huge.csv", "unit_id,outcome,weight\nu1," + "1" * 200_000 + ",1\n")
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            load_bundle(up, sp)
+            assert gc.isenabled() is collecting
+            with pytest.raises((csv.Error, SchemaError)):
+                load_bundle(huge, sp)
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_ten_thousand_units_load_fast(self, tmp_path):
         rows_u = ["unit_id,outcome,weight"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import dense_tsls
+from oracles import dense_absorb, dense_tsls
 from rdagg.errors import ConfigurationError, ConvergenceError
 from rdagg.regress import (
     FE_MAX_ITER,
@@ -447,6 +447,13 @@ class TestAbsorb:
             absorb_fixed_effects(rng.normal(size=n), keys, np.ones(n), tol=1e-14, max_iter=1)
         assert err.value.attained > 1e-14
 
+    def test_keys_must_be_one_dimensional(self):
+        keys = np.array([["a", "b"], ["a", "c"], ["b", "b"], ["b", "c"]])
+        with pytest.raises(ConfigurationError, match="one-dimensional"):
+            absorb_fixed_effects(np.arange(4.0), keys, np.ones(4))
+        with pytest.raises(ConfigurationError, match="one-dimensional"):
+            fixed_effect_dof(keys)
+
     def test_dof_counting(self):
         assert fixed_effect_dof(["a", "b", "a"]) == 2
         assert fixed_effect_dof([["a", "b", "a"], ["x", "x", "y"]]) == 3
@@ -468,7 +475,18 @@ class TestAbsorb:
 
 
 class TestAbsorbMatchesAddAtLoop:
-    """absorb_fixed_effects against the np.add.at loop, to the bit."""
+    """absorb_fixed_effects against the np.add.at loop, to the bit, for one
+    dimension; against the dense dummy oracle for two or more, on the rows
+    of positive weight (rows of zero weight are not identified)."""
+
+    @staticmethod
+    def assert_matches_dense(x, key_sets, w, rtol, **kwargs):
+        expected = dense_absorb(x, key_sets, w)
+        got = absorb_fixed_effects(x, key_sets, w, **kwargs)
+        assert got.shape == np.shape(x)
+        pos = w > 0
+        gap = np.abs(got[pos] - expected[pos]).max()
+        assert gap <= rtol * np.abs(expected[pos]).max()
 
     @pytest.mark.parametrize("n_dims", [1, 2, 3])
     def test_dimensions(self, n_dims):
@@ -477,16 +495,20 @@ class TestAbsorbMatchesAddAtLoop:
         x = rng.normal(size=(n, 4))
         w = rng.uniform(0.1, 3.0, size=n)
         key_sets = [[f"d{d}g{v}" for v in rng.integers(0, 5 + 3 * d, n)] for d in range(n_dims)]
-        expected, _ = reference_absorb(x, key_sets, w)
-        got = absorb_fixed_effects(x, key_sets[0] if n_dims == 1 else key_sets, w)
-        assert np.array_equal(got, expected)
+        if n_dims == 1:
+            expected, _ = reference_absorb(x, key_sets, w)
+            assert np.array_equal(absorb_fixed_effects(x, key_sets[0], w), expected)
+        else:
+            self.assert_matches_dense(x, key_sets, w, rtol=1e-10)
+            self.assert_matches_dense(x, key_sets, w, rtol=1e-12, tol=1e-13)
 
     def test_one_dimensional_column_stays_one_dimensional(self):
         x, key_sets, w = nested_panel(np.random.default_rng(34), n=120)
-        expected, _ = reference_absorb(x[:, 0], key_sets, w)
-        got = absorb_fixed_effects(x[:, 0], key_sets, w)
+        expected, _ = reference_absorb(x[:, 0], key_sets[:1], w)
+        got = absorb_fixed_effects(x[:, 0], key_sets[0], w)
         assert got.shape == (120,)
         assert np.array_equal(got, expected)
+        self.assert_matches_dense(x[:, 0], key_sets, w, rtol=1e-10)
 
     def test_zero_weight_rows_and_zero_weight_group(self):
         rng = np.random.default_rng(35)
@@ -494,22 +516,33 @@ class TestAbsorbMatchesAddAtLoop:
         w[rng.random(200) < 0.2] = 0.0
         key_sets[1] = ["empty" if i % 25 == 0 else k for i, k in enumerate(key_sets[1])]
         w[::25] = 0.0
-        expected, _ = reference_absorb(x, key_sets, w)
-        assert np.array_equal(absorb_fixed_effects(x, key_sets, w), expected)
+        expected, _ = reference_absorb(x, key_sets[1:], w)
+        assert np.array_equal(absorb_fixed_effects(x, key_sets[1], w), expected)
+        self.assert_matches_dense(x, key_sets, w, rtol=1e-10)
+        self.assert_matches_dense(x, key_sets, w, rtol=1e-12, tol=1e-13)
 
     def test_slow_converging_panel(self):
+        # 306 alternating-projection sweeps, 20 conjugate-gradient iterations
         x, key_sets, w = nested_panel(np.random.default_rng(7))
-        expected, sweeps = reference_absorb(x, key_sets, w)
+        _, sweeps = reference_absorb(x, key_sets, w)
         assert sweeps > 100
-        assert np.array_equal(absorb_fixed_effects(x, key_sets, w), expected)
+        self.assert_matches_dense(x, key_sets, w, rtol=1e-10, max_iter=60)
+        self.assert_matches_dense(x, key_sets, w, rtol=1e-12, tol=1e-13)
 
-    def test_non_convergence_reports_same_attained(self):
+    def test_non_convergence_reports_relative_attained(self):
         x, key_sets, w = nested_panel(np.random.default_rng(7))
-        with pytest.raises(ConvergenceError) as expected:
-            reference_absorb(x, key_sets, w, max_iter=20)
-        with pytest.raises(ConvergenceError) as got:
-            absorb_fixed_effects(x, key_sets, w, max_iter=20)
-        assert got.value.attained == expected.value.attained
+        with pytest.raises(ConvergenceError) as err:
+            absorb_fixed_effects(x, key_sets, w, max_iter=2)
+        assert err.value.attained > FE_TOL
+
+    @pytest.mark.parametrize("scale", [1e8, 1e-8])
+    def test_stopping_rule_is_scale_free(self, scale):
+        # Under the sweep loop's absolute rule the 1e8 panel did not converge
+        # in 10,000 sweeps.
+        x, key_sets, w = nested_panel(np.random.default_rng(7))
+        base = absorb_fixed_effects(x, key_sets, w)
+        got = absorb_fixed_effects(scale * x, key_sets, w, max_iter=60)
+        assert np.abs(got - scale * base).max() <= 1e-10 * np.abs(scale * base).max()
 
 
 class TestHc1:
