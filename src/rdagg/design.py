@@ -20,6 +20,11 @@ A design has three constructors: ``io.load_design`` (CSV columns),
 records back on request. Events keep their input order, so every sum below
 runs in the order the events were given.
 
+Every constructor ends in ``Design.assemble``, the one place where ids are
+resolved and checked: it refuses duplicate unit or subunit ids and edges to
+unknown units or subunits. ``Design.require_owners`` is the one orphan
+check, run where every event must belong to a unit (the partition graph).
+
 Every aggregate is read off one edge index: two integer arrays mapping each
 edge to a unit row and to an event. Without a spillover graph the index is
 the partition graph, where event j links only to its own unit; with one, an
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields, replace
+from itertools import compress, repeat
 from math import isfinite
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -266,11 +272,33 @@ def _floats(values) -> np.ndarray:
     return np.fromiter(values, dtype=np.float64)
 
 
-def _codes(keys: list) -> np.ndarray:
-    """Integer codes of ``keys`` in order of first appearance; -1 for None."""
+def _codes(keys: list) -> Tuple[np.ndarray, list]:
+    """Integer codes of ``keys`` in order of first appearance (-1 for None),
+    and the distinct keys in that order."""
     index: dict = {}
-    return np.array([-1 if k is None else index.setdefault(k, len(index)) for k in keys],
-                    dtype=np.intp)
+    codes = np.array([-1 if k is None else index.setdefault(k, len(index)) for k in keys],
+                     dtype=np.intp)
+    return codes, list(index)
+
+
+def _few(ids) -> str:
+    """At most five of ``ids``, sorted, as an error message lists them."""
+    return repr(sorted(ids)[:5])
+
+
+def _index(ids: List[str], kind: str) -> dict:
+    """The position of each id; raises IntegrityError on duplicate ids."""
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) != len(ids):
+        # the dict keeps a duplicate's last position, so its earlier rows mismatch
+        raise IntegrityError(f"duplicate {kind} ids: "
+                             f"{_few({i for row, i in enumerate(ids) if index[i] != row})}")
+    return index
+
+
+def _lookup(index: dict, keys: Sequence[str]) -> np.ndarray:
+    """The position of each key in ``index``; -1 where it has none."""
+    return np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,37 +322,36 @@ class Design:
     def assemble(cls, units: Units, events: Events,
                  graph: Optional[SpilloverGraph] = None) -> "Design":
         """Sort the units, code the fixed effects, rank the events and
-        resolve the graph. Raises on duplicate unit ids, and with a graph on
-        duplicate subunit ids and on edges to unknown units or subunits."""
+        resolve every id: each event's unit and each edge's endpoints.
+
+        This is the integrity gate of every constructor. It raises
+        IntegrityError on duplicate unit ids, on duplicate subunit ids and
+        on edges to an unknown unit or subunit; each message lists at most
+        five sorted ids, so it does not depend on row order. An event whose
+        unit id names no unit is kept (graph designs and sharp RD have such
+        events); ``require_owners`` refuses it where every event must
+        belong to a unit."""
         units = units.take(np.array(sorted(range(len(units)), key=units.ids.__getitem__),
                                     dtype=np.intp))
         units = replace(units, controls=dict(sorted(units.controls.items())),
                         fe=dict(sorted(units.fe.items())))
         events = replace(events, attributes=dict(sorted(events.attributes.items())))
-        rows = dict(zip(units.ids, range(len(units))))
-        if len(rows) != len(units):
-            raise IntegrityError("duplicate unit ids")
+        rows, index = _index(units.ids, "unit"), _index(events.ids, "subunit")
         rank = np.empty(len(events), dtype=np.intp)
         rank[sorted(range(len(events)), key=events.ids.__getitem__)] = np.arange(len(events))
         edge_unit = edge_event = None
         if graph is not None:
-            index = dict(zip(events.ids, range(len(events))))
-            if len(index) != len(events):
-                raise IntegrityError("duplicate subunit ids")
-            for unit_id, subunit_id in graph.edges:
-                if unit_id not in rows:
-                    raise IntegrityError(f"edge references unknown unit '{unit_id}'")
-                if subunit_id not in index:
-                    raise IntegrityError(f"edge references unknown subunit '{subunit_id}'")
-            edge_unit = np.array([rows[u] for u, _ in graph.edges], dtype=np.intp)
-            edge_event = np.array([index[s] for _, s in graph.edges], dtype=np.intp)
+            ends = tuple(zip(*graph.edges)) or ((), ())
+            edge_unit, edge_event = _lookup(rows, ends[0]), _lookup(index, ends[1])
+            if (edge_unit < 0).any() or (edge_event < 0).any():
+                missing = {*compress(ends[0], edge_unit < 0), *compress(ends[1], edge_event < 0)}
+                raise IntegrityError(f"edges referencing missing endpoints: {_few(missing)}")
         return cls(
             units=units,
             events=events,
-            event_unit=np.fromiter(map(rows.get, events.unit_ids, [-1] * len(events)),
-                                   dtype=np.intp, count=len(events)),
+            event_unit=_lookup(rows, events.unit_ids),
             event_rank=rank,
-            fe_codes={dim: _codes(keys) for dim, keys in units.fe.items()},
+            fe_codes={dim: _codes(keys)[0] for dim, keys in units.fe.items()},
             edge_unit=edge_unit,
             edge_event=edge_event,
         )
@@ -359,6 +386,12 @@ class Design:
             ),
             graph,
         )
+
+    def require_owners(self) -> None:
+        """Raise IntegrityError unless every event's unit id names a unit."""
+        if (self.event_unit < 0).any():
+            raise IntegrityError("subunits referencing missing units: "
+                                 + _few(compress(self.events.ids, self.event_unit < 0)))
 
     def to_records(self) -> Tuple[List[UnitRecord], List[SubunitRecord],
                                   Optional[SpilloverGraph]]:
@@ -443,11 +476,7 @@ def _edge_index(design: Design, config: DesignConfig, spillover: bool) -> _EdgeI
             raise ConfigurationError("spillover estimation requires a graph")
         unit_row, event = design.edge_unit, design.edge_event
     else:
-        foreign = np.flatnonzero(design.event_unit < 0)
-        if foreign.size:
-            j = foreign[0]
-            raise IntegrityError(f"subunit '{design.events.ids[j]}' references unknown unit "
-                                 f"'{design.events.unit_ids[j]}'")
+        design.require_owners()
         unit_row, event = design.event_unit, np.arange(len(design.events))
     z = cutoff_indicators(design.events.running, config.cutoff_rule)
     t = z

@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import Design, DesignConfig, Stack, SubunitRecord, UnitRecord, design_exposures
+from .design import (Design, DesignConfig, Stack, SubunitRecord, UnitRecord, _codes,
+                     cutoff_indicators, design_exposures)
 from .errors import ConfigurationError, EstimationError
 from .estimators import INTERCEPT, _control_columns
 from .regress import RegressionProblem, wls_fit
@@ -228,7 +229,8 @@ def rd_plot_data(
         raise EstimationError("no points to bin")
     r, v, w = (np.array([float(p[k]) for p in points]) for k in range(3))
     ids = [str(p[3]) if len(p) > 3 else "" for p in points]
-    right = r >= 0.0 if cutoff_rule == "geq" else r > 0.0
+    z = cutoff_indicators(r, cutoff_rule)
+    right = z > 0.0
     if not right.any() or right.all():
         raise EstimationError("need observations on both sides of the cutoff")
 
@@ -252,7 +254,6 @@ def rd_plot_data(
             v_mean = float((v[members] * ww).sum() / scale) if wsum > 0 else float(v[members].mean())
             bins.append(RdPlotBin(side, r_mean, v_mean, wsum, len(members)))
 
-    z = right.astype(np.float64)
     fit = wls_fit(
         RegressionProblem(
             response=v,
@@ -304,11 +305,9 @@ def variance_decomposition(records: Sequence[Tuple]) -> VarianceDecomposition:
     grand = float((v * w).sum() / total_w)
     total = float((w * (v - grand) ** 2).sum() / total_w)
 
-    codes_map: Dict[str, int] = {}
-    codes = np.array([codes_map.setdefault(c, len(codes_map)) for c in cells])
-    n_cells = len(codes_map)
-    wsum = np.bincount(codes, weights=w, minlength=n_cells)
-    vsum = np.bincount(codes, weights=w * v, minlength=n_cells)
+    codes, keys = _codes(cells)
+    wsum = np.bincount(codes, weights=w, minlength=len(keys))
+    vsum = np.bincount(codes, weights=w * v, minlength=len(keys))
     means = vsum / np.where(wsum > 0, wsum, 1.0)
     within = float((w * (v - means[codes]) ** 2).sum() / total_w)
     between = float((wsum * (means - grand) ** 2).sum() / total_w)

@@ -389,7 +389,11 @@ def collapsed_iv(design: Design, config: DesignConfig) -> EstimateResult:
     units and weighted by importance times neighbor count. Extra unit
     controls have no intervention-level counterpart and are ignored (noted).
     Equals the bilateral estimate when no extra controls are present.
+    Fixed effects have no intervention-level counterpart either, and
+    ``fe_dimensions`` raises ConfigurationError.
     """
+    if config.fe_dimensions:
+        raise ConfigurationError("the collapsed specification does not absorb fixed effects")
     stack = design_stack(design, config, spillover=True)
     events, first, group, counts = np.unique(
         stack.event, return_index=True, return_inverse=True, return_counts=True

@@ -30,13 +30,17 @@ then positive), running, win_flag, then the attr_* columns. Schema errors
 carry file, line, and column. Every row is split and counted before any
 cell is checked, so a row with the wrong number of fields is reported
 before a bad value.
+
+This module checks each file on its own. Ids (duplicates, subunits of
+unknown units, edge endpoints) are not checked here but by
+``design.Design.assemble`` and ``Design.require_owners``, the same gate the
+record API and the simulator pass through.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
-from collections import Counter
 from dataclasses import dataclass, field
 from math import isfinite
 from operator import itemgetter
@@ -44,8 +48,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import Design, Events, SpilloverGraph, SubunitRecord, UnitRecord, Units
-from .errors import ConfigurationError, IntegrityError, SchemaError
+from .design import Design, Events, SpilloverGraph, SubunitRecord, UnitRecord, Units, _codes
+from .errors import ConfigurationError, SchemaError
 
 
 @dataclass
@@ -80,6 +84,8 @@ def _read_columns(path: str) -> Tuple[List[str], List[List[str]], Sequence[int]]
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}:1: empty file, expected a header row")
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}")
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             raise SchemaError(f"{path}:1: duplicate column names")
@@ -89,6 +95,8 @@ def _read_columns(path: str) -> Tuple[List[str], List[List[str]], Sequence[int]]
         gc.disable()
         try:
             rows = list(reader)
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}")
         finally:
             if collecting:
                 gc.enable()
@@ -253,64 +261,47 @@ def load_design(units_path: str, subunits_path: str, edges_path: Optional[str] =
                 weight_cap: Optional[float] = None) -> Tuple[Design, ValidationReport]:
     """Load and validate a full input set as a Design, with its report.
 
-    Checks duplicate ids and referential integrity: without an edges file,
-    every subunit must belong to a known unit; with one, every edge endpoint
-    must resolve. ``weight_cap`` optionally drops units whose total subunit
+    The files are checked here for schema and values; ids and references
+    are checked by ``Design.assemble`` on the files as read (duplicate ids,
+    edge endpoints) and, without an edges file, by
+    ``Design.require_owners`` (every subunit must belong to a known unit).
+    ``weight_cap`` then optionally drops units whose total subunit
     importance exceeds the cap, with their subunits and every edge touching
     either, a consistency guard against impossible aggregates; dropped ids
     land in the report, which also counts the edges from kept units to
     dropped subunits.
     """
-    units = load_units(units_path)
-    events = load_subunits(subunits_path)
+    units, events = load_units(units_path), load_subunits(subunits_path)
+    graph = None if edges_path is None else load_edges(edges_path)
+    design = Design.assemble(units, events, graph)
+    if graph is None:
+        design.require_owners()
     report = ValidationReport()
-
-    for kind, ids in (("unit", units.ids), ("subunit", events.ids)):
-        if len(set(ids)) != len(ids):
-            dup = sorted(i for i, k in Counter(ids).items() if k > 1)
-            raise IntegrityError(f"duplicate {kind} ids: {dup[:5]}")
-
-    known_units = set(units.ids)
-    graph = None
-    if edges_path is None:
-        missing = set(events.unit_ids) - known_units
-        if missing:
-            orphans = sorted({s for s, u in zip(events.ids, events.unit_ids) if u in missing})
-            raise IntegrityError(f"subunits referencing missing units: {orphans[:5]}")
-    else:
-        graph = load_edges(edges_path)
-        known_subs = set(events.ids)
-        bad = sorted(
-            {u for u, s in graph.edges if u not in known_units}
-            | {s for u, s in graph.edges if s not in known_subs}
-        )
-        if bad:
-            raise IntegrityError(f"edges referencing missing endpoints: {bad[:5]}")
-
-    if weight_cap is not None:
-        names: dict = {}
-        owner = np.fromiter((names.setdefault(u, len(names)) for u in events.unit_ids),
-                            dtype=np.intp, count=len(events))
-        flagged = np.bincount(owner, weights=events.importance, minlength=len(names)) > weight_cap
-        if flagged.any():
-            dropped = {u for u, f in zip(names, flagged) if f}
-            gone = flagged[owner]
-            report.dropped_unit_ids = sorted(dropped)
-            report.dropped_subunit_ids = sorted(s for s, g in zip(events.ids, gone) if g)
-            report.messages.append(
-                f"dropped {len(dropped)} units with total subunit weight above "
-                f"{weight_cap:g} (and {len(report.dropped_subunit_ids)} subunits)"
-            )
-            units = units.take(np.flatnonzero([u not in dropped for u in units.ids]))
-            events = events.take(np.flatnonzero(~gone))
-            if graph is not None:
-                kept = [(u, s) for u, s in graph.edges if u not in dropped]
-                dropped_subunits = set(report.dropped_subunit_ids)
-                graph = SpilloverGraph(tuple(e for e in kept if e[1] not in dropped_subunits))
-                report.dropped_edges = len(kept) - len(graph.edges)
-                if report.dropped_edges:
-                    report.messages.append(f"dropped {report.dropped_edges} edges from kept "
-                                           f"units to dropped subunits")
+    if weight_cap is None:
+        return design, report
+    owner, names = _codes(design.events.unit_ids)
+    flagged = np.bincount(owner, weights=design.events.importance,
+                          minlength=len(names)) > weight_cap
+    if not flagged.any():
+        return design, report
+    dropped = {u for u, f in zip(names, flagged) if f}
+    gone = flagged[owner]
+    report.dropped_unit_ids = sorted(dropped)
+    report.dropped_subunit_ids = sorted(s for s, g in zip(design.events.ids, gone) if g)
+    report.messages.append(
+        f"dropped {len(dropped)} units with total subunit weight above "
+        f"{weight_cap:g} (and {len(report.dropped_subunit_ids)} subunits)"
+    )
+    units = design.units.take(np.flatnonzero([u not in dropped for u in design.units.ids]))
+    events = design.events.take(np.flatnonzero(~gone))
+    if graph is not None:
+        kept = [(u, s) for u, s in graph.edges if u not in dropped]
+        dropped_subunits = set(report.dropped_subunit_ids)
+        graph = SpilloverGraph(tuple(e for e in kept if e[1] not in dropped_subunits))
+        report.dropped_edges = len(kept) - len(graph.edges)
+        if report.dropped_edges:
+            report.messages.append(f"dropped {report.dropped_edges} edges from kept "
+                                   f"units to dropped subunits")
     return Design.assemble(units, events, graph), report
 
 

@@ -494,6 +494,13 @@ class TestSpillover:
         col = estimate_spillover_collapsed(graph, units, subs, cfg)
         assert col.beta == pytest.approx(bil.beta, rel=1e-10)
 
+    def test_collapsed_refuses_fixed_effects(self):
+        units, subs, graph = self.spillover_bundle(np.random.default_rng(17))
+        units = [replace(u, fe_keys={"g": u.unit_id[-1]}) for u in units]
+        with pytest.raises(ConfigurationError, match="fixed effects"):
+            estimate_spillover_collapsed(graph, units, subs,
+                                         DesignConfig(bandwidth=0.8, fe_dimensions=("g",)))
+
     def test_two_rows_for_shared_neighbor(self):
         units = [UnitRecord("u1", 1.0), UnitRecord("u2", 4.0), UnitRecord("u3", 2.0)]
         subs = [sub("j", "x", 0.05, 1.0), sub("k", "x", -0.03, 1.0), sub("m", "x", 0.01, 1.0)]

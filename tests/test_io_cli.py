@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 
 from rdagg import simlab
 from rdagg.cli import main
-from rdagg.design import DesignConfig, SubunitRecord, UnitRecord
+from rdagg.design import DesignConfig, SpilloverGraph, SubunitRecord, UnitRecord
 from rdagg.errors import ConfigurationError, IntegrityError, SchemaError
-from rdagg.estimators import estimate_spillover_bilateral
+from rdagg.estimators import estimate_spillover_bilateral, estimate_upper
 from rdagg.io import (
     InputBundle,
     _FirstError,
     _number_column,
     load_bundle,
+    load_design,
     serialize_subunits,
     serialize_units,
     write_bundle,
@@ -257,6 +258,66 @@ class TestLoad:
             load_bundle(up, sp, bad)
 
 
+class TestIntegrityGate:
+    """The CSV loader and the record API refuse the same id faults with the
+    same message, whatever the row order."""
+
+    UNITS = [("u1", 1.0, 1.0), ("u2", 2.0, 1.0), ("u3", 0.5, 1.0)]
+    SUBUNITS = [("j1", "u1", 0.05, 1.0), ("j2", "u2", -0.05, 1.0), ("j3", "u3", 0.02, 1.0)]
+    FAULTS = {
+        "duplicate unit ids": (
+            UNITS + [("u3", 1.0, 1.0), ("u1", 1.0, 1.0)], SUBUNITS, None,
+            "duplicate unit ids: ['u1', 'u3']"),
+        "duplicate subunit ids": (
+            UNITS, SUBUNITS + [("j2", "u1", 0.01, 1.0)], None,
+            "duplicate subunit ids: ['j2']"),
+        "edge to an unknown unit": (
+            UNITS, SUBUNITS, [("u1", "j1"), ("zz", "j2"), ("yy", "j3")],
+            "edges referencing missing endpoints: ['yy', 'zz']"),
+        "edge to an unknown subunit": (
+            UNITS, SUBUNITS, [("u1", "j1"), ("u2", "ghost")],
+            "edges referencing missing endpoints: ['ghost']"),
+        "orphan subunit": (
+            UNITS, SUBUNITS + [("s9", "nope9", 0.0, 1.0), ("s8", "nope8", 0.0, 1.0)], None,
+            "subunits referencing missing units: ['s8', 's9']"),
+    }
+
+    @staticmethod
+    def write_files(tmp_path, units, subunits, edges):
+        paths = [
+            write(tmp_path, "units.csv", "unit_id,outcome,weight\n"
+                  + "".join(f"{u},{y},{w}\n" for u, y, w in units)),
+            write(tmp_path, "subunits.csv", "subunit_id,unit_id,running,importance\n"
+                  + "".join(f"{j},{u},{r},{s}\n" for j, u, r, s in subunits)),
+        ]
+        if edges is not None:
+            paths.append(write(tmp_path, "edges.csv", "outcome_unit_id,subunit_id\n"
+                               + "".join(f"{u},{j}\n" for u, j in edges)))
+        return paths
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["as-given", "reversed"])
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_csv_and_records_refuse_alike(self, tmp_path, fault, reverse):
+        units, subunits, edges, message = self.FAULTS[fault]
+        if reverse:
+            units, subunits = units[::-1], subunits[::-1]
+            edges = None if edges is None else edges[::-1]
+        with pytest.raises(IntegrityError) as from_csv:
+            load_design(*self.write_files(tmp_path, units, subunits, edges))
+        graph = None if edges is None else SpilloverGraph(tuple(edges))
+        with pytest.raises(IntegrityError) as from_records:
+            estimate_upper([UnitRecord(u, y, analysis_weight=w) for u, y, w in units],
+                           [SubunitRecord(j, u, r, s) for j, u, r, s in subunits],
+                           DesignConfig(bandwidth=0.5), graph=graph)
+        assert str(from_csv.value) == str(from_records.value) == message
+
+    def test_duplicate_unit_over_weight_cap_still_refused(self, tmp_path):
+        units = self.UNITS + [("u1", 3.0, 1.0)]
+        subunits = self.SUBUNITS + [("j4", "u1", 0.1, 1.0)]
+        with pytest.raises(IntegrityError, match=r"^duplicate unit ids: \['u1'\]$"):
+            load_design(*self.write_files(tmp_path, units, subunits, None), weight_cap=1.5)
+
+
 class TestLoadErrors:
     """Every loader error names its file, line and (where there is one)
     column; the messages below are part of the CSV contract."""
@@ -309,6 +370,12 @@ class TestLoadErrors:
         with pytest.raises(SchemaError) as err:
             load_bundle(up, sp, ep)
         assert str(err.value).endswith("edges.csv:3: empty edge endpoint")
+
+    def test_field_over_the_csv_limit(self, tmp_path):
+        up = write(tmp_path, "units.csv", f"unit_id,outcome,weight\nu1,{'1' * 200_000},1.0\n")
+        sp = write(tmp_path, "subunits.csv", MINIMAL_SUBUNITS)
+        with pytest.raises(SchemaError, match=r"units\.csv:2: field larger than field limit"):
+            load_design(up, sp)
 
     def test_treatment_override_not_a_number(self, tmp_path):
         up = write(tmp_path, "units.csv",
@@ -580,6 +647,16 @@ class TestCli:
         err = capsys.readouterr().err
         payload = json.loads(err)
         assert "units.csv:2:outcome" in payload["error"]
+
+    def test_oversized_field_exits_1_with_schema_error(self, tmp_path, capsys):
+        up = write(tmp_path, "units.csv", f"unit_id,outcome,weight\nu1,{'1' * 200_000},1.0\n")
+        sp = write(tmp_path, "subunits.csv", MINIMAL_SUBUNITS)
+        code = main(["estimate-upper", "--units", up, "--subunits", sp,
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["type"] == "SchemaError"
+        assert "units.csv:2:" in payload["error"]
 
     def test_config_file_with_flag_override(self, tmp_path):
         rng = np.random.default_rng(8)
