@@ -13,12 +13,9 @@ from .design import (
     SpilloverGraph,
     SubunitRecord,
     UnitRecord,
-    build_stack,
     design_exposures,
     design_stack,
     parse_filter,
-    partition_graph,
-    unit_exposures,
 )
 from .diagnostics import (
     BalanceReport,
@@ -26,7 +23,6 @@ from .diagnostics import (
     RdPlotData,
     VarianceDecomposition,
     balance,
-    balance_test,
     counterfactual_path,
     rd_plot_data,
     variance_decomposition,
@@ -44,16 +40,11 @@ from .estimators import (
     EstimateResult,
     collapsed_iv,
     equivalence,
-    estimate_lower,
-    estimate_sharp_rd,
     estimate_spillover_bilateral,
-    estimate_spillover_collapsed,
     estimate_spillover_upper,
-    estimate_upper,
     sharp_rd,
     stacked_iv,
     upper_iv,
-    verify_equivalence,
 )
 from .io import InputBundle, load_bundle, load_design, write_bundle
 from .regress import (

@@ -35,9 +35,7 @@ outcome, close-set membership) are computed once and summed over edges with
 Two things are built on that index: the unit exposures (treatment,
 shift-share instrument, and the three aggregated local-linear controls) and
 the stack, one row per (unit, close event) edge, which every stacked
-estimator reads. The record functions ``unit_exposures`` and ``build_stack``
-build a design from records and call ``design_exposures`` and
-``design_stack``.
+estimator reads.
 
 Construction is pure and deterministic: outputs are ordered by id and depend
 only on the inputs.
@@ -112,9 +110,9 @@ _OPS = {
 
 @dataclass(frozen=True)
 class AttributeFilter:
-    """Threshold predicate over a subunit attribute: ``mask`` tests a column,
-    a call tests one record. A missing attribute (NaN in the column) fails
-    the filter, whatever the operator. ``absolute`` compares |value|.
+    """Threshold predicate over a subunit attribute; ``mask`` tests a column.
+    A missing attribute (NaN in the column) fails the filter, whatever the
+    operator. ``absolute`` compares |value|.
     """
 
     attribute: str
@@ -130,10 +128,6 @@ class AttributeFilter:
         """Which entries of an attribute column pass."""
         x = np.abs(values) if self.absolute else values
         return _OPS[self.op](x, self.value) & ~np.isnan(values)
-
-    def __call__(self, subunit: SubunitRecord) -> bool:
-        return bool(self.mask(np.array([subunit.attributes.get(self.attribute, np.nan)],
-                                       dtype=np.float64))[0])
 
     def describe(self) -> str:
         prefix = "abs:" if self.absolute else ""
@@ -214,11 +208,6 @@ class SpilloverGraph:
     """
 
     edges: Tuple[Tuple[str, str], ...]
-
-
-def partition_graph(subunits: Sequence[SubunitRecord]) -> SpilloverGraph:
-    """The graph linking every subunit only to its own unit."""
-    return SpilloverGraph(tuple((s.unit_id, s.subunit_id) for s in subunits))
 
 
 class _Table:
@@ -526,12 +515,6 @@ def design_exposures(design: Design, config: DesignConfig,
     return _exposures(design, _edge_index(design, config, spillover))
 
 
-def unit_exposures(units: Sequence[UnitRecord], subunits: Sequence[SubunitRecord],
-                   config: DesignConfig, graph: Optional[SpilloverGraph] = None) -> UnitExposures:
-    """``design_exposures`` on records, over ``graph`` when one is given."""
-    return design_exposures(Design.from_records(units, subunits, graph), config, graph is not None)
-
-
 @dataclass(frozen=True)
 class Stack:
     """The stacked sample: one row per (unit, close event) edge.
@@ -570,9 +553,3 @@ def design_stack(design: Design, config: DesignConfig, spillover: bool = False) 
     return Stack(exp.unit_ids, unit_row, event, r, e.instrument[event],
                  design.events.importance[event], kernel_weights(r, config),
                  design.units.outcome[unit_row], exp.treatment[unit_row], int(e.close.sum()), exp)
-
-
-def build_stack(units: Sequence[UnitRecord], subunits: Sequence[SubunitRecord],
-                config: DesignConfig, graph: Optional[SpilloverGraph] = None) -> Stack:
-    """``design_stack`` on records, over ``graph`` when one is given."""
-    return design_stack(Design.from_records(units, subunits, graph), config, graph is not None)

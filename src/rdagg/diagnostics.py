@@ -2,9 +2,8 @@
 counterfactual paths.
 
 The balance test and the plot points read the same ``design.Design`` as the
-estimators (``balance_test`` is its record form); everything here emits
-plain data (bin tables, coefficient pairs, report objects) for external
-tooling.
+estimators; everything here emits plain data (bin tables, coefficient
+pairs, report objects) for external tooling.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import (Design, DesignConfig, Stack, SubunitRecord, UnitRecord, _codes,
-                     cutoff_indicators, design_exposures)
+from .design import Design, DesignConfig, Stack, _codes, cutoff_indicators, design_exposures
 from .errors import ConfigurationError, EstimationError
 from .estimators import INTERCEPT, _control_columns
 from .regress import RegressionProblem, wls_fit
@@ -158,19 +156,6 @@ class RdPlotData:
     right_line: Tuple[float, float]  # intercept, slope at r >= 0
     jump: float
     notices: List[str] = field(default_factory=list)
-
-
-def balance_test(
-    units: Sequence[UnitRecord],
-    subunits: Sequence[SubunitRecord],
-    config: DesignConfig,
-    target: str = "instrument",
-    covariates: Optional[Sequence[str]] = None,
-    classical_f: bool = False,
-) -> BalanceReport:
-    """``balance`` on records."""
-    return balance(Design.from_records(units, subunits), config, target, covariates,
-                   classical_f)
 
 
 def points_from_stack(

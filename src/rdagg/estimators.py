@@ -7,10 +7,10 @@ under-controlled benchmark, the sharp local-linear baseline, the spillover
 variants, and the verifier for the exact upper/lower numerical equivalence.
 
 Each estimator has one implementation, on a ``design.Design``: ``upper_iv``,
-``stacked_iv``, ``collapsed_iv``, ``sharp_rd`` and ``equivalence``. The
-record functions (``estimate_upper``, ``estimate_lower``,
-``verify_equivalence``, ``estimate_spillover_*``, ``estimate_sharp_rd``)
-build a design from records and call them.
+``stacked_iv``, ``collapsed_iv``, ``sharp_rd`` and ``equivalence``. Two
+record forms remain, ``estimate_spillover_upper`` and
+``estimate_spillover_bilateral``: each builds a design from records and a
+graph and calls ``upper_iv`` or ``stacked_iv`` with ``spillover=True``.
 
 Every stacked estimator reads the one stack of ``design.design_stack``: the
 lower-level IV is the bilateral spillover IV on the partition graph, the
@@ -52,9 +52,6 @@ from .regress import (
     residualize,
     wls_fit,
 )
-
-UnitRecords = Sequence[UnitRecord]
-SubunitRecords = Sequence[SubunitRecord]
 
 INTERCEPT = "intercept"
 RUNNING = "running"
@@ -200,14 +197,6 @@ def upper_iv(design: Design, config: DesignConfig, spillover: bool = False,
     )
 
 
-def estimate_upper(units: UnitRecords, subunits: SubunitRecords, config: DesignConfig,
-                   graph: Optional[SpilloverGraph] = None,
-                   specification: Optional[str] = None) -> EstimateResult:
-    """``upper_iv`` on records, over ``graph`` when one is given."""
-    return upper_iv(Design.from_records(units, subunits, graph), config, graph is not None,
-                    specification)
-
-
 def _q_columns(r: np.ndarray, z: np.ndarray, with_intercept: bool):
     cols = []
     if with_intercept:
@@ -217,8 +206,7 @@ def _q_columns(r: np.ndarray, z: np.ndarray, with_intercept: bool):
     return cols
 
 
-def stacked_iv(design: Design, config: DesignConfig, spillover: bool = False,
-               specification: Optional[str] = None) -> EstimateResult:
+def stacked_iv(design: Design, config: DesignConfig, spillover: bool = False) -> EstimateResult:
     """Stacking IV on the (unit, close event) rows of ``design_stack``: the
     lower-level IV, or with ``spillover`` the bilateral IV on the design's
     graph.
@@ -243,15 +231,9 @@ def stacked_iv(design: Design, config: DesignConfig, spillover: bool = False,
     cols += [(lab, col[rows]) for lab, col in _extra_columns(design)]
     return _iv_estimate(
         stack.outcome, stack.treatment, stack.instrument, cols, weights, fe, config,
-        specification or ("spillover-bilateral" if spillover else "lower"),
+        "spillover-bilateral" if spillover else "lower",
         n_units=len(np.unique(rows)), n_stacked_rows=len(rows),
     )
-
-
-def estimate_lower(units: UnitRecords, subunits: SubunitRecords, config: DesignConfig,
-                   specification: str = "lower") -> EstimateResult:
-    """``stacked_iv`` on records: the bilateral IV on the partition graph."""
-    return stacked_iv(Design.from_records(units, subunits), config, False, specification)
 
 
 def equivalence(design: Design, config: DesignConfig,
@@ -310,12 +292,6 @@ def equivalence(design: Design, config: DesignConfig,
     )
 
 
-def verify_equivalence(units: UnitRecords, subunits: SubunitRecords, config: DesignConfig,
-                       tolerance: float = 1e-8) -> EquivalenceReport:
-    """``equivalence`` on records."""
-    return equivalence(Design.from_records(units, subunits), config, tolerance)
-
-
 CROSSING = "crossing"
 
 
@@ -366,22 +342,6 @@ def sharp_rd(design: Design, outcome: np.ndarray, config: DesignConfig) -> Estim
     )
 
 
-def estimate_sharp_rd(subunits: SubunitRecords, outcomes: Dict[str, float],
-                      config: DesignConfig) -> EstimateResult:
-    """``sharp_rd`` on records, with outcomes keyed by subunit id."""
-    return sharp_rd(Design.from_records([], subunits),
-                    np.array([outcomes.get(s.subunit_id, np.nan) for s in subunits]), config)
-
-
-def estimate_spillover_bilateral(graph: SpilloverGraph, units: UnitRecords,
-                                 subunits: SubunitRecords, config: DesignConfig,
-                                 specification: str = "spillover-bilateral") -> EstimateResult:
-    """``stacked_iv`` on records over ``graph``: one row per (outcome unit,
-    close linked subunit) pair, each unit's exposure aggregated over all its
-    edges."""
-    return stacked_iv(Design.from_records(units, subunits, graph), config, True, specification)
-
-
 def collapsed_iv(design: Design, config: DesignConfig) -> EstimateResult:
     """IV on intervention-level collapsed records over the design's graph.
 
@@ -416,13 +376,15 @@ def collapsed_iv(design: Design, config: DesignConfig) -> EstimateResult:
     )
 
 
-def estimate_spillover_collapsed(graph: SpilloverGraph, units: UnitRecords,
-                                 subunits: SubunitRecords, config: DesignConfig) -> EstimateResult:
-    """``collapsed_iv`` on records over ``graph``."""
-    return collapsed_iv(Design.from_records(units, subunits, graph), config)
+def estimate_spillover_upper(graph: SpilloverGraph, units: Sequence[UnitRecord],
+                             subunits: Sequence[SubunitRecord],
+                             config: DesignConfig) -> EstimateResult:
+    """``upper_iv`` on records over ``graph``."""
+    return upper_iv(Design.from_records(units, subunits, graph), config, True)
 
 
-def estimate_spillover_upper(graph: SpilloverGraph, units: UnitRecords,
-                             subunits: SubunitRecords, config: DesignConfig) -> EstimateResult:
-    """Upper-level IV with exposures aggregated over the spillover graph."""
-    return estimate_upper(units, subunits, config, graph=graph)
+def estimate_spillover_bilateral(graph: SpilloverGraph, units: Sequence[UnitRecord],
+                                 subunits: Sequence[SubunitRecord],
+                                 config: DesignConfig) -> EstimateResult:
+    """``stacked_iv`` on records over ``graph``."""
+    return stacked_iv(Design.from_records(units, subunits, graph), config, True)

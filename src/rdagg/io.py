@@ -27,9 +27,10 @@ a row the checks keep a fixed order. units.csv checks unit_id, the fe_*
 keys, outcome, weight, the ctrl_* columns, treatment_override, then the
 sign of the weight; subunits.csv checks subunit_id, importance (a number,
 then positive), running, win_flag, then the attr_* columns. Schema errors
-carry file, line, and column. Every row is split and counted before any
-cell is checked, so a row with the wrong number of fields is reported
-before a bad value.
+carry file, line, and column; the line is where the row starts, so a
+quoted field that spans lines does not shift the rows after it. Every row
+is split and counted before any cell is checked, so a row with the wrong
+number of fields is reported before a bad value.
 
 This module checks each file on its own. Ids (duplicates, subunits of
 unknown units, edge endpoints) are not checked here but by
@@ -69,7 +70,8 @@ class InputBundle:
 
 
 def _read_columns(path: str) -> Tuple[List[str], List[List[str]], Sequence[int]]:
-    """Header, the columns as lists of stripped cells, and each row's line number.
+    """Header, the columns as lists of stripped cells, and the line each row
+    starts on (a quoted field may span lines).
 
     Blank rows are skipped; every row is split and counted before any cell
     is parsed.
@@ -100,8 +102,15 @@ def _read_columns(path: str) -> Tuple[List[str], List[List[str]], Sequence[int]]
         finally:
             if collecting:
                 gc.enable()
+        lines: Sequence[int] = range(2, len(rows) + 2)
+        if reader.line_num != len(rows) + 1:
+            # a quoted field spans lines: read again, and start each row on
+            # the line after the one where the header or the row before ended
+            handle.seek(0)
+            reader = csv.reader(handle)
+            ends = [reader.line_num for _ in reader]
+            lines = [end + 1 for end in ends[:-1]]
     width = len(header)
-    lines: Sequence[int] = range(2, len(rows) + 2)
     if width == 1 or set(map(len, rows)) - {width}:
         kept = [(line, row) for line, row in zip(lines, rows)
                 if len(row) > 1 or (row and row[0].strip())]

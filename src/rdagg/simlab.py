@@ -15,7 +15,8 @@ depend on scheduling or thread count.
 ``generate_design`` emits a dataset as a ``design.Design`` straight from the
 generator's arrays; ``generate_dgp`` is its record form. A Monte Carlo
 replication builds one design and evaluates every (estimator, bandwidth)
-cell on it.
+cell on it; ``dataset_digest`` hashes the design itself, so a sweep builds
+no records.
 """
 
 from __future__ import annotations
@@ -181,14 +182,14 @@ def generate_dgp(spec: DgpSpec, replication_index: int = 0
     return units, subunits, truth
 
 
-def dataset_digest(units: Sequence[UnitRecord], subunits: Sequence[SubunitRecord]) -> str:
-    """Stable content hash of a dataset, for common-random-number checks."""
-    h = hashlib.sha256()
-    for u in sorted(units, key=lambda u: u.unit_id):
-        h.update(f"{u.unit_id}|{u.outcome!r}|{u.analysis_weight!r}".encode())
-    for s in sorted(subunits, key=lambda s: s.subunit_id):
-        h.update(f"{s.subunit_id}|{s.unit_id}|{s.running!r}|{s.importance!r}".encode())
-    return h.hexdigest()
+def dataset_digest(design: Design) -> str:
+    """Content hash of a design's ids and numeric columns, for
+    common-random-number checks. Digests are comparable only between
+    datasets hashed by the same version of the package."""
+    u, e = design.units, design.events
+    content = (u.ids, e.ids, e.unit_ids, u.outcome.tolist(), u.weight.tolist(),
+               e.running.tolist(), e.importance.tolist())
+    return hashlib.sha256(repr(content).encode()).hexdigest()
 
 
 def mc_design_config(h: float, control_set: str) -> DesignConfig:
@@ -311,7 +312,7 @@ def run_monte_carlo(
                 except (RdaError, np.linalg.LinAlgError):
                     beta = float("nan")
                 out[(name, h)] = beta
-        return out, dataset_digest(*design.to_records()[:2]) if keep_digests else ""
+        return out, dataset_digest(design) if keep_digests else ""
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -465,19 +466,3 @@ def late_gap_check(
         rows.append(LateGapRow(float(h), bu, se_u, bl, se_l, oracle.beta0, oracle.se,
                                abs(bu - oracle.beta0), abs(bl - oracle.beta0)))
     return rows
-
-
-def close_importance_weights(
-    subunits: Sequence[SubunitRecord], bandwidth: float
-) -> Dict[str, float]:
-    """Per-unit estimand weight: sum of squared importance over close subunits.
-
-    Under heterogeneous linear effects this is the total weight the limiting
-    estimand places on a unit's effect, so it ranks which units the design
-    listens to most.
-    """
-    out: Dict[str, float] = {}
-    for s in subunits:
-        if abs(s.running) <= bandwidth:
-            out[s.unit_id] = out.get(s.unit_id, 0.0) + s.importance**2
-    return out

@@ -13,23 +13,20 @@ import pytest
 
 from oracles import dense_tsls
 from rdagg.design import (
+    Design,
     DesignConfig,
+    SpilloverGraph,
     SubunitRecord,
     UnitRecord,
-    partition_graph,
+    design_exposures,
 )
 from rdagg.diagnostics import (
-    balance_test,
+    balance,
     counterfactual_path,
     rd_plot_data,
     variance_decomposition,
 )
-from rdagg.estimators import (
-    estimate_lower,
-    estimate_spillover_bilateral,
-    estimate_spillover_collapsed,
-    verify_equivalence,
-)
+from rdagg.estimators import collapsed_iv, equivalence, stacked_iv
 from rdagg.regress import (
     RegressionProblem,
     absorb_fixed_effects,
@@ -96,7 +93,7 @@ def test_criterion_01_equivalence_on_random_bundles():
             cutoff_rule="geq" if trial % 3 else "strict_gt",
             fe_dimensions=("g",) if trial % 2 else (),
         )
-        rep = verify_equivalence(units, subs, cfg, tolerance=1e-8)
+        rep = equivalence(Design.from_records(units, subs), cfg, tolerance=1e-8)
         worst = max(worst, rep.relative_gap)
     elapsed = time.time() - t0
     report(
@@ -344,11 +341,10 @@ def test_criterion_09_diagnostics_identities():
 
     units, subs = random_bundle(rng, n_units=250, extras=4)
     cfg = DesignConfig(bandwidth=0.5)
-    bal = balance_test(units, subs, cfg, target="instrument")
-    from rdagg.design import unit_exposures
+    bal = balance(Design.from_records(units, subs), cfg, target="instrument")
 
     order = sorted(units, key=lambda u: u.unit_id)
-    exposures = unit_exposures(order, subs, cfg)
+    exposures = design_exposures(Design.from_records(order, subs), cfg)
     z = exposures.instrument
     Q = exposures.controls
     C = np.column_stack(
@@ -389,17 +385,17 @@ def test_criterion_10_spillover_equalities():
             for k in rng.choice(45, size=int(rng.integers(1, 4)), replace=False)
         }
     )
-    from rdagg.design import SpilloverGraph
-
-    graph = SpilloverGraph(tuple(edges))
+    data = Design.from_records(units, subs, SpilloverGraph(tuple(edges)))
     cfg = DesignConfig(bandwidth=0.8)
-    bil = estimate_spillover_bilateral(graph, units, subs, cfg)
-    col = estimate_spillover_collapsed(graph, units, subs, cfg)
+    bil = stacked_iv(data, cfg, spillover=True)
+    col = collapsed_iv(data, cfg)
     gap_collapse = abs(bil.beta - col.beta) / max(1.0, abs(bil.beta))
 
     own_units, own_subs = random_bundle(rng, n_units=50)
-    bil_partition = estimate_spillover_bilateral(partition_graph(own_subs), own_units, own_subs, cfg)
-    lower = estimate_lower(own_units, own_subs, cfg)
+    partition = SpilloverGraph(tuple((s.unit_id, s.subunit_id) for s in own_subs))
+    bil_partition = stacked_iv(Design.from_records(own_units, own_subs, partition), cfg,
+                               spillover=True)
+    lower = stacked_iv(Design.from_records(own_units, own_subs), cfg)
     gap_partition = abs(bil_partition.beta - lower.beta)
 
     passed = gap_collapse <= 1e-10 and gap_partition <= 1e-12 * max(1.0, abs(lower.beta))

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from rdagg.design import DesignConfig, SubunitRecord, UnitRecord
+from rdagg.design import Design, DesignConfig, SubunitRecord, UnitRecord, design_exposures
 from rdagg.diagnostics import (
     Z_CRITICAL_5PCT,
-    balance_test,
+    balance,
     counterfactual_path,
     rd_plot_data,
     variance_decomposition,
@@ -49,7 +49,8 @@ class TestBalance:
             )
             subs.append(sub(f"{uid}-s0", uid, float(rng.normal())))
         cfg = DesignConfig(control_set="none")
-        rep = balance_test(units, subs, cfg, target="treatment", covariates=["c"])
+        rep = balance(Design.from_records(units, subs), cfg, target="treatment",
+                      covariates=["c"])
         assert rep.partial_r2 == pytest.approx(1.0, abs=1e-10)
         assert rep.n_significant == 1
 
@@ -63,7 +64,8 @@ class TestBalance:
                 units.append(UnitRecord(uid, 0.0, extra_controls={"c": float(rng.normal())}))
                 subs.append(sub(f"{uid}-s0", uid, float(rng.normal())))
             cfg = DesignConfig(bandwidth=0.5)
-            rep = balance_test(units, subs, cfg, target="instrument", covariates=["c"])
+            rep = balance(Design.from_records(units, subs), cfg, target="instrument",
+                          covariates=["c"])
             assert rep.partial_r2 < 0.08
             pvals.append(rep.partial_f_pvalue)
         # p-values should spread out rather than cluster at zero
@@ -73,10 +75,9 @@ class TestBalance:
     def test_aggregated_controls_absorb_exposure_confounding(self):
         rng = np.random.default_rng(2)
         units, subs = self.synthetic_units(rng)
-        raw = balance_test(units, subs, DesignConfig(bandwidth=0.1, control_set="none"),
-                           target="instrument")
-        controlled = balance_test(units, subs, DesignConfig(bandwidth=0.1),
-                                  target="instrument")
+        data = Design.from_records(units, subs)
+        raw = balance(data, DesignConfig(bandwidth=0.1, control_set="none"), target="instrument")
+        controlled = balance(data, DesignConfig(bandwidth=0.1), target="instrument")
         assert controlled.partial_r2 < raw.partial_r2 / 5
         assert controlled.n_significant <= raw.n_significant
         assert raw.n_significant >= 2
@@ -85,11 +86,10 @@ class TestBalance:
         rng = np.random.default_rng(3)
         units, subs = self.synthetic_units(rng, n=200)
         cfg = DesignConfig(bandwidth=0.1)
-        rep = balance_test(units, subs, cfg, target="instrument")
-        from rdagg.design import unit_exposures
+        rep = balance(Design.from_records(units, subs), cfg, target="instrument")
 
         order = sorted(units, key=lambda u: u.unit_id)
-        exposures = unit_exposures(order, subs, cfg)
+        exposures = design_exposures(Design.from_records(order, subs), cfg)
         z = exposures.instrument
         Q = exposures.controls
         C = np.column_stack([[u.extra_controls[f"c{k}"] for u in order] for k in range(6)])
@@ -113,15 +113,16 @@ class TestBalance:
             extra = {"c": float(rng.normal())} if i % 5 else {}
             units.append(UnitRecord(uid, 0.0, extra_controls=extra))
             subs.append(sub(f"{uid}-s0", uid, float(rng.normal())))
-        rep = balance_test(units, subs, DesignConfig(), target="instrument", covariates=["c"])
+        rep = balance(Design.from_records(units, subs), DesignConfig(), target="instrument",
+                      covariates=["c"])
         assert rep.n_dropped == 10
         assert rep.n_obs == 40
 
     def test_classical_f_available(self):
         rng = np.random.default_rng(5)
         units, subs = self.synthetic_units(rng, n=150)
-        rep = balance_test(units, subs, DesignConfig(bandwidth=0.1),
-                           target="instrument", classical_f=True)
+        rep = balance(Design.from_records(units, subs), DesignConfig(bandwidth=0.1),
+                      target="instrument", classical_f=True)
         assert np.isfinite(rep.partial_f) and 0.0 <= rep.partial_f_pvalue <= 1.0
 
     @pytest.mark.parametrize("classical_f", [False, True])
@@ -130,8 +131,8 @@ class TestBalance:
 
         rng = np.random.default_rng(6)
         units, subs = self.synthetic_units(rng, n=150)
-        rep = balance_test(units, subs, DesignConfig(bandwidth=0.1),
-                           target="instrument", classical_f=classical_f)
+        rep = balance(Design.from_records(units, subs), DesignConfig(bandwidth=0.1),
+                      target="instrument", classical_f=classical_f)
         assert rep.dropped_columns == []
         k = len(rep.covariates)
         if classical_f:

@@ -12,23 +12,11 @@ from rdagg.design import (
     SpilloverGraph,
     SubunitRecord,
     UnitRecord,
-    build_stack,
     design_exposures,
     design_stack,
-    partition_graph,
-    unit_exposures,
 )
 from rdagg.errors import ConfigurationError, EstimationError
-from rdagg.estimators import (
-    estimate_lower,
-    estimate_sharp_rd,
-    estimate_spillover_bilateral,
-    estimate_spillover_collapsed,
-    estimate_upper,
-    stacked_iv,
-    upper_iv,
-    verify_equivalence,
-)
+from rdagg.estimators import collapsed_iv, equivalence, sharp_rd, stacked_iv, upper_iv
 from rdagg import design
 from rdagg.simlab import DgpSpec, estimand_oracle, generate_dgp, late_gap_check
 
@@ -82,14 +70,14 @@ class TestUpper:
             )
             y = beta * x + 0.7 * q[0] - 0.4 * q[1] + 0.2 * q[2] + 0.05
             units.append(UnitRecord(uid, y))
-        got = estimate_upper(units, subs, DesignConfig(bandwidth=0.5))
+        got = upper_iv(Design.from_records(units, subs), DesignConfig(bandwidth=0.5))
         assert got.beta == pytest.approx(beta, abs=1e-8)
         assert np.max(np.abs([got.beta - beta])) < 1e-8
 
     def test_just_identified_identity(self):
         rng = np.random.default_rng(1)
         units, subs = random_bundle(rng, extras=2, weights=True)
-        got = estimate_upper(units, subs, DesignConfig(bandwidth=0.8))
+        got = upper_iv(Design.from_records(units, subs), DesignConfig(bandwidth=0.8))
         assert got.beta == pytest.approx(
             got.reduced_form.coefficient / got.first_stage.coefficient, rel=1e-10
         )
@@ -99,13 +87,13 @@ class TestUpper:
         units, subs = random_bundle(rng, n_units=20)
         cfg = DesignConfig(control_set="none", include_intercept=False)
         with pytest.raises(ConfigurationError, match="unidentified"):
-            estimate_upper(units, subs, cfg)
+            upper_iv(Design.from_records(units, subs), cfg)
 
     def test_triangular_kernel_rejected(self):
         rng = np.random.default_rng(3)
         units, subs = random_bundle(rng, n_units=20)
         with pytest.raises(ConfigurationError, match="uniform"):
-            estimate_upper(units, subs, DesignConfig(kernel="triangular"))
+            upper_iv(Design.from_records(units, subs), DesignConfig(kernel="triangular"))
 
     def test_importance_rescaling(self):
         # With a fixed (externally supplied) treatment, rescaling all
@@ -120,11 +108,11 @@ class TestUpper:
             SubunitRecord(s.subunit_id, s.unit_id, s.running, c * s.importance)
             for s in subs
         ]
-        base = estimate_upper(units, subs, cfg)
-        scaled = estimate_upper(units, scaled_subs, cfg)
+        base = upper_iv(Design.from_records(units, subs), cfg)
+        scaled = upper_iv(Design.from_records(units, scaled_subs), cfg)
         assert scaled.beta == pytest.approx(base.beta, rel=1e-10)
-        low_a = estimate_lower(units, subs, cfg)
-        low_b = estimate_lower(units, scaled_subs, cfg)
+        low_a = stacked_iv(Design.from_records(units, subs), cfg)
+        low_b = stacked_iv(Design.from_records(units, scaled_subs), cfg)
         assert low_b.beta == pytest.approx(low_a.beta, rel=1e-10)
 
         agg_units, agg_subs = random_bundle(rng, n_units=40)
@@ -132,11 +120,11 @@ class TestUpper:
             SubunitRecord(s.subunit_id, s.unit_id, s.running, c * s.importance)
             for s in agg_subs
         ]
-        up_a = estimate_upper(agg_units, agg_subs, cfg)
-        up_b = estimate_upper(agg_units, agg_scaled, cfg)
+        up_a = upper_iv(Design.from_records(agg_units, agg_subs), cfg)
+        up_b = upper_iv(Design.from_records(agg_units, agg_scaled), cfg)
         assert up_b.beta == pytest.approx(up_a.beta / c, rel=1e-10)
-        lo_a = estimate_lower(agg_units, agg_subs, cfg)
-        lo_b = estimate_lower(agg_units, agg_scaled, cfg)
+        lo_a = stacked_iv(Design.from_records(agg_units, agg_subs), cfg)
+        lo_b = stacked_iv(Design.from_records(agg_units, agg_scaled), cfg)
         assert lo_b.beta == pytest.approx(lo_a.beta / c, rel=1e-10)
 
 
@@ -144,7 +132,7 @@ class TestLower:
     def test_degenerate_single_row_non_finite(self):
         units = [UnitRecord("u", 1.0)]
         subs = [sub("u-s0", "u", 0.05, 1.0)]
-        got = estimate_lower(units, subs, DesignConfig(bandwidth=0.1))
+        got = stacked_iv(Design.from_records(units, subs), DesignConfig(bandwidth=0.1))
         assert np.isnan(got.beta)
         assert got.notes
 
@@ -152,12 +140,12 @@ class TestLower:
         units = [UnitRecord("u", 1.0)]
         subs = [sub("u-s0", "u", 5.0, 1.0)]
         with pytest.raises(EstimationError, match="empty stacked sample"):
-            estimate_lower(units, subs, DesignConfig(bandwidth=0.1))
+            stacked_iv(Design.from_records(units, subs), DesignConfig(bandwidth=0.1))
 
     def test_just_identified_identity(self):
         rng = np.random.default_rng(5)
         units, subs = random_bundle(rng)
-        got = estimate_lower(units, subs, DesignConfig(bandwidth=0.8))
+        got = stacked_iv(Design.from_records(units, subs), DesignConfig(bandwidth=0.8))
         assert got.beta == pytest.approx(
             got.reduced_form.coefficient / got.first_stage.coefficient, rel=1e-10
         )
@@ -166,10 +154,10 @@ class TestLower:
         rng = np.random.default_rng(6)
         units, subs = random_bundle(rng, n_units=30)
         cfg = DesignConfig(bandwidth=0.5)
-        got = estimate_lower(units, subs, cfg)
+        got = stacked_iv(Design.from_records(units, subs), cfg)
         n_close = sum(1 for s in subs if abs(s.running) <= 0.5)
         assert got.n_stacked_rows == n_close
-        upper = estimate_upper(units, subs, cfg)
+        upper = upper_iv(Design.from_records(units, subs), cfg)
         assert upper.n_stacked_rows == 0
 
 
@@ -178,7 +166,7 @@ class TestStackConsistency:
         rng = np.random.default_rng(21)
         units, subs = random_bundle(rng, n_units=35, extras=1)
         cfg = DesignConfig(bandwidth=0.8, kernel="triangular")
-        stack = build_stack(units, subs, cfg)
+        stack = design_stack(Design.from_records(units, subs), cfg)
         rows = stack.unit_row
         y = stack.outcome
         x = stack.treatment
@@ -189,7 +177,7 @@ class TestStackConsistency:
         c1 = np.array([by_id[stack.unit_ids[i]].extra_controls["c0"] for i in rows])
         w = stack.importance * stack.kernel
         fit = dense_tsls(y, x, z, np.column_stack([np.ones(len(rows)), r, rp, c1]), w)
-        got = estimate_lower(units, subs, cfg)
+        got = stacked_iv(Design.from_records(units, subs), cfg)
         assert got.beta == pytest.approx(fit["beta"], rel=1e-12)
         assert got.n_stacked_rows == len(rows)
 
@@ -198,30 +186,31 @@ class TestReduction:
     """One subunit per unit with unit importance collapses to conventional designs."""
 
     def make(self, rng, n=200):
-        units, subs, outcomes = [], [], {}
+        units, subs, outcomes = [], [], []
         for i in range(n):
             uid = f"u{i:03d}"
             r = float(rng.normal())
             y = float(0.5 * (r >= 0) + 0.3 * r - 0.1 * r * (r >= 0) + 0.1 * rng.normal())
             units.append(UnitRecord(uid, y))
             subs.append(sub(f"{uid}-s0", uid, r, 1.0))
-            outcomes[f"{uid}-s0"] = y
-        return units, subs, outcomes
+            outcomes.append(y)
+        return units, subs, np.array(outcomes)
 
     def test_upper_equals_lower_equals_sharp(self):
         rng = np.random.default_rng(7)
         units, subs, outcomes = self.make(rng)
         cfg = DesignConfig(bandwidth=0.8)
-        up = estimate_upper(units, subs, cfg)
-        low = estimate_lower(units, subs, cfg)
-        sharp = estimate_sharp_rd(subs, outcomes, cfg)
+        data = Design.from_records(units, subs)
+        up = upper_iv(data, cfg)
+        low = stacked_iv(data, cfg)
+        sharp = sharp_rd(data, outcomes, cfg)
         assert up.beta == pytest.approx(low.beta, rel=1e-12)
         assert low.beta == pytest.approx(sharp.beta, rel=1e-12)
 
     def test_equivalence_report_zero_gap(self):
         rng = np.random.default_rng(8)
         units, subs, _ = self.make(rng, n=120)
-        rep = verify_equivalence(units, subs, DesignConfig(bandwidth=0.8))
+        rep = equivalence(Design.from_records(units, subs), DesignConfig(bandwidth=0.8))
         assert rep.passed and rep.relative_gap < 1e-12
 
 
@@ -230,7 +219,7 @@ def brute_force_equivalent(units, subs, cfg, perturb_control=0.0):
     run the subunit IV with explicit projections. ``perturb_control`` shifts the
     third local-linear control to break the identity on purpose."""
     order = sorted(units, key=lambda u: u.unit_id)
-    exposures = unit_exposures(order, subs, cfg)
+    exposures = design_exposures(Design.from_records(order, subs), cfg)
     y = np.array([u.outcome for u in order])
     x = exposures.treatment
     e = np.array([u.analysis_weight for u in order])
@@ -267,7 +256,7 @@ class TestEquivalence:
                 weights=True, override_share=0.3,
             )
             cfg = DesignConfig(bandwidth=float(rng.uniform(0.3, 1.2)))
-            rep = verify_equivalence(units, subs, cfg)
+            rep = equivalence(Design.from_records(units, subs), cfg)
             assert rep.passed, rep
             oracle = brute_force_equivalent(units, subs, cfg)
             assert rep.beta_lower_equivalent == pytest.approx(oracle, rel=1e-8)
@@ -277,7 +266,7 @@ class TestEquivalence:
         rng = np.random.default_rng(10)
         units, subs = random_bundle(rng, n_units=60, weights=True)
         cfg = DesignConfig(bandwidth=0.8)
-        rep = verify_equivalence(units, subs, cfg)
+        rep = equivalence(Design.from_records(units, subs), cfg)
         broken = brute_force_equivalent(units, subs, cfg, perturb_control=1.0)
         gap = abs(broken - rep.beta_upper) / max(1.0, abs(rep.beta_upper))
         assert gap > 1e-8
@@ -294,20 +283,21 @@ class TestEquivalence:
             return edge_index(*args, **kwargs)
 
         monkeypatch.setattr(design, "_edge_index", counted)
-        rep = verify_equivalence(units, subs, cfg)
+        rep = equivalence(Design.from_records(units, subs), cfg)
         assert rep.passed and len(calls) == 1
 
     def test_requires_full_control_set(self):
         rng = np.random.default_rng(11)
         units, subs = random_bundle(rng, n_units=20)
         with pytest.raises(ConfigurationError, match="full aggregated control"):
-            verify_equivalence(units, subs, DesignConfig(control_set="total_weight_only"))
+            equivalence(Design.from_records(units, subs),
+                        DesignConfig(control_set="total_weight_only"))
 
     def test_requires_uniform_kernel(self):
         rng = np.random.default_rng(12)
         units, subs = random_bundle(rng, n_units=20)
         with pytest.raises(ConfigurationError, match="uniform"):
-            verify_equivalence(units, subs, DesignConfig(kernel="triangular"))
+            equivalence(Design.from_records(units, subs), DesignConfig(kernel="triangular"))
 
 
 def two_way_panel(rng, n_units=90, n_states=4, block=3):
@@ -380,7 +370,7 @@ class TestTwoWayFixedEffects:
     def test_equivalence_holds(self):
         for seed in (42, 43):
             units, subs, _ = two_way_panel(np.random.default_rng(seed))
-            rep = verify_equivalence(units, subs, self.cfg)
+            rep = equivalence(Design.from_records(units, subs), self.cfg)
             assert rep.passed and rep.relative_gap <= 1e-8, rep
 
 
@@ -389,7 +379,7 @@ class TestControlScale:
     the estimate: at 1e9 the screen once dropped the aggregated running
     controls, at 1e12 the estimate became NaN, both without a note."""
 
-    @pytest.mark.parametrize("estimator", [estimate_upper, estimate_lower])
+    @pytest.mark.parametrize("estimator", [upper_iv, stacked_iv])
     def test_rescaled_extra_control(self, estimator):
         units, subs, _ = generate_dgp(DgpSpec(n_units=500, seed=0), 0)
         c = np.random.default_rng(5).normal(size=len(units))
@@ -397,7 +387,7 @@ class TestControlScale:
 
         def fit(scale):
             scaled = [replace(u, extra_controls={"c": scale * c[i]}) for i, u in enumerate(units)]
-            return estimator(scaled, subs, cfg)
+            return estimator(Design.from_records(scaled, subs), cfg)
 
         base = fit(1.0)
         for scale in (1e9, 1e12):
@@ -416,51 +406,55 @@ class TestControlScale:
         units = [replace(u, extra_controls={**u.extra_controls, "g_level": level[u.fe_keys["g"]]})
                  for u in units]
         cfg = DesignConfig(bandwidth=0.8, fe_dimensions=("g",))
-        for result in (estimate_upper(units, subs, cfg), estimate_lower(units, subs, cfg)):
+        data = Design.from_records(units, subs)
+        for result in (upper_iv(data, cfg), stacked_iv(data, cfg)):
             assert np.isnan(result.control_coefficients["g_level"])
             assert np.isfinite(result.control_coefficients["c0"])
             assert np.isfinite(result.beta) and np.isfinite(result.robust_se)
-        assert verify_equivalence(units, subs, cfg).passed
+        assert equivalence(data, cfg).passed
 
 
 class TestSharpRd:
     def test_exact_jump(self):
-        subs, outcomes = [], {}
+        subs, outcomes = [], []
         rng = np.random.default_rng(13)
         for i in range(40):
             r = float(rng.uniform(-1, 1))
             subs.append(sub(f"s{i:02d}", f"s{i:02d}", r, 1.0))
-            outcomes[f"s{i:02d}"] = 0.7 * (r >= 0) + 0.2 * r
-        got = estimate_sharp_rd(subs, outcomes, DesignConfig(bandwidth=1.0))
+            outcomes.append(0.7 * (r >= 0) + 0.2 * r)
+        got = sharp_rd(Design.from_records([], subs), np.array(outcomes),
+                       DesignConfig(bandwidth=1.0))
         assert got.beta == pytest.approx(0.7, abs=1e-10)
 
     def test_no_jump_quadratic_shrinks_with_bandwidth(self):
         rng = np.random.default_rng(14)
-        subs, outcomes = [], {}
+        subs, outcomes = [], []
         for i in range(4000):
             r = float(rng.uniform(-1, 1))
             subs.append(sub(f"s{i:04d}", f"s{i:04d}", r, 1.0))
-            outcomes[f"s{i:04d}"] = r * r
-        small = estimate_sharp_rd(subs, outcomes, DesignConfig(bandwidth=0.1))
-        large = estimate_sharp_rd(subs, outcomes, DesignConfig(bandwidth=1.0))
+            outcomes.append(r * r)
+        data, outcomes = Design.from_records([], subs), np.array(outcomes)
+        small = sharp_rd(data, outcomes, DesignConfig(bandwidth=0.1))
+        large = sharp_rd(data, outcomes, DesignConfig(bandwidth=1.0))
         assert abs(small.beta) < abs(large.beta)
 
     def test_kink_absorbed_at_small_bandwidth(self):
         rng = np.random.default_rng(15)
-        subs, outcomes = [], {}
+        subs, outcomes = [], []
         for i in range(6000):
             r = float(rng.uniform(-1, 1))
             subs.append(sub(f"s{i:04d}", f"s{i:04d}", r, 1.0))
-            outcomes[f"s{i:04d}"] = 0.5 * r + 1.5 * r * (r >= 0) + 0.01 * float(rng.normal())
-        got = estimate_sharp_rd(subs, outcomes, DesignConfig(bandwidth=0.05))
+            outcomes.append(0.5 * r + 1.5 * r * (r >= 0) + 0.01 * float(rng.normal()))
+        got = sharp_rd(Design.from_records([], subs), np.array(outcomes),
+                       DesignConfig(bandwidth=0.05))
         assert abs(got.beta) < 0.01
 
     def test_too_few_on_one_side(self):
         subs = [sub(f"s{i}", f"s{i}", 0.01 * (i + 1), 1.0) for i in range(10)]
         subs += [sub("neg", "neg", -0.01, 1.0)]
-        outcomes = {s.subunit_id: 1.0 for s in subs}
         with pytest.raises(EstimationError, match="each side"):
-            estimate_sharp_rd(subs, outcomes, DesignConfig(bandwidth=0.5))
+            sharp_rd(Design.from_records([], subs), np.ones(len(subs)),
+                     DesignConfig(bandwidth=0.5))
 
 
 class TestSpillover:
@@ -482,30 +476,33 @@ class TestSpillover:
         rng = np.random.default_rng(16)
         units, subs = random_bundle(rng, n_units=40)
         cfg = DesignConfig(bandwidth=0.8)
-        bilateral = estimate_spillover_bilateral(partition_graph(subs), units, subs, cfg)
-        lower = estimate_lower(units, subs, cfg)
+        partition = SpilloverGraph(tuple((s.unit_id, s.subunit_id) for s in subs))
+        bilateral = stacked_iv(Design.from_records(units, subs, partition), cfg, spillover=True)
+        lower = stacked_iv(Design.from_records(units, subs), cfg)
         assert bilateral.beta == pytest.approx(lower.beta, rel=1e-12)
 
     def test_bilateral_equals_collapsed_without_extras(self):
         rng = np.random.default_rng(17)
         units, subs, graph = self.spillover_bundle(rng)
         cfg = DesignConfig(bandwidth=0.8)
-        bil = estimate_spillover_bilateral(graph, units, subs, cfg)
-        col = estimate_spillover_collapsed(graph, units, subs, cfg)
+        data = Design.from_records(units, subs, graph)
+        bil = stacked_iv(data, cfg, spillover=True)
+        col = collapsed_iv(data, cfg)
         assert col.beta == pytest.approx(bil.beta, rel=1e-10)
 
     def test_collapsed_refuses_fixed_effects(self):
         units, subs, graph = self.spillover_bundle(np.random.default_rng(17))
         units = [replace(u, fe_keys={"g": u.unit_id[-1]}) for u in units]
         with pytest.raises(ConfigurationError, match="fixed effects"):
-            estimate_spillover_collapsed(graph, units, subs,
-                                         DesignConfig(bandwidth=0.8, fe_dimensions=("g",)))
+            collapsed_iv(Design.from_records(units, subs, graph),
+                         DesignConfig(bandwidth=0.8, fe_dimensions=("g",)))
 
     def test_two_rows_for_shared_neighbor(self):
         units = [UnitRecord("u1", 1.0), UnitRecord("u2", 4.0), UnitRecord("u3", 2.0)]
         subs = [sub("j", "x", 0.05, 1.0), sub("k", "x", -0.03, 1.0), sub("m", "x", 0.01, 1.0)]
         graph = SpilloverGraph((("u1", "j"), ("u2", "j"), ("u1", "k"), ("u2", "m"), ("u3", "k")))
-        got = estimate_spillover_bilateral(graph, units, subs, DesignConfig(bandwidth=0.1))
+        got = stacked_iv(Design.from_records(units, subs, graph), DesignConfig(bandwidth=0.1),
+                         spillover=True)
         assert got.n_stacked_rows == 5
         assert got.n_units == 3
 
@@ -514,7 +511,8 @@ class TestSpillover:
         subs = [sub("j", "x", 5.0, 1.0)]
         graph = SpilloverGraph((("u1", "j"),))
         with pytest.raises(EstimationError, match="pair"):
-            estimate_spillover_bilateral(graph, units, subs, DesignConfig(bandwidth=0.1))
+            stacked_iv(Design.from_records(units, subs, graph), DesignConfig(bandwidth=0.1),
+                       spillover=True)
 
 
 class TestLateGap:

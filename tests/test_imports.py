@@ -1,13 +1,17 @@
-"""The cold import path stays free of scipy.
+"""The cold import path stays free of scipy, the public namespace is pinned,
+and the benchmark reaches only names the package has.
 
 scipy is needed only for the balance-test p-values and is imported there;
 importing it at module level would add about a second to every CLI run.
 """
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -39,3 +43,54 @@ def test_entry_point_loads_no_scipy(entry):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_public_names():
+    """The package namespace, submodules aside: a record adapter that comes
+    back shows up here."""
+    names = sorted(n for n in dir(rdagg)
+                   if not n.startswith("_") and not isinstance(getattr(rdagg, n), ModuleType))
+    assert names == [
+        "AttributeFilter", "BalanceReport", "ConfigurationError", "ConvergenceError",
+        "CounterfactualPath", "Design", "DesignConfig", "DgpSpec", "DgpTruth",
+        "EquivalenceReport", "EstimateResult", "EstimationError", "FirstStage", "FitResult",
+        "InputBundle", "IntegrityError", "IvFit", "McSummary", "OracleEstimand", "RdPlotData",
+        "RdaError", "ReducedForm", "RegressionProblem", "SchemaError", "SpilloverGraph",
+        "SubunitRecord", "UnitRecord", "VarianceDecomposition", "absorb_fixed_effects",
+        "balance", "bootstrap_median_ci", "collapsed_iv", "counterfactual_path",
+        "design_exposures", "design_stack", "equivalence", "estimand_oracle",
+        "estimate_spillover_bilateral", "estimate_spillover_upper", "generate_design",
+        "generate_dgp", "hc1_cov", "iv_fit", "late_gap_check", "load_bundle", "load_design",
+        "parse_filter", "rd_plot_data", "residualize", "run_monte_carlo", "sharp_rd",
+        "stacked_iv", "upper_iv", "variance_decomposition", "wls_fit", "write_bundle",
+    ]
+
+
+def test_benchmark_reaches_only_existing_names():
+    """Every rdagg name the benchmark's workloads reach exists, and every
+    keyword they pass is a parameter of the callee."""
+    workloads = Path(SRC).parent / "perfbench" / "workloads.py"
+    tree = ast.parse(workloads.read_text(encoding="utf-8"))
+    modules = {"rdagg": rdagg, "estimators": rdagg.estimators, "simlab": rdagg.simlab}
+    reached = {}  # attribute node -> (module, name), for rdagg.x, simlab.x, self.simlab.x, ...
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name) \
+                    and owner.value.id == "self":
+                owner = owner.attr
+            elif isinstance(owner, ast.Name):
+                owner = owner.id
+            if owner in modules:
+                reached[node] = (modules[owner], node.attr)
+    assert {name for _, name in reached.values()} >= {
+        "generate_dgp", "load_bundle", "estimate_spillover_upper", "run_monte_carlo"}
+    for module, name in reached.values():
+        assert hasattr(module, name), f"{module.__name__}.{name}"
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and call.func in reached:
+            module, name = reached[call.func]
+            params = inspect.signature(getattr(module, name)).parameters
+            for keyword in call.keywords:
+                assert keyword.arg in params, f"{module.__name__}.{name}({keyword.arg}=...)"
+    assert "threads" in inspect.signature(rdagg.simlab.run_monte_carlo).parameters

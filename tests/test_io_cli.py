@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from rdagg import simlab
 from rdagg.cli import main
-from rdagg.design import DesignConfig, SpilloverGraph, SubunitRecord, UnitRecord
+from rdagg.design import Design, DesignConfig, SpilloverGraph, SubunitRecord, UnitRecord
 from rdagg.errors import ConfigurationError, IntegrityError, SchemaError
-from rdagg.estimators import estimate_spillover_bilateral, estimate_upper
+from rdagg.estimators import estimate_spillover_bilateral, upper_iv
 from rdagg.io import (
     InputBundle,
     _FirstError,
@@ -115,6 +115,16 @@ class TestLoad:
         sp = write(tmp_path, "subunits.csv", MINIMAL_SUBUNITS)
         with pytest.raises(SchemaError, match=r"units\.csv:3:fe_region: empty"):
             load_bundle(up, sp)
+
+    def test_quoted_id_spanning_lines_keeps_later_line_numbers(self, tmp_path):
+        sp = write(tmp_path, "subunits.csv", MINIMAL_SUBUNITS)
+        for name, bad_row, message in [
+            ("bad_cell.csv", "u2,abc,1.0", r"bad_cell\.csv:4:outcome: cannot parse 'abc'"),
+            ("short_row.csv", "u2,1.0", r"short_row\.csv:4: expected 3 fields, got 2"),
+        ]:
+            up = write(tmp_path, name, f'unit_id,outcome,weight\n"u\n1",1.0,1.0\n{bad_row}\n')
+            with pytest.raises(SchemaError, match=message):
+                load_design(up, sp)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         up = write(tmp_path, "units.csv", MINIMAL_UNITS + "u1,2.0,1.0\n")
@@ -305,10 +315,11 @@ class TestIntegrityGate:
         with pytest.raises(IntegrityError) as from_csv:
             load_design(*self.write_files(tmp_path, units, subunits, edges))
         graph = None if edges is None else SpilloverGraph(tuple(edges))
+        records = ([UnitRecord(u, y, analysis_weight=w) for u, y, w in units],
+                   [SubunitRecord(j, u, r, s) for j, u, r, s in subunits])
         with pytest.raises(IntegrityError) as from_records:
-            estimate_upper([UnitRecord(u, y, analysis_weight=w) for u, y, w in units],
-                           [SubunitRecord(j, u, r, s) for j, u, r, s in subunits],
-                           DesignConfig(bandwidth=0.5), graph=graph)
+            upper_iv(Design.from_records(*records, graph), DesignConfig(bandwidth=0.5),
+                     spillover=graph is not None)
         assert str(from_csv.value) == str(from_records.value) == message
 
     def test_duplicate_unit_over_weight_cap_still_refused(self, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rdagg.design import Design, DesignConfig, SpilloverGraph, SubunitRecord, UnitRecord
-from rdagg.estimators import estimate_lower, estimate_spillover_bilateral, estimate_upper
+from rdagg.estimators import stacked_iv, upper_iv
 from rdagg.io import InputBundle, load_bundle, load_design, write_bundle
 
 REL = 1e-10
@@ -59,11 +59,11 @@ def relabel(units, subunits, edges, unit_perm, sub_perm):
 
 
 def fits(units, subunits, edges, config):
-    graph = SpilloverGraph(tuple(edges))
+    data = Design.from_records(units, subunits, SpilloverGraph(tuple(edges)))
     results = (
-        estimate_upper(units, subunits, config),
-        estimate_lower(units, subunits, config),
-        estimate_spillover_bilateral(graph, units, subunits, config),
+        upper_iv(data, config),
+        stacked_iv(data, config),
+        stacked_iv(data, config, spillover=True),
     )
     assume(all(r.first_stage.partial_f > MIN_PARTIAL_F for r in results))
     return [(r.beta, r.robust_se) for r in results]
@@ -104,13 +104,15 @@ def test_invariant_to_a_common_rescaling_of_analysis_weights(seed, fe, scale):
     # Importance is not such an invariance: the treatment is measured in
     # importance units, so scaling importance by c scales beta and SE by 1/c.
     units, subunits, _ = make_bundle(seed, fe)
-    scaled = [replace(u, analysis_weight=scale * u.analysis_weight) for u in units]
+    data = Design.from_records(units, subunits)
+    scaled = Design.from_records(
+        [replace(u, analysis_weight=scale * u.analysis_weight) for u in units], subunits)
     for unit_weights in (False, True):
         config = DesignConfig(bandwidth=0.8, fe_dimensions=("g",) if fe else (),
                               lower_unit_weights=unit_weights)
-        want = [estimate_upper(units, subunits, config), estimate_lower(units, subunits, config)]
+        want = [upper_iv(data, config), stacked_iv(data, config)]
         assume(all(r.first_stage.partial_f > MIN_PARTIAL_F for r in want))
-        got = [estimate_upper(scaled, subunits, config), estimate_lower(scaled, subunits, config)]
+        got = [upper_iv(scaled, config), stacked_iv(scaled, config)]
         assert_same([(r.beta, r.robust_se) for r in got], [(r.beta, r.robust_se) for r in want])
 
 

@@ -5,15 +5,16 @@ import pytest
 from scipy import stats
 
 from rdagg import simlab
+from rdagg.design import design_exposures
 from rdagg.errors import ConfigurationError, EstimationError
-from rdagg.estimators import estimate_lower
+from rdagg.estimators import stacked_iv
 from rdagg.simlab import (
     DEFAULT_H_GRID,
     DgpSpec,
     bootstrap_median_ci,
-    close_importance_weights,
     dataset_digest,
     estimand_oracle,
+    generate_design,
     generate_dgp,
     mc_design_config,
     run_monte_carlo,
@@ -32,10 +33,8 @@ class TestGenerate:
 
     def test_equal_scheme_treatment_support(self):
         spec = DgpSpec(n_units=400, seed=2)
-        units, subs, _ = generate_dgp(spec, 0)
-        from rdagg.design import unit_exposures
-
-        x = unit_exposures(units, subs, mc_design_config(0.5, "all_three_rda")).treatment
+        design, _ = generate_design(spec, 0)
+        x = design_exposures(design, mc_design_config(0.5, "all_three_rda")).treatment
         grid = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}
         for val in x:
             assert min(abs(val - g) for g in grid) < 1e-12
@@ -50,11 +49,11 @@ class TestGenerate:
 
     def test_deterministic_given_seed_and_replication(self):
         spec = DgpSpec(n_units=50, seed=9)
-        a = generate_dgp(spec, 3)
-        b = generate_dgp(spec, 3)
-        assert dataset_digest(a[0], a[1]) == dataset_digest(b[0], b[1])
-        c = generate_dgp(spec, 4)
-        assert dataset_digest(a[0], a[1]) != dataset_digest(c[0], c[1])
+        a = generate_design(spec, 3)[0]
+        b = generate_design(spec, 3)[0]
+        assert dataset_digest(a) == dataset_digest(b)
+        c = generate_design(spec, 4)[0]
+        assert dataset_digest(a) != dataset_digest(c)
 
     def test_importance_schemes(self):
         for scheme, check in [
@@ -142,7 +141,7 @@ class TestRunMonteCarlo:
         out = run_monte_carlo(spec, estimators=("upper", "benchmark"), h_grid=(0.5,),
                               n_replications=3, n_bootstrap=20, seed=10, keep_digests=True)
         regenerated = [
-            dataset_digest(*generate_dgp(DgpSpec(n_units=40, seed=10), rep)[:2])
+            dataset_digest(generate_design(DgpSpec(n_units=40, seed=10), rep)[0])
             for rep in range(3)
         ]
         assert out.dataset_digests == regenerated
@@ -229,22 +228,6 @@ class TestOracle:
             got = estimand_oracle(DgpSpec(outcome_kind=kind, seed=15), n_units=50_000)
             assert got.beta0 == 0.0
 
-    def test_weight_ordering_flips_with_scheme(self):
-        # two units: small and large subunit counts
-        from rdagg.design import SubunitRecord
-
-        subs_unit_importance = [
-            SubunitRecord(f"a-s{j}", "a", 0.001 * j, 1.0) for j in range(2)
-        ] + [SubunitRecord(f"b-s{j}", "b", 0.001 * j, 1.0) for j in range(8)]
-        w_ones = close_importance_weights(subs_unit_importance, 0.1)
-        assert w_ones["b"] > w_ones["a"]
-
-        subs_share = [
-            SubunitRecord(f"a-s{j}", "a", 0.001 * j, 1 / 2) for j in range(2)
-        ] + [SubunitRecord(f"b-s{j}", "b", 0.001 * j, 1 / 8) for j in range(8)]
-        w_share = close_importance_weights(subs_share, 0.1)
-        assert w_share["b"] < w_share["a"]
-
 
 @pytest.mark.slow
 def test_reduced_form_unbiased_for_linear_outcome():
@@ -253,8 +236,8 @@ def test_reduced_form_unbiased_for_linear_outcome():
     cfg = mc_design_config(0.75, "all_three_rda")
     coefs = []
     for rep in range(2000):
-        units, subs, _ = generate_dgp(spec, rep)
-        coefs.append(estimate_lower(units, subs, cfg).reduced_form.coefficient)
+        design, _ = generate_design(spec, rep)
+        coefs.append(stacked_iv(design, cfg).reduced_form.coefficient)
     coefs = np.array(coefs)
     se = coefs.std(ddof=1) / np.sqrt(len(coefs))
     assert abs(coefs.mean()) < 4 * se
