@@ -163,7 +163,8 @@ class DesignConfig:
     largest weighted group mean of the residual is at most ``fe_tol`` times
     its weighted RMS before absorption, and ConvergenceError is raised if
     ``fe_max_iter`` conjugate-gradient iterations do not get every column
-    there.
+    there. The iterations run over cells, the distinct combinations of
+    fixed-effect keys, not over rows.
     """
 
     bandwidth: float = 0.1

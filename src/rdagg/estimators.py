@@ -232,7 +232,7 @@ def stacked_iv(design: Design, config: DesignConfig, spillover: bool = False) ->
     return _iv_estimate(
         stack.outcome, stack.treatment, stack.instrument, cols, weights, fe, config,
         "spillover-bilateral" if spillover else "lower",
-        n_units=len(np.unique(rows)), n_stacked_rows=len(rows),
+        n_units=int(np.count_nonzero(np.bincount(rows))), n_stacked_rows=len(rows),
     )
 
 
@@ -277,7 +277,7 @@ def equivalence(design: Design, config: DesignConfig,
         y_res[rows], x_res[rows], stack.instrument,
         _q_columns(stack.running, stack.instrument, with_intercept=True),
         stack.importance * w[rows], [], config, "lower-equivalent",
-        n_units=len(np.unique(rows)), n_stacked_rows=len(rows),
+        n_units=int(np.count_nonzero(np.bincount(rows))), n_stacked_rows=len(rows),
     )
     beta_a, beta_b = upper.beta, fit.beta
     absolute = abs(beta_a - beta_b)

@@ -26,7 +26,9 @@ Conventions
   gradient solve of the dummy normal equations for all columns at once,
   stopped when every column's largest weighted group mean of the residual
   is at most ``tol`` times the column's weighted RMS, so the rule does not
-  depend on the units of a column.
+  depend on the units of a column. The solve runs over cells (distinct
+  combinations of keys across the dimensions) from their weight sums and
+  weighted column sums, which is all the equations read of the rows.
 """
 
 from __future__ import annotations
@@ -415,6 +417,26 @@ def _key_dimensions(fe_keys) -> list:
     return [fe_keys]
 
 
+def _cells(coded) -> tuple:
+    """The cell of every row and the first row of every cell.
+
+    A cell is one combination of group codes across all dimensions; cells
+    are numbered in the sorted order of their codes. Each chained code is
+    below (cells so far) * (groups of the next dimension), at most n * g, so
+    it cannot overflow.
+    """
+    cell = coded[0][0]
+    for codes, n_groups in coded[1:]:
+        _, first, cell = np.unique(cell * n_groups + codes, return_index=True,
+                                   return_inverse=True)
+    return cell, first
+
+
+def _flat_index(codes: np.ndarray, k: int) -> np.ndarray:
+    """``code * k + column`` for every entry of an (len(codes), k) block."""
+    return (codes[:, None] * k + np.arange(k)).ravel()
+
+
 def absorb_fixed_effects(
     columns,
     fe_keys,
@@ -437,11 +459,15 @@ def absorb_fixed_effects(
     attained ratio) if ``max_iter`` iterations do not suffice, and
     ConfigurationError on a non-finite column.
 
-    Group sums are ``np.bincount`` calls over the cell index
-    ``code * k + column``, adding each cell's terms in row order; D a is
-    ``np.take`` of the group values by row. Rows of zero weight are not
-    identified: they get the effects fitted to their groups, zero for a
-    group of zero weight.
+    The solve runs over cells, not rows. A cell is one combination of keys
+    across the dimensions, and every row of a cell has the same dummies, so
+    the normal equations depend on the rows only through each cell's weight
+    sum and weighted column sums. The solve uses D_c'W_cD_c and D_c'(sum w y)
+    over the cells, and rows come back once as y - D a. Group sums are
+    ``np.bincount`` calls over the index ``code * k + column``, adding each
+    group's terms in row (or cell) order; D a is ``np.take`` of the group
+    values. Rows of zero weight are not identified: they get the effects
+    fitted to their groups, zero for a group of zero weight.
 
     A column the fixed effects span, whose weighted norm falls to at most
     PIVOT_RTOL times its norm before absorption, comes back exactly zero,
@@ -461,34 +487,43 @@ def absorb_fixed_effects(
             )
     w = _check_weights(weights, n)
     norms = np.sqrt(w @ (y * y))
-    cells = [((codes[:, None] * k + np.arange(k)).ravel(), n_groups) for codes, n_groups in coded]
-    wsum = np.concatenate([np.bincount(codes, weights=w, minlength=g) for codes, g in coded])
+    # one dimension sums rows; two or more sum cells, and solve on them
+    cell_w, cell_wy = w, y * w[:, None]
+    if len(coded) > 1:
+        cell, first = _cells(coded)
+        cell_w = np.bincount(cell, weights=w, minlength=first.size)
+        cell_wy = np.bincount(_flat_index(cell, k), weights=cell_wy.ravel(),
+                              minlength=first.size * k).reshape(-1, k)
+        coded = [(codes[first], n_groups) for codes, n_groups in coded]
+    flat = [(_flat_index(codes, k), n_groups) for codes, n_groups in coded]
+    wsum = np.concatenate([
+        np.bincount(codes, weights=cell_w, minlength=g) for codes, g in coded
+    ])
 
     def group_sums(v: np.ndarray) -> np.ndarray:
-        # D'W v, the dimensions' groups stacked in order
-        wv = (v * w[:, None]).ravel()
+        # D'v for weighted totals v, the dimensions' groups stacked in order
         return np.concatenate([
-            np.bincount(flat, weights=wv, minlength=g * k) for flat, g in cells
+            np.bincount(f, weights=v.ravel(), minlength=g * k) for f, g in flat
         ]).reshape(-1, k)
 
     if len(coded) == 1:
-        means = group_sums(y) / np.where(wsum > 0, wsum, 1.0)[:, None]
+        means = group_sums(cell_wy) / np.where(wsum > 0, wsum, 1.0)[:, None]
         out = y - np.take(means, coded[0][0], axis=0)
     else:
         offsets = np.cumsum([0] + [g for _, g in coded])
-        rows = [codes + offset for (codes, _), offset in zip(coded, offsets)]
+        groups = [codes + offset for (codes, _), offset in zip(coded, offsets)]
 
         def expand(a: np.ndarray) -> np.ndarray:
-            # D a: each row's group values summed over the dimensions
-            total = np.take(a, rows[0], axis=0)
-            for r in rows[1:]:
-                total += np.take(a, r, axis=0)
+            # D_c a: each cell's group values summed over the dimensions
+            total = np.take(a, groups[0], axis=0)
+            for g in groups[1:]:
+                total += np.take(a, g, axis=0)
             return total
 
         dinv = np.divide(1.0, wsum, out=np.zeros_like(wsum), where=wsum > 0)[:, None]
         rms = norms / np.sqrt(w.sum())
         alpha = np.zeros((wsum.size, k))
-        resid = group_sums(y)
+        resid = group_sums(cell_wy)
         means = dinv * resid
         direction = means.copy()
         rz = np.einsum("gj,gj->j", resid, means)
@@ -504,7 +539,7 @@ def absorb_fixed_effects(
                     f"(attained {attained:.3e}, tol {tol:.3e})",
                     attained=attained,
                 )
-            image = group_sums(expand(direction))
+            image = group_sums(expand(direction) * cell_w[:, None])
             step = np.divide(rz, np.einsum("gj,gj->j", direction, image),
                              out=np.zeros(k), where=active)
             alpha += step * direction
@@ -513,7 +548,7 @@ def absorb_fixed_effects(
             rz_next = np.einsum("gj,gj->j", resid, means)
             direction = means + np.divide(rz_next, rz, out=np.zeros(k), where=active) * direction
             rz = rz_next
-        out = y - expand(alpha)
+        out = y - np.take(expand(alpha), cell, axis=0)
     out[:, np.sqrt(w @ (out * out)) <= PIVOT_RTOL * norms] = 0.0
     return out[:, 0] if squeeze else out
 
@@ -531,8 +566,8 @@ def fixed_effect_dof(fe_keys) -> int:
     coded = [_factorize(keys) for keys in _key_dimensions(fe_keys)]
     if len(coded) != 2:
         return sum(g if d == 0 else max(g - 1, 0) for d, (_, g) in enumerate(coded))
+    _, first = _cells(coded)
     (codes1, g1), (codes2, g2) = coded
-    pairs = np.unique(codes1 * g2 + codes2)
     parent = list(range(g1 + g2))
 
     def root(a: int) -> int:
@@ -540,6 +575,6 @@ def fixed_effect_dof(fe_keys) -> int:
             parent[a] = a = parent[parent[a]]  # path halving
         return a
 
-    for a, b in zip((pairs // g2).tolist(), (g1 + pairs % g2).tolist()):
+    for a, b in zip(codes1[first].tolist(), (g1 + codes2[first]).tolist()):
         parent[root(a)] = root(b)
     return g1 + g2 - sum(parent[v] == v for v in range(g1 + g2))

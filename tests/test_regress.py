@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import dense_absorb, dense_tsls
 from rdagg.errors import ConfigurationError, ConvergenceError
@@ -543,6 +545,75 @@ class TestAbsorbMatchesAddAtLoop:
         base = absorb_fixed_effects(x, key_sets, w)
         got = absorb_fixed_effects(scale * x, key_sets, w, max_iter=60)
         assert np.abs(got - scale * base).max() <= 1e-10 * np.abs(scale * base).max()
+
+
+@st.composite
+def absorb_cases(draw):
+    """Two or three fixed-effect dimensions in one of five layouts, with
+    optional zero-weight rows, a zero-weight cell and a zero-weight group.
+    Returns columns, key arrays, weights and a generator for permutations."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_dims = draw(st.integers(2, 3))
+    layout = draw(st.sampled_from(
+        ["nested", "crossed", "own_cells", "duplicated", "disconnected"]))
+    n = draw(st.integers(6, 60))
+    sizes = [draw(st.integers(1, 6)) for _ in range(n_dims)]
+    if layout == "own_cells":  # a grid with one row per key combination
+        a, b = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+        n = a * b
+        grid = np.arange(n)
+        codes = [grid % a, grid // a] + [rng.integers(0, size, n) for size in sizes[2:]]
+    elif layout == "nested":  # each dimension nested in the one before
+        codes = [rng.integers(0, sizes[0], n)]
+        for size in sizes[1:]:
+            codes.append(codes[-1] * size + rng.integers(0, size, n))
+    elif layout == "disconnected":  # blocks that share no group
+        block = rng.integers(0, draw(st.integers(2, 4)), n)
+        codes = [block * size + rng.integers(0, size, n) for size in sizes]
+    else:
+        codes = [rng.integers(0, size, n) for size in sizes]
+    k = draw(st.integers(1, 3))
+    x = rng.normal(size=(n, k)) + sum(rng.normal(size=(c.max() + 1, k))[c] for c in codes)
+    if layout == "duplicated":  # rows drawn with replacement from the sample
+        take = rng.integers(0, n, draw(st.integers(n, 2 * n)))
+        codes, x, n = [c[take] for c in codes], x[take], take.size
+    w = rng.uniform(0.1, 3.0, n)
+    if draw(st.booleans()):
+        w[rng.random(n) < 0.25] = 0.0
+    if draw(st.booleans()):  # every row of one cell
+        i = rng.integers(n)
+        w[np.all([c == c[i] for c in codes], axis=0)] = 0.0
+    if draw(st.booleans()):  # every row of one group
+        d = rng.integers(n_dims)
+        w[codes[d] == codes[d][rng.integers(n)]] = 0.0
+    assume(np.any(w > 0))
+    return x, codes, w, rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=absorb_cases())
+def test_cell_solve_matches_dense_oracle(case):
+    """The solve over cells matches explicit dummies, ignores row order, and
+    depends on the rows only through their cell sums: splitting every row
+    into two at half weight gives the same result."""
+    x, codes, w, rng = case
+    # The default stopping rule bounds group means, not entries, to 1e-10;
+    # a tighter one leaves the comparison to the solve itself.
+    got = absorb_fixed_effects(x, codes, w, tol=1e-13)
+    expected = dense_absorb(x, codes, w)
+    pos = w > 0
+    scale = np.abs(expected[pos]).max()
+    assume(scale > 1e-6 * np.abs(x[pos]).max())  # the dummies do not span every column
+    assert np.abs(got[pos] - expected[pos]).max() <= 1e-10 * scale
+
+    order = rng.permutation(w.size)
+    shuffled = absorb_fixed_effects(x[order], [c[order] for c in codes], w[order], tol=1e-13)
+    assert np.abs(shuffled - got[order]).max() <= 1e-10 * scale
+
+    halves = absorb_fixed_effects(np.repeat(x, 2, axis=0), [np.repeat(c, 2) for c in codes],
+                                  np.repeat(w / 2, 2), tol=1e-13)
+    assert np.abs(halves[::2] - got).max() <= 1e-10 * scale
+    assert np.abs(halves[1::2] - got).max() <= 1e-10 * scale
 
 
 class TestHc1:
