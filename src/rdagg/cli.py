@@ -4,6 +4,11 @@ Every run writes a manifest (input digests, effective configuration, tool
 version, seed) next to its outputs, so identical inputs and flags reproduce
 identical artifacts byte for byte. Exit codes: 0 success, 1 computation
 error (structured message on stderr), 2 usage error.
+
+Settings are the fields of ``DesignConfig`` and ``DgpSpec``: a ``--config``
+file value is read by the type of the field's default, and a flag whose dest
+is the field name overrides it. An unknown key or an unparsable value is a
+SchemaError (exit 1), never a setting silently left at its default.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
-from typing import Dict, List, Optional
+from dataclasses import asdict, fields, replace
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__
-from .design import DesignConfig, design_stack, parse_filter
+from .design import KERNELS, DesignConfig, design_stack, parse_filter
 from .diagnostics import (
     balance,
     counterfactual_path,
@@ -31,37 +36,14 @@ from .estimators import collapsed_iv, equivalence, sharp_rd, stacked_iv, upper_i
 from .io import _FirstError, _columns, _number_column, _read_columns, load_design
 from .simlab import (
     DEFAULT_H_GRID,
+    IMPORTANCE_SCHEMES,
     MC_ESTIMATORS,
+    OUTCOME_KINDS,
     DgpSpec,
     run_monte_carlo,
 )
 
 CONTROL_ALIASES = {"all": "all_three_rda", "total-weight": "total_weight_only", "none": "none"}
-
-_DESIGN_KEYS = {
-    "bandwidth": float,
-    "kernel": str,
-    "cutoff_rule": str,
-    "tie_policy": str,
-    "instrument_basis": str,
-    "control_set": str,
-    "include_intercept": None,  # bool
-    "lower_unit_weights": None,
-    "fe_tol": float,
-    "fe_max_iter": int,
-    "weak_f_threshold": float,
-}
-_DGP_KEYS = {
-    "n_units": int,
-    "n_subunits_per_unit": int,
-    "importance_scheme": str,
-    "rho": float,
-    "outcome_kind": str,
-    "noise_sd": float,
-    "effect_mean": float,
-    "effect_sd": float,
-    "seed": int,
-}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -70,11 +52,33 @@ def _parse_bool(raw: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise SchemaError(f"cannot parse boolean '{raw}'")
+    raise ValueError(f"cannot parse boolean '{raw}'")
+
+
+def _parse_range(raw: str) -> Tuple[int, int]:
+    lo, sep, hi = raw.partition(":")
+    if not sep:
+        raise ValueError(f"expected lo:hi, got '{raw}'")
+    return int(lo), int(hi)
+
+
+# A file value is read by the type of its field's default ...
+_PARSE_TYPE = {bool: _parse_bool, int: int, float: float, str: str}
+# ... except for the fields whose default does not say how.
+_PARSE_FIELD = {
+    "fe_dimensions": lambda raw: tuple(d.strip() for d in raw.split(",") if d.strip()),
+    "filters": lambda raw: tuple(parse_filter(f) for f in raw.split(",") if f.strip()),
+    "j_range": _parse_range,
+}
+_CONFIG_KEYS = {f.name for cls in (DesignConfig, DgpSpec) for f in fields(cls)}
 
 
 def load_config_file(path: str) -> Dict[str, str]:
-    """Flat key=value text; '#' starts a comment; later keys win."""
+    """Flat key=value text; '#' starts a comment; later keys win.
+
+    Keys are the field names of ``DesignConfig`` and ``DgpSpec``; any other
+    key raises SchemaError, listing every such key.
+    """
     out: Dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -85,58 +89,32 @@ def load_config_file(path: str) -> Dict[str, str]:
                 raise SchemaError(f"{path}:{lineno}: expected key=value, got '{raw.strip()}'")
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
+    unknown = sorted(set(out) - _CONFIG_KEYS)
+    if unknown:
+        raise SchemaError(f"{path}: unknown config keys {unknown} "
+                          "(keys are DesignConfig and DgpSpec field names)")
     return out
 
 
-def build_design_config(file_cfg: Dict[str, str], args) -> DesignConfig:
+def _settings(cls, file_cfg: Dict[str, str], flags: dict):
+    """A ``cls`` (DesignConfig or DgpSpec) from its fields: a flag whose
+    argparse dest is the field name beats the config file value."""
     kwargs: dict = {}
-    for key, conv in _DESIGN_KEYS.items():
-        if key in file_cfg:
-            raw = file_cfg[key]
-            kwargs[key] = _parse_bool(raw) if conv is None else conv(raw)
-    if "fe_dimensions" in file_cfg:
-        dims = [d.strip() for d in file_cfg["fe_dimensions"].split(",") if d.strip()]
-        kwargs["fe_dimensions"] = tuple(dims)
-    if "filters" in file_cfg:
-        kwargs["filters"] = tuple(
-            parse_filter(f) for f in file_cfg["filters"].split(",") if f.strip()
-        )
-    if getattr(args, "bandwidth", None) is not None:
-        kwargs["bandwidth"] = args.bandwidth
-    if getattr(args, "kernel", None) is not None:
-        kwargs["kernel"] = args.kernel
-    if getattr(args, "controls", None) is not None:
-        kwargs["control_set"] = CONTROL_ALIASES[args.controls]
-    return DesignConfig(**kwargs)
-
-
-def build_dgp_spec(file_cfg: Dict[str, str], args) -> DgpSpec:
-    kwargs: dict = {}
-    for key, conv in _DGP_KEYS.items():
-        if key in file_cfg:
-            kwargs[key] = conv(file_cfg[key])
-    if "j_range" in file_cfg:
-        lo, _, hi = file_cfg["j_range"].partition(":")
-        kwargs["j_range"] = (int(lo), int(hi))
-    overrides = {
-        "outcome_kind": getattr(args, "outcome", None),
-        "noise_sd": getattr(args, "noise_sd", None),
-        "n_units": getattr(args, "n_units", None),
-        "n_subunits_per_unit": getattr(args, "n_subunits", None),
-        "rho": getattr(args, "rho", None),
-        "importance_scheme": getattr(args, "importance", None),
-        "seed": getattr(args, "seed", None),
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            kwargs[key] = val
-    return DgpSpec(**kwargs)
+    for f in fields(cls):
+        if flags.get(f.name) is not None:
+            kwargs[f.name] = flags[f.name]
+        elif f.name in file_cfg:
+            parse = _PARSE_FIELD.get(f.name) or _PARSE_TYPE[type(f.default)]
+            try:
+                kwargs[f.name] = parse(file_cfg[f.name])
+            except ValueError as exc:
+                raise SchemaError(f"config key '{f.name}': {exc}")
+    return cls(**kwargs)
 
 
 def _config_echo(config: DesignConfig) -> dict:
     echo = asdict(config)
     echo["filters"] = [f.describe() for f in config.filters]
-    echo["fe_dimensions"] = list(config.fe_dimensions)
     return echo
 
 
@@ -185,7 +163,7 @@ def _bundle_command(sub, name: str, help: str, edges: bool = False) -> argparse.
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--kernel", choices=("uniform", "triangular"), default=None)
+    p.add_argument("--kernel", choices=KERNELS, default=None)
     p.add_argument("--controls", choices=tuple(CONTROL_ALIASES), default=None)
     p.add_argument("--weight-cap", type=float, default=None,
                    help="drop units whose total subunit weight exceeds this cap")
@@ -216,18 +194,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo sweep over a bandwidth grid")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=".")
-    p.add_argument("--outcome", choices=(
-        "linear", "symmetric_quadratic", "kinked_quadratic",
-        "single_subunit", "heterogeneous_effects"), default=None)
+    p.add_argument("--outcome", dest="outcome_kind", choices=OUTCOME_KINDS, default=None)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--boot", type=int, default=300)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--noise-sd", type=float, default=None)
     p.add_argument("--n-units", type=int, default=None)
-    p.add_argument("--n-subunits", type=int, default=None)
+    p.add_argument("--n-subunits", dest="n_subunits_per_unit", type=int, default=None)
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--importance", choices=("equal", "dirichlet_random", "unit_sum_one"),
+    p.add_argument("--importance", dest="importance_scheme", choices=IMPORTANCE_SCHEMES,
                    default=None)
     p.add_argument("--estimators", default=",".join(MC_ESTIMATORS))
     p.add_argument("--h-grid", default=None, help="comma-separated bandwidths")
@@ -275,13 +251,12 @@ def _run(args) -> int:
     cmd = args.command
 
     if cmd == "simulate":
-        spec = build_dgp_spec(file_cfg, args)
+        spec = _settings(DgpSpec, file_cfg, vars(args))
         h_grid = list(map(float, args.h_grid.split(","))) if args.h_grid else list(DEFAULT_H_GRID)
         estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
-        seed = args.seed if args.seed is not None else spec.seed
         summary = run_monte_carlo(spec, estimators=estimators, h_grid=h_grid,
-                                  n_replications=args.reps, n_bootstrap=args.boot, seed=seed,
-                                  threads=args.threads)
+                                  n_replications=args.reps, n_bootstrap=args.boot,
+                                  seed=spec.seed, threads=args.threads)
         out_csv = os.path.join(args.out, "mc_summary.csv")
         with open(out_csv, "w", encoding="utf-8") as fh:
             fh.write(summary.to_csv())
@@ -289,7 +264,7 @@ def _run(args) -> int:
             args.out, cmd, [args.config] if args.config else [],
             {"dgp": asdict(spec), "h_grid": h_grid, "estimators": estimators,
              "reps": args.reps, "boot": args.boot},
-            seed,
+            spec.seed,
         )
         print(f"wrote {out_csv} ({len(summary.cells)} cells"
               f"{', high failure rate' if summary.high_failure else ''})")
@@ -332,7 +307,8 @@ def _run(args) -> int:
         return 0
 
     # The remaining commands consume a bundle.
-    config = build_design_config(file_cfg, args)
+    config = _settings(DesignConfig, file_cfg,
+                       {**vars(args), "control_set": CONTROL_ALIASES.get(args.controls)})
     design, report = load_design(args.units, args.subunits, edges_path=args.edges,
                                  weight_cap=args.weight_cap)
     inputs = [args.units, args.subunits] + ([args.edges] if args.edges else [])

@@ -52,6 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, IntegrityError
+from .regress import FE_MAX_ITER, FE_TOL, WEAK_F_THRESHOLD
 
 KERNELS = ("uniform", "triangular")
 CUTOFF_RULES = ("geq", "strict_gt")
@@ -130,8 +131,12 @@ class AttributeFilter:
         return _OPS[self.op](x, self.value) & ~np.isnan(values)
 
     def describe(self) -> str:
+        """Text that ``parse_filter`` reads back to exactly this filter."""
         prefix = "abs:" if self.absolute else ""
-        return f"{prefix}{self.attribute}{self.op}{self.value:g}"
+        value = f"{self.value:g}"
+        if float(value) != self.value:
+            value = repr(float(self.value)).removesuffix(".0")
+        return f"{prefix}{self.attribute}{self.op}{value}"
 
 
 def parse_filter(text: str) -> AttributeFilter:
@@ -177,9 +182,9 @@ class DesignConfig:
     fe_dimensions: Tuple[str, ...] = ()
     include_intercept: bool = True
     lower_unit_weights: bool = False
-    fe_tol: float = 1e-10
-    fe_max_iter: int = 10_000
-    weak_f_threshold: float = 10.0
+    fe_tol: float = FE_TOL
+    fe_max_iter: int = FE_MAX_ITER
+    weak_f_threshold: float = WEAK_F_THRESHOLD
 
     def __post_init__(self):
         if not (self.bandwidth > 0):
@@ -198,6 +203,13 @@ class DesignConfig:
             raise ConfigurationError(
                 "filters must be AttributeFilter instances (see parse_filter)"
             )
+        # NaN or a non-positive tolerance would let absorption stop at once
+        if not (isfinite(self.fe_tol) and self.fe_tol > 0):
+            raise ConfigurationError("fe_tol must be finite and positive")
+        if self.fe_max_iter < 1:
+            raise ConfigurationError("fe_max_iter must be at least 1")
+        if not (isfinite(self.weak_f_threshold) and self.weak_f_threshold >= 0):
+            raise ConfigurationError("weak_f_threshold must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import csv
 import gc
 from dataclasses import dataclass, field
+from io import StringIO
 from math import isfinite
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
@@ -327,6 +328,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_writer():
+    """A string buffer and a CSV writer into it (quoting only where needed)."""
+    out = StringIO()
+    return out, csv.writer(out, lineterminator="\n")
+
+
 def serialize_units(units: Sequence[UnitRecord]) -> str:
     fe_dims = sorted({k for u in units for k in u.fe_keys})
     ctrl_labels = sorted({k for u in units for k in u.extra_controls})
@@ -336,7 +343,8 @@ def serialize_units(units: Sequence[UnitRecord]) -> str:
         + [f"ctrl_{c}" for c in ctrl_labels]
         + ["treatment_override"]
     )
-    lines = [",".join(header)]
+    out, writer = _csv_writer()
+    writer.writerow(header)
     for u in sorted(units, key=lambda u: u.unit_id):
         row = [u.unit_id, _fmt(u.outcome), _fmt(u.analysis_weight)]
         for d in fe_dims:
@@ -353,8 +361,8 @@ def serialize_units(units: Sequence[UnitRecord]) -> str:
                 raise SchemaError(f"unit '{u.unit_id}' has no value for control '{c}'")
             row.append(_fmt(u.extra_controls[c]))
         row.append("" if u.treatment_override is None else _fmt(u.treatment_override))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        writer.writerow(row)
+    return out.getvalue()
 
 
 def serialize_subunits(subunits: Sequence[SubunitRecord]) -> str:
@@ -362,20 +370,21 @@ def serialize_subunits(subunits: Sequence[SubunitRecord]) -> str:
     header = ["subunit_id", "unit_id", "running", "importance", "win_flag"] + [
         f"attr_{a}" for a in attr_labels
     ]
-    lines = [",".join(header)]
+    out, writer = _csv_writer()
+    writer.writerow(header)
     for s in sorted(subunits, key=lambda s: s.subunit_id):
         row = [s.subunit_id, s.unit_id, _fmt(s.running), _fmt(s.importance)]
         row.append("" if s.win_flag is None else ("1" if s.win_flag else "0"))
         row += [_fmt(s.attributes[a]) if a in s.attributes else "" for a in attr_labels]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        writer.writerow(row)
+    return out.getvalue()
 
 
 def serialize_edges(edges: SpilloverGraph) -> str:
-    lines = ["outcome_unit_id,subunit_id"]
-    for u, s in sorted(edges.edges):
-        lines.append(f"{u},{s}")
-    return "\n".join(lines) + "\n"
+    out, writer = _csv_writer()
+    writer.writerow(("outcome_unit_id", "subunit_id"))
+    writer.writerows(sorted(edges.edges))
+    return out.getvalue()
 
 
 def write_bundle(bundle: InputBundle, units_path: str, subunits_path: str,

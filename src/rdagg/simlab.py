@@ -76,6 +76,9 @@ class DgpSpec:
         if self.noise_sd < 0:
             raise ConfigurationError("noise_sd must be nonnegative")
         if self.j_range is not None:
+            if not (isinstance(self.j_range, tuple) and len(self.j_range) == 2
+                    and all(isinstance(v, int) for v in self.j_range)):
+                raise ConfigurationError("j_range must be a (lo, hi) pair of ints")
             lo, hi = self.j_range
             if lo < 1 or hi < lo:
                 raise ConfigurationError("j_range must satisfy 1 <= lo <= hi")
@@ -395,10 +398,6 @@ def estimand_oracle(
     analytic responses (zero for the pure-confound kinds; beta_i times the
     importance weight under heterogeneous effects).
     """
-    if spec.outcome_kind not in OUTCOME_KINDS:
-        raise EstimationError(
-            f"no analytic potential outcomes for outcome kind '{spec.outcome_kind}'"
-        )
     rng = _rng(spec.seed if seed is None else seed, 3)
     big = replace(spec, n_units=n_units)
     counts, unit_idx, r, s, _zeta = _draw_design(big, rng)

@@ -451,3 +451,15 @@ def test_config_validation():
         DesignConfig(kernel="epanechnikov")
     with pytest.raises(ConfigurationError):
         DesignConfig(cutoff_rule="above")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"fe_tol": float("nan")}, {"fe_tol": float("inf")}, {"fe_tol": 0.0}, {"fe_tol": -1e-10},
+    {"fe_max_iter": 0}, {"fe_max_iter": -5},
+    {"weak_f_threshold": float("nan")}, {"weak_f_threshold": float("inf")},
+    {"weak_f_threshold": -1.0},
+])
+def test_config_refuses_settings_that_switch_absorption_or_weak_notes_off(kwargs):
+    # with tol=nan, absorb_fixed_effects returns its input unchanged
+    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+        DesignConfig(**kwargs)

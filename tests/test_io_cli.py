@@ -6,15 +6,23 @@ import json
 import math
 import struct
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdagg import simlab
+from rdagg import cli, simlab
 from rdagg.cli import main
-from rdagg.design import Design, DesignConfig, SpilloverGraph, SubunitRecord, UnitRecord
+from rdagg.design import (
+    AttributeFilter,
+    Design,
+    DesignConfig,
+    SpilloverGraph,
+    SubunitRecord,
+    UnitRecord,
+)
 from rdagg.errors import ConfigurationError, IntegrityError, SchemaError
 from rdagg.estimators import estimate_spillover_bilateral, upper_iv
 from rdagg.io import (
@@ -756,3 +764,101 @@ class TestCli:
         assert len(lines) == 11
         coeffs = json.loads((out / "lines.json").read_text())
         assert set(coeffs) == {"left", "right", "jump", "notices"}
+
+
+# Every field of DesignConfig and DgpSpec: config-file text, and the value
+# it must give, which is not the field's default.
+DESIGN_SETTINGS = {
+    "bandwidth": ("0.85", 0.85),
+    "kernel": ("triangular", "triangular"),
+    "cutoff_rule": ("strict_gt", "strict_gt"),
+    "tie_policy": ("drop_exact_zero", "drop_exact_zero"),
+    "filters": ("votes>=10.1234567, abs:votes<75", (
+        AttributeFilter("votes", ">=", 10.1234567), AttributeFilter("votes", "<", 75.0, True))),
+    "instrument_basis": ("win_flag", "win_flag"),
+    "control_set": ("none", "none"),
+    "fe_dimensions": ("region", ("region",)),
+    "include_intercept": ("no", False),
+    "lower_unit_weights": ("On", True),
+    "fe_tol": ("1e-9", 1e-9),
+    "fe_max_iter": ("500", 500),
+    "weak_f_threshold": ("12.5", 12.5),
+}
+DGP_SETTINGS = {
+    "n_units": ("40", 40),
+    "n_subunits_per_unit": ("3", 3),
+    "j_range": ("2:4", (2, 4)),
+    "importance_scheme": ("unit_sum_one", "unit_sum_one"),
+    "rho": ("0.25", 0.25),
+    "outcome_kind": ("kinked_quadratic", "kinked_quadratic"),
+    "noise_sd": ("0.5", 0.5),
+    "effect_mean": ("2.5", 2.5),
+    "effect_sd": ("0.75", 0.75),
+    "seed": ("11", 11),
+}
+
+
+def config_text(settings):
+    return "".join(f"{key} = {text}\n" for key, (text, _) in settings.items())
+
+
+class TestOneSchema:
+    """The config file is read from the dataclass fields, and only from them."""
+
+    @pytest.mark.parametrize("cls, table", [(DesignConfig, DESIGN_SETTINGS),
+                                            (simlab.DgpSpec, DGP_SETTINGS)])
+    def test_every_field_reads_back_from_a_config_file(self, tmp_path, cls, table):
+        assert list(table) == [f.name for f in fields(cls)]
+        for f in fields(cls):
+            assert table[f.name][1] != f.default, f.name
+        cfg = write(tmp_path, "run.cfg", config_text(table))
+        got = cli._settings(cls, cli.load_config_file(cfg), {})
+        assert got == cls(**{key: value for key, (_, value) in table.items()})
+
+    def test_manifest_echoes_read_back_to_the_same_settings(self, tmp_path):
+        paths = full_bundle(tmp_path, np.random.default_rng(12), n=120)
+        cfg = write(tmp_path, "run.cfg", config_text({**DESIGN_SETTINGS, **DGP_SETTINGS}))
+        out = tmp_path / "lower"
+        assert main(["estimate-lower", "--units", paths["units"], "--subunits",
+                     paths["subunits"], "--config", cfg, "--out", str(out)]) == 0
+        echo = json.loads((out / "manifest.json").read_text())["config"]["design"]
+        again = write(tmp_path, "again.cfg", "".join(
+            f"{key} = {','.join(value) if isinstance(value, list) else value}\n"
+            for key, value in echo.items()))
+        config = DesignConfig(**{key: value for key, (_, value) in DESIGN_SETTINGS.items()})
+        assert cli._settings(DesignConfig, cli.load_config_file(again), {}) == config
+
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--reps", "2", "--boot", "10",
+                     "--h-grid", "0.5", "--estimators", "upper", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        spec = simlab.DgpSpec(**{key: value for key, (_, value) in DGP_SETTINGS.items()})
+        assert manifest["config"]["dgp"] == {**asdict(spec), "j_range": [2, 4]}
+        assert manifest["seed"] == 11
+
+    @pytest.mark.parametrize("command, text, named", [
+        ("estimate-upper", "bandwith = 0.3\n", "bandwith"),
+        ("estimate-upper", "fe_dimension = state\nkernal = uniform\n",
+         "['fe_dimension', 'kernal']"),
+        ("estimate-upper", "bandwidth = abc\n", "bandwidth"),
+        ("estimate-upper", "fe_max_iter = 1e4\n", "fe_max_iter"),
+        ("estimate-upper", "include_intercept = maybe\n", "include_intercept"),
+        ("estimate-upper", "filters = votes>>20\n", "filters"),
+        ("simulate", "j_range = 3\n", "j_range"),
+        ("simulate", "j_range = 2:4:6\n", "j_range"),
+        ("simulate", "seed = 1.5\n", "seed"),
+    ])
+    def test_unknown_key_or_bad_value_exits_1(self, tmp_path, capsys, command, text, named):
+        # a typo must not run at the default, nor a bad value end in a traceback
+        cfg = write(tmp_path, "bad.cfg", text)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        if command == "simulate":
+            argv += ["--reps", "2", "--boot", "10", "--h-grid", "0.5"]
+        else:
+            paths = full_bundle(tmp_path, np.random.default_rng(13))
+            argv += ["--units", paths["units"], "--subunits", paths["subunits"]]
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["type"] == "SchemaError"
+        assert named in payload["error"]
+        assert not (tmp_path / "out" / "manifest.json").exists()

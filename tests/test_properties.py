@@ -10,7 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rdagg.design import Design, DesignConfig, SpilloverGraph, SubunitRecord, UnitRecord
+from rdagg.design import (
+    AttributeFilter,
+    Design,
+    DesignConfig,
+    SpilloverGraph,
+    SubunitRecord,
+    UnitRecord,
+    parse_filter,
+)
 from rdagg.estimators import stacked_iv, upper_iv
 from rdagg.io import InputBundle, load_bundle, load_design, write_bundle
 
@@ -116,7 +124,8 @@ def test_invariant_to_a_common_rescaling_of_analysis_weights(seed, fe, scale):
         assert_same([(r.beta, r.robust_se) for r in got], [(r.beta, r.robust_se) for r in want])
 
 
-IDS = st.text(alphabet="abcxyz019-_.", min_size=1, max_size=6)
+# ',' and '"' must be quoted in the CSV files
+IDS = st.text(alphabet='abcxyz019-_.,"', min_size=1, max_size=6)
 NUMBERS = st.floats(allow_nan=False, allow_infinity=False, width=64)
 POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
 
@@ -215,3 +224,13 @@ def test_csv_reader_builds_the_record_design(tmp_path_factory, bundle):
     )
     assert report.messages == []
     assert_same_design(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(attribute=st.sampled_from(["votes", "margin"]),
+       op=st.sampled_from([">=", "<=", ">", "<", "==", "!="]),
+       value=NUMBERS, absolute=st.booleans())
+def test_filter_description_parses_back_to_the_filter(attribute, op, value, absolute):
+    # the manifest echoes filters by describe(), so it must not round the threshold
+    f = AttributeFilter(attribute, op, value, absolute)
+    assert parse_filter(f.describe()) == f

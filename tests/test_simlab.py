@@ -90,6 +90,11 @@ class TestGenerate:
         assert min(counts.values()) >= 1 and max(counts.values()) <= 8
         assert len(set(counts.values())) > 3
 
+    @pytest.mark.parametrize("j_range", [(2,), (1, 4, 6), (1.5, 4), (1, "4"), [1, 4], 3])
+    def test_j_range_must_be_two_ints(self, j_range):
+        with pytest.raises(ConfigurationError, match="j_range"):
+            DgpSpec(j_range=j_range)
+
 
 class TestBootstrap:
     def test_constant_vector(self):
