@@ -55,7 +55,8 @@ def balance(
     Analysis-weighted WLS of the target on the covariates (by default every
     extra control), the configured aggregated controls, and an intercept.
     Units missing any requested covariate are dropped (count reported), with
-    their subunits; so are subunits of no unit. The partial R^2 is the share
+    their subunits. Subunits of no unit raise IntegrityError, as in every
+    estimator on the partition graph. The partial R^2 is the share
     of the controls-only residual sum of squares explained by adding the
     covariates; the partial F is the robust Wald statistic for their joint
     nullity divided by their count, with a chi-square tail p-value
@@ -66,6 +67,7 @@ def balance(
     covariates = list(design.units.controls if covariates is None else covariates)
     if not covariates:
         raise ConfigurationError("no covariates to test")
+    design.require_owners()
 
     missing = np.full(len(design.units), np.nan)
     cov_mat = np.column_stack([design.units.controls.get(lab, missing) for lab in covariates])
@@ -75,9 +77,8 @@ def balance(
     if n_keep < len(covariates) + 2:
         raise EstimationError("too few complete observations for the balance test")
 
-    owner = design.event_unit
     design = Design.assemble(design.units.take(np.flatnonzero(complete)),
-                             design.events.take(np.flatnonzero((owner >= 0) & complete[owner])))
+                             design.events.take(np.flatnonzero(complete[design.event_unit])))
     exp = design_exposures(design, config)
     y = exp.treatment if target == "treatment" else exp.instrument
     w = design.units.weight
@@ -206,6 +207,9 @@ def rd_plot_data(
     grouped into contiguous bins with near-equal weight sums; each bin
     reports its weight-averaged running value and outcome. If a side has
     fewer points than bins, that side's bin count shrinks (with a notice).
+    A point heavier than a bin's share of the weight fills more than one
+    bin's target, which can leave later bins empty; those are omitted, with
+    a notice.
     """
     if n_bins_per_side < 1:
         raise ConfigurationError("n_bins_per_side must be positive")
@@ -230,13 +234,18 @@ def rd_plot_data(
                 f"{side} side has {len(order)} observations; using {n_bins} bins"
             )
         assignment = _greedy_bins(order, w, n_bins)
-        for b in range(n_bins):
+        filled = np.unique(assignment)
+        if filled.size < n_bins:
+            notices.append(
+                f"{side} side: {filled.size} of {n_bins} bins have observations; "
+                f"empty bins omitted"
+            )
+        for b in filled:
             members = order[assignment == b]
             ww = w[members]
             wsum = float(ww.sum())
-            scale = wsum if wsum > 0 else float(len(members))
-            r_mean = float((r[members] * ww).sum() / scale) if wsum > 0 else float(r[members].mean())
-            v_mean = float((v[members] * ww).sum() / scale) if wsum > 0 else float(v[members].mean())
+            r_mean = float((r[members] * ww).sum() / wsum) if wsum > 0 else float(r[members].mean())
+            v_mean = float((v[members] * ww).sum() / wsum) if wsum > 0 else float(v[members].mean())
             bins.append(RdPlotBin(side, r_mean, v_mean, wsum, len(members)))
 
     fit = wls_fit(

@@ -47,7 +47,6 @@ from .regress import (
     ReducedForm,
     RegressionProblem,
     absorb_fixed_effects,
-    fixed_effect_dof,
     iv_fit,
     residualize,
     wls_fit,
@@ -128,6 +127,21 @@ def _control_columns(config: DesignConfig, controls: np.ndarray):
     return [], controls[:, :0]
 
 
+def _absorb(y: np.ndarray, x: np.ndarray, z: np.ndarray,
+            control_cols: List[Tuple[str, np.ndarray]], weights: np.ndarray,
+            fe_key_lists: List[np.ndarray], config: DesignConfig):
+    """y, x, z and the controls with the fixed effects, if any, absorbed
+    from all of them as one block, and the degrees of freedom they spend."""
+    if not fe_key_lists:
+        return y, x, z, control_cols, 0
+    block, dof = absorb_fixed_effects(
+        np.column_stack([y, x, z] + [col for _, col in control_cols]), fe_key_lists, weights,
+        tol=config.fe_tol, max_iter=config.fe_max_iter,
+    )
+    controls = [(lab, block[:, 3 + j]) for j, (lab, _) in enumerate(control_cols)]
+    return (*block[:, :3].T, controls, dof)
+
+
 def _iv_estimate(y: np.ndarray, x: np.ndarray, z: np.ndarray,
                  control_cols: List[Tuple[str, np.ndarray]], weights: np.ndarray,
                  fe_key_lists: List[np.ndarray], config: DesignConfig, specification: str,
@@ -138,16 +152,8 @@ def _iv_estimate(y: np.ndarray, x: np.ndarray, z: np.ndarray,
     Fixed effects, when present, are absorbed from every column and counted
     as extra dropped degrees of freedom.
     """
-    extra_dof = 0
-    if fe_key_lists:
-        block = np.column_stack([y, x, z] + [col for _, col in control_cols])
-        block = absorb_fixed_effects(
-            block, fe_key_lists, weights, tol=config.fe_tol, max_iter=config.fe_max_iter
-        )
-        y, x, z = block[:, 0], block[:, 1], block[:, 2]
-        control_cols = [(lab, block[:, 3 + j]) for j, (lab, _) in enumerate(control_cols)]
-        extra_dof = fixed_effect_dof(fe_key_lists)
-    fit = iv_fit(y, x, z, control_cols, weights, extra_dof, config.weak_f_threshold)
+    *columns, extra_dof = _absorb(y, x, z, control_cols, weights, fe_key_lists, config)
+    fit = iv_fit(*columns, weights, extra_dof, config.weak_f_threshold)
     return EstimateResult(
         specification=specification,
         beta=fit.beta,
@@ -240,9 +246,11 @@ def equivalence(design: Design, config: DesignConfig,
                 tolerance: float = 1e-8) -> EquivalenceReport:
     """Check the exact numerical equivalence of the two estimators.
 
+    Fixed effects, if any, are absorbed once from the unit-level outcome,
+    treatment, instrument and controls, and both paths read that block.
     Path A is the upper-level IV with the full aggregated controls. Path B
-    residualizes outcome and treatment on those controls (plus extra controls
-    and fixed effects) at the unit level under analysis weights, broadcasts
+    residualizes outcome and treatment on those controls (plus extra
+    controls) at the unit level under analysis weights, broadcasts
     the residualized values onto the close-subunit stack, and runs the
     subunit-level IV with local-linear controls, weighted by importance times
     the unit's analysis weight. The two coefficients agree up to floating
@@ -255,31 +263,20 @@ def equivalence(design: Design, config: DesignConfig,
     stack = design_stack(design, config)
     exp = stack.exposures
     y, w, cols, fe = _upper_columns(design, exp, config)
-    upper = _iv_estimate(
-        y, exp.treatment, exp.instrument, cols, w, fe, config,
-        "upper:" + config.control_set, n_units=len(design.units), n_stacked_rows=0,
-    )
-
-    yx = np.column_stack([y, exp.treatment])
-    ctrl = np.column_stack([col for _, col in cols])
-    if fe:
-        block = absorb_fixed_effects(
-            np.column_stack([yx, ctrl]), fe, w, tol=config.fe_tol,
-            max_iter=config.fe_max_iter,
-        )
-        yx, ctrl = block[:, :2], block[:, 2:]
-    y_res, x_res = residualize(yx, ctrl, w).T
+    y, x, z, cols, extra_dof = _absorb(y, exp.treatment, exp.instrument, cols, w, fe, config)
+    beta_a = iv_fit(y, x, z, cols, w, extra_dof, config.weak_f_threshold).beta
+    y_res, x_res = residualize(
+        np.column_stack([y, x]), np.column_stack([col for _, col in cols]), w).T
 
     rows = stack.unit_row
     if not rows.size:
         raise EstimationError("empty stacked sample: no close subunits pass the design")
-    fit = _iv_estimate(
+    beta_b = _iv_estimate(
         y_res[rows], x_res[rows], stack.instrument,
         _q_columns(stack.running, stack.instrument, with_intercept=True),
         stack.importance * w[rows], [], config, "lower-equivalent",
         n_units=int(np.count_nonzero(np.bincount(rows))), n_stacked_rows=len(rows),
-    )
-    beta_a, beta_b = upper.beta, fit.beta
+    ).beta
     absolute = abs(beta_a - beta_b)
     relative = absolute / max(1.0, abs(beta_a))
     return EquivalenceReport(

@@ -50,7 +50,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import Design, Events, SpilloverGraph, SubunitRecord, UnitRecord, Units, _codes
+from .design import Design, Events, SpilloverGraph, SubunitRecord, UnitRecord, Units
 from .errors import ConfigurationError, SchemaError
 
 
@@ -277,9 +277,10 @@ def load_design(units_path: str, subunits_path: str, edges_path: Optional[str] =
     ``Design.require_owners`` (every subunit must belong to a known unit).
     ``weight_cap`` then optionally drops units whose total subunit
     importance exceeds the cap, with their subunits and every edge touching
-    either, a consistency guard against impossible aggregates; dropped ids
-    land in the report, which also counts the edges from kept units to
-    dropped subunits.
+    either, a consistency guard against impossible aggregates. Subunits
+    whose unit id names no unit (which an edges file allows) count toward
+    no unit and stay. Dropped ids land in the report, which also counts the
+    edges from kept units to dropped subunits.
     """
     units, events = load_units(units_path), load_subunits(subunits_path)
     graph = None if edges_path is None else load_edges(edges_path)
@@ -289,20 +290,21 @@ def load_design(units_path: str, subunits_path: str, edges_path: Optional[str] =
     report = ValidationReport()
     if weight_cap is None:
         return design, report
-    owner, names = _codes(design.events.unit_ids)
-    flagged = np.bincount(owner, weights=design.events.importance,
-                          minlength=len(names)) > weight_cap
+    owner = design.event_unit
+    # bin 0 sums the events of no unit
+    flagged = np.bincount(owner + 1, weights=design.events.importance,
+                          minlength=len(design.units) + 1)[1:] > weight_cap
     if not flagged.any():
         return design, report
-    dropped = {u for u, f in zip(names, flagged) if f}
-    gone = flagged[owner]
+    dropped = {u for u, f in zip(design.units.ids, flagged) if f}
+    gone = (owner >= 0) & flagged[owner]
     report.dropped_unit_ids = sorted(dropped)
     report.dropped_subunit_ids = sorted(s for s, g in zip(design.events.ids, gone) if g)
     report.messages.append(
         f"dropped {len(dropped)} units with total subunit weight above "
         f"{weight_cap:g} (and {len(report.dropped_subunit_ids)} subunits)"
     )
-    units = design.units.take(np.flatnonzero([u not in dropped for u in design.units.ids]))
+    units = design.units.take(np.flatnonzero(~flagged))
     events = design.events.take(np.flatnonzero(~gone))
     if graph is not None:
         kept = [(u, s) for u, s in graph.edges if u not in dropped]
@@ -328,6 +330,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _bare(text: str, what: str) -> str:
+    """``text``, refused when it has leading or trailing whitespace: the
+    loader strips every cell, so it would not read back as written."""
+    if text != text.strip():
+        raise SchemaError(f"{what} {text!r} has leading or trailing whitespace")
+    return text
+
+
 def _csv_writer():
     """A string buffer and a CSV writer into it (quoting only where needed)."""
     out = StringIO()
@@ -346,9 +356,9 @@ def serialize_units(units: Sequence[UnitRecord]) -> str:
     out, writer = _csv_writer()
     writer.writerow(header)
     for u in sorted(units, key=lambda u: u.unit_id):
-        row = [u.unit_id, _fmt(u.outcome), _fmt(u.analysis_weight)]
+        row = [_bare(u.unit_id, "unit id"), _fmt(u.outcome), _fmt(u.analysis_weight)]
         for d in fe_dims:
-            key = str(u.fe_keys.get(d, ""))
+            key = _bare(str(u.fe_keys.get(d, "")), f"fixed-effect key of '{d}'")
             if not key:
                 # load_bundle rejects a blank fixed-effect cell
                 raise SchemaError(
@@ -373,7 +383,8 @@ def serialize_subunits(subunits: Sequence[SubunitRecord]) -> str:
     out, writer = _csv_writer()
     writer.writerow(header)
     for s in sorted(subunits, key=lambda s: s.subunit_id):
-        row = [s.subunit_id, s.unit_id, _fmt(s.running), _fmt(s.importance)]
+        row = [_bare(s.subunit_id, "subunit id"), _bare(s.unit_id, "unit id"),
+               _fmt(s.running), _fmt(s.importance)]
         row.append("" if s.win_flag is None else ("1" if s.win_flag else "0"))
         row += [_fmt(s.attributes[a]) if a in s.attributes else "" for a in attr_labels]
         writer.writerow(row)
@@ -383,7 +394,8 @@ def serialize_subunits(subunits: Sequence[SubunitRecord]) -> str:
 def serialize_edges(edges: SpilloverGraph) -> str:
     out, writer = _csv_writer()
     writer.writerow(("outcome_unit_id", "subunit_id"))
-    writer.writerows(sorted(edges.edges))
+    writer.writerows((_bare(unit, "edge unit id"), _bare(subunit, "edge subunit id"))
+                     for unit, subunit in sorted(edges.edges))
     return out.getvalue()
 
 
@@ -393,8 +405,10 @@ def write_bundle(bundle: InputBundle, units_path: str, subunits_path: str,
 
     Every file is serialized before any is written, so a bundle that
     ``load_bundle`` would reject (a unit without a key for a fixed-effect
-    dimension, or a value for a control, that another unit has) raises
-    SchemaError and writes nothing.
+    dimension, or a value for a control, that another unit has) or would
+    not read back as written (an id, unit reference, fixed-effect key or
+    edge endpoint with leading or trailing whitespace, which the loader
+    strips) raises SchemaError and writes nothing.
     """
     texts = [(units_path, serialize_units(bundle.units)),
              (subunits_path, serialize_subunits(bundle.subunits))]

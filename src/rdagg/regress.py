@@ -28,7 +28,9 @@ Conventions
   is at most ``tol`` times the column's weighted RMS, so the rule does not
   depend on the units of a column. The solve runs over cells (distinct
   combinations of keys across the dimensions) from their weight sums and
-  weighted column sums, which is all the equations read of the rows.
+  weighted column sums, which is all the equations read of the rows. The
+  same group codes and cells give the degrees of freedom the effects spend,
+  which the absorption returns with the columns.
 """
 
 from __future__ import annotations
@@ -403,20 +405,6 @@ def _factorize(keys) -> tuple:
     return codes.astype(np.intp, copy=False), groups.size
 
 
-def _key_dimensions(fe_keys) -> list:
-    """Normalize ``fe_keys`` to a list of per-dimension key sequences.
-
-    A single flat sequence of hashable keys is one dimension; a list whose
-    every element is itself a sequence (list/tuple/ndarray) is one sequence
-    per dimension. Composite keys must be pre-joined (e.g. "CA|1980").
-    """
-    if isinstance(fe_keys, (list, tuple)) and fe_keys and all(
-        isinstance(k, (list, tuple, np.ndarray)) for k in fe_keys
-    ):
-        return list(fe_keys)
-    return [fe_keys]
-
-
 def _cells(coded) -> tuple:
     """The cell of every row and the first row of every cell.
 
@@ -437,16 +425,45 @@ def _flat_index(codes: np.ndarray, k: int) -> np.ndarray:
     return (codes[:, None] * k + np.arange(k)).ravel()
 
 
+def _spent_dof(coded) -> int:
+    """Parameters spent by the fixed effects ``coded``, one (codes, groups)
+    pair per dimension, as ``absorb_fixed_effects`` counts them; the codes of
+    two dimensions are read one pair per cell, by union-find."""
+    if len(coded) != 2:
+        return sum(g if d == 0 else max(g - 1, 0) for d, (_, g) in enumerate(coded))
+    (codes1, g1), (codes2, g2) = coded
+    parent = list(range(g1 + g2))
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]  # path halving
+        return a
+
+    for a, b in zip(codes1.tolist(), (g1 + codes2).tolist()):
+        parent[root(a)] = root(b)
+    return g1 + g2 - sum(parent[v] == v for v in range(g1 + g2))
+
+
 def absorb_fixed_effects(
     columns,
     fe_keys,
     weights,
     tol: float = FE_TOL,
     max_iter: int = FE_MAX_ITER,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, int]:
     """Remove the weighted projection of ``columns`` onto fixed-effect dummies.
 
-    ``fe_keys`` is one key sequence or a list of them (one per dimension).
+    ``fe_keys`` holds one key sequence per dimension, each as long as
+    ``columns``; composite keys are joined beforehand (e.g. "CA|1980").
+    Returns the absorbed columns and the parameters the fixed effects spend,
+    counted from the same group codes and cells the solve uses: the group
+    count for one dimension, the rank G1 + G2 - C of the dummies for two,
+    where C counts the connected components of the graph linking groups
+    that share a cell (Abowd, Creecy & Kramarz 2002), and for three or more
+    the usual convention, all groups of the first dimension and
+    groups-minus-one of each further one, which ignores disconnected
+    components. The count depends on the keys only, not on the weights.
+
     A single dimension is one exact pass: subtract each row's weighted group
     mean. Two or more dimensions solve the normal equations
     D'WD a = D'W y for every column at once by conjugate gradients with a
@@ -479,7 +496,9 @@ def absorb_fixed_effects(
     if not np.all(np.isfinite(y)):
         raise ConfigurationError("columns to absorb fixed effects from must be finite")
     n, k = y.shape
-    coded = [_factorize(keys) for keys in _key_dimensions(fe_keys)]
+    coded = [_factorize(keys) for keys in fe_keys]
+    if not coded:
+        raise ConfigurationError("no fixed-effect dimensions to absorb")
     for codes, _ in coded:
         if codes.size != n:
             raise ConfigurationError(
@@ -550,31 +569,4 @@ def absorb_fixed_effects(
             rz = rz_next
         out = y - np.take(expand(alpha), cell, axis=0)
     out[:, np.sqrt(w @ (out * out)) <= PIVOT_RTOL * norms] = 0.0
-    return out[:, 0] if squeeze else out
-
-
-def fixed_effect_dof(fe_keys) -> int:
-    """Parameters implicitly spent by absorbed fixed effects.
-
-    One dimension spends its group count. Two spend G1 + G2 - C, the rank
-    of their dummy matrix, where C counts the connected components of the
-    graph linking groups that share a row (Abowd, Creecy & Kramarz 2002).
-    Three or more keep the usual convention, all groups of the first
-    dimension and groups-minus-one of each further one, which ignores
-    disconnected components.
-    """
-    coded = [_factorize(keys) for keys in _key_dimensions(fe_keys)]
-    if len(coded) != 2:
-        return sum(g if d == 0 else max(g - 1, 0) for d, (_, g) in enumerate(coded))
-    _, first = _cells(coded)
-    (codes1, g1), (codes2, g2) = coded
-    parent = list(range(g1 + g2))
-
-    def root(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]  # path halving
-        return a
-
-    for a, b in zip(codes1[first].tolist(), (g1 + codes2[first]).tolist()):
-        parent[root(a)] = root(b)
-    return g1 + g2 - sum(parent[v] == v for v in range(g1 + g2))
+    return (out[:, 0] if squeeze else out), _spent_dof(coded)

@@ -162,7 +162,7 @@ def test_criterion_02_regression_core_oracles():
         y = x @ np.array([1.0, -0.5]) + 0.4 * g1 - 0.2 * g2 + rng.normal(size=n)
         w = rng.uniform(0.5, 2.0, size=n)
         keys = [[str(v) for v in g1], [str(v) for v in g2]]
-        absorbed = absorb_fixed_effects(np.column_stack([y, x]), keys, w, tol=1e-13)
+        absorbed, _ = absorb_fixed_effects(np.column_stack([y, x]), keys, w, tol=1e-13)
         fit_a = wls_fit(RegressionProblem(absorbed[:, 0], absorbed[:, 1:], ["a", "b"], w))
         dummies = np.column_stack(
             [(g1 == v).astype(float) for v in range(5)]

@@ -1,9 +1,18 @@
 """Balance reports, plot bins, variance splits, counterfactual arithmetic."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from rdagg.design import Design, DesignConfig, SubunitRecord, UnitRecord, design_exposures
+from rdagg.design import (
+    Design,
+    DesignConfig,
+    SpilloverGraph,
+    SubunitRecord,
+    UnitRecord,
+    design_exposures,
+)
 from rdagg.diagnostics import (
     Z_CRITICAL_5PCT,
     balance,
@@ -11,7 +20,8 @@ from rdagg.diagnostics import (
     rd_plot_data,
     variance_decomposition,
 )
-from rdagg.errors import ConfigurationError, EstimationError
+from rdagg.errors import ConfigurationError, EstimationError, IntegrityError
+from rdagg.estimators import upper_iv
 
 
 def sub(sid, uid, r, s=1.0):
@@ -118,6 +128,21 @@ class TestBalance:
         assert rep.n_dropped == 10
         assert rep.n_obs == 40
 
+    def test_subunits_of_unknown_unit_refused(self):
+        # balance once dropped them silently (n_dropped=0) while every
+        # estimator on the partition graph refused the same design
+        rng = np.random.default_rng(9)
+        units = [UnitRecord(f"u{i:03d}", 0.0, extra_controls={"c": float(rng.normal())})
+                 for i in range(8)]
+        subs = [sub(f"{u.unit_id}-s0", u.unit_id, float(rng.normal())) for u in units]
+        subs += [sub(f"ghost-s{j}", "ghost", float(rng.normal())) for j in range(3)]
+        graph = SpilloverGraph(tuple((s.unit_id, s.subunit_id) for s in subs[:8]))
+        data = Design.from_records(units, subs, graph)
+        with pytest.raises(IntegrityError, match="ghost-s0"):
+            upper_iv(data, DesignConfig())
+        with pytest.raises(IntegrityError, match="ghost-s0"):
+            balance(data, DesignConfig(), covariates=["c"])
+
     def test_classical_f_available(self):
         rng = np.random.default_rng(5)
         units, subs = self.synthetic_units(rng, n=150)
@@ -207,6 +232,21 @@ class TestRdPlot:
         assert [(x.side, x.running, x.value, x.weight) for x in a.bins] == [
             (x.side, x.running, x.value, x.weight) for x in b.bins
         ]
+
+    def test_heavy_point_leaves_no_empty_bin(self):
+        # The left side's last point carries 100 of its 119 weight, so it
+        # fills all five bin targets at once; the four empty bins came out
+        # as NaN rows with a RuntimeWarning.
+        pts = [(-(i + 1) / 100, 1.0, 100.0 if i == 0 else 1.0) for i in range(20)]
+        pts += [((i + 1) / 100, 2.0, 1.0) for i in range(20)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = rd_plot_data(pts, n_bins_per_side=5)
+        left = [b for b in data.bins if b.side == "left"]
+        assert len(left) == 1 and left[0].n_obs == 20
+        assert len(data.bins) == 6
+        assert all(np.isfinite([b.running, b.value, b.weight]).all() for b in data.bins)
+        assert data.notices == ["left side: 1 of 5 bins have observations; empty bins omitted"]
 
     def test_one_sided_input_rejected(self):
         with pytest.raises(EstimationError, match="both sides"):

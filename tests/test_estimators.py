@@ -17,7 +17,7 @@ from rdagg.design import (
 )
 from rdagg.errors import ConfigurationError, EstimationError
 from rdagg.estimators import collapsed_iv, equivalence, sharp_rd, stacked_iv, upper_iv
-from rdagg import design
+from rdagg import design, estimators
 from rdagg.simlab import DgpSpec, estimand_oracle, generate_dgp, late_gap_check
 
 
@@ -372,6 +372,21 @@ class TestTwoWayFixedEffects:
             units, subs, _ = two_way_panel(np.random.default_rng(seed))
             rep = equivalence(Design.from_records(units, subs), self.cfg)
             assert rep.passed and rep.relative_gap <= 1e-8, rep
+
+    def test_equivalence_absorbs_once(self, monkeypatch):
+        """Both paths of the verifier read one absorbed unit block."""
+        units, subs, _ = two_way_panel(np.random.default_rng(44))
+        widths = []
+        absorb = estimators.absorb_fixed_effects
+
+        def counted(columns, *args, **kwargs):
+            widths.append(np.shape(columns)[1])
+            return absorb(columns, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "absorb_fixed_effects", counted)
+        rep = equivalence(Design.from_records(units, subs), self.cfg)
+        # outcome, treatment, instrument, three aggregated controls and c0
+        assert rep.passed and widths == [7]
 
 
 class TestControlScale:

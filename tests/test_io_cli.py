@@ -4,6 +4,7 @@ import csv
 import gc
 import json
 import math
+import re
 import struct
 import time
 from dataclasses import asdict, fields
@@ -252,6 +253,25 @@ class TestLoad:
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["validation"] == bundle.report.messages
+
+    def test_weight_cap_keeps_subunits_of_unknown_units(self, tmp_path):
+        # Three events of the unit id "ghost", which names no unit, weigh
+        # 1.5 in all; "ghost" was reported as a dropped unit and its events
+        # and their edges were removed.
+        units, subunits, edges = self.weight_cap_bundle(tmp_path, cross_edge=False)
+        with open(subunits, "a", encoding="utf-8") as fh:
+            fh.writelines(f"ghost-s{j},ghost,0.1,0.5\n" for j in range(3))
+        with open(edges, "a", encoding="utf-8") as fh:
+            fh.writelines(f"u01,ghost-s{j}\n" for j in range(3))
+        design, report = load_design(units, subunits, edges, weight_cap=1.2)
+        assert report.dropped_unit_ids == ["u00"]
+        assert report.dropped_subunit_ids == ["u00-s0", "u00-s1", "u00-s2"]
+        assert report.messages == [
+            "dropped 1 units with total subunit weight above 1.2 (and 3 subunits)"
+        ]
+        assert [j for j in design.events.ids if j.startswith("ghost")] == [
+            "ghost-s0", "ghost-s1", "ghost-s2"]
+        assert len(design.edge_unit) == 36
 
     def test_weight_cap_without_cross_edges_adds_no_message(self, tmp_path):
         bundle = load_bundle(*self.weight_cap_bundle(tmp_path, cross_edge=False),
@@ -521,6 +541,23 @@ class TestSerialize:
         with pytest.raises(SchemaError, match="'b'.*'x'"):
             write_bundle(InputBundle(units, subs), str(up), str(sp))
         assert not up.exists() and not sp.exists()
+
+    @pytest.mark.parametrize("where", ["unit", "subunit", "reference", "fe_key", "edge"])
+    def test_outer_whitespace_refused_before_writing(self, tmp_path, where):
+        # The loader strips every cell: a unit " a" came back as "a", and
+        # the keys " x" and "x" as one fixed-effect group.
+        units = [UnitRecord(" a" if where == "unit" else "a", 1.0,
+                            fe_keys={"g": " x" if where == "fe_key" else "x"}),
+                 UnitRecord("b", 2.0, fe_keys={"g": "x"})]
+        subs = [SubunitRecord("s\t" if where == "subunit" else "s",
+                              "b " if where == "reference" else "b", 0.0, 1.0)]
+        edges = SpilloverGraph((("b", "s "),) if where == "edge" else (("b", "s"),))
+        paths = [tmp_path / f for f in ("u.csv", "s.csv", "e.csv")]
+        bad = {"unit": " a", "subunit": "s\t", "reference": "b ", "fe_key": " x",
+               "edge": "s "}[where]
+        with pytest.raises(SchemaError, match=re.escape(repr(bad))):
+            write_bundle(InputBundle(units, subs, edges), *map(str, paths))
+        assert not any(p.exists() for p in paths)
 
     def test_ragged_attributes_round_trip(self, tmp_path):
         from rdagg.design import SubunitRecord, UnitRecord

@@ -12,7 +12,6 @@ from rdagg.regress import (
     FE_TOL,
     RegressionProblem,
     absorb_fixed_effects,
-    fixed_effect_dof,
     hc1_cov,
     iv_fit,
     residualize,
@@ -385,7 +384,7 @@ class TestAbsorb:
         rng = np.random.default_rng(14)
         x = rng.normal(size=30)
         w = rng.uniform(0.5, 2.0, size=30)
-        out = absorb_fixed_effects(x, ["g"] * 30, w)
+        out, _ = absorb_fixed_effects(x, [["g"] * 30], w)
         np.testing.assert_allclose(out, x - np.sum(w * x) / np.sum(w), atol=1e-12)
 
     def test_single_dimension_at_large_scale(self):
@@ -395,15 +394,15 @@ class TestAbsorb:
         x = rng.normal(size=60)
         keys = [f"g{v}" for v in rng.integers(0, 4, size=60)]
         w = rng.uniform(0.5, 2.0, size=60)
-        got = absorb_fixed_effects(1e9 * x, keys, w)
-        np.testing.assert_allclose(got, 1e9 * absorb_fixed_effects(x, keys, w), rtol=1e-10)
+        got, _ = absorb_fixed_effects(1e9 * x, [keys], w)
+        np.testing.assert_allclose(got, 1e9 * absorb_fixed_effects(x, [keys], w)[0], rtol=1e-10)
 
     def test_column_spanned_by_fixed_effects_becomes_zero(self):
         rng = np.random.default_rng(26)
         g = rng.integers(0, 5, size=50)
         level = rng.normal(size=5)[g] * 1e3
         cols = np.column_stack([level, rng.normal(size=50)])
-        out = absorb_fixed_effects(cols, [str(v) for v in g], rng.uniform(0.5, 2.0, size=50))
+        out, _ = absorb_fixed_effects(cols, [[str(v) for v in g]], rng.uniform(0.5, 2.0, size=50))
         assert np.all(out[:, 0] == 0.0) and np.all(out[:, 1] != 0.0)
 
     def test_coinciding_dimensions_match_single(self):
@@ -411,8 +410,8 @@ class TestAbsorb:
         x = rng.normal(size=40)
         keys = [str(i % 4) for i in range(40)]
         w = np.ones(40)
-        one = absorb_fixed_effects(x, keys, w)
-        two = absorb_fixed_effects(x, [keys, list(keys)], w)
+        one, _ = absorb_fixed_effects(x, [keys], w)
+        two, _ = absorb_fixed_effects(x, [keys, list(keys)], w)
         np.testing.assert_allclose(one, two, atol=1e-10)
 
     def test_crossed_dims_match_dummy_expansion(self):
@@ -429,7 +428,7 @@ class TestAbsorb:
         )
         w = rng.uniform(0.5, 2.0, size=n)
         keys = [[str(v) for v in g1], [str(v) for v in g2]]
-        absorbed = absorb_fixed_effects(np.column_stack([y, x]), keys, w)
+        absorbed, _ = absorb_fixed_effects(np.column_stack([y, x]), keys, w)
         fit_a = wls_fit(make(absorbed[:, 0], absorbed[:, 1:], w, labels=["x1", "x2"]))
         dummies = np.column_stack(
             [(g1 == v).astype(float) for v in range(6)]
@@ -452,17 +451,20 @@ class TestAbsorb:
     def test_keys_must_be_one_dimensional(self):
         keys = np.array([["a", "b"], ["a", "c"], ["b", "b"], ["b", "c"]])
         with pytest.raises(ConfigurationError, match="one-dimensional"):
-            absorb_fixed_effects(np.arange(4.0), keys, np.ones(4))
-        with pytest.raises(ConfigurationError, match="one-dimensional"):
-            fixed_effect_dof(keys)
+            absorb_fixed_effects(np.arange(4.0), [keys], np.ones(4))
+
+    @staticmethod
+    def dof(keys):
+        n = len(keys[0])
+        return absorb_fixed_effects(np.arange(n, dtype=float), keys, np.ones(n))[1]
 
     def test_dof_counting(self):
-        assert fixed_effect_dof(["a", "b", "a"]) == 2
-        assert fixed_effect_dof([["a", "b", "a"], ["x", "x", "y"]]) == 3
+        assert self.dof([["a", "b", "a"]]) == 2
+        assert self.dof([["a", "b", "a"], ["x", "x", "y"]]) == 3
 
     def test_dof_counts_disconnected_components(self):
         # {a, b, x, y} and {c, z} are separate components: 6 groups - 2.
-        assert fixed_effect_dof([["a", "a", "b", "c"], ["x", "y", "x", "z"]]) == 4
+        assert self.dof([["a", "a", "b", "c"], ["x", "y", "x", "z"]]) == 4
         rng = np.random.default_rng(24)
         for n_blocks in (1, 2, 3, 5):
             n = 80
@@ -473,7 +475,7 @@ class TestAbsorb:
                 [(g[:, None] == np.unique(g)).astype(float) for g in (g1, g2)]
             )
             keys = [[f"a{v}" for v in g1], [f"b{v}" for v in g2]]
-            assert fixed_effect_dof(keys) == np.linalg.matrix_rank(dummies)
+            assert self.dof(keys) == np.linalg.matrix_rank(dummies)
 
 
 class TestAbsorbMatchesAddAtLoop:
@@ -484,7 +486,7 @@ class TestAbsorbMatchesAddAtLoop:
     @staticmethod
     def assert_matches_dense(x, key_sets, w, rtol, **kwargs):
         expected = dense_absorb(x, key_sets, w)
-        got = absorb_fixed_effects(x, key_sets, w, **kwargs)
+        got, _ = absorb_fixed_effects(x, key_sets, w, **kwargs)
         assert got.shape == np.shape(x)
         pos = w > 0
         gap = np.abs(got[pos] - expected[pos]).max()
@@ -499,7 +501,7 @@ class TestAbsorbMatchesAddAtLoop:
         key_sets = [[f"d{d}g{v}" for v in rng.integers(0, 5 + 3 * d, n)] for d in range(n_dims)]
         if n_dims == 1:
             expected, _ = reference_absorb(x, key_sets, w)
-            assert np.array_equal(absorb_fixed_effects(x, key_sets[0], w), expected)
+            assert np.array_equal(absorb_fixed_effects(x, key_sets[:1], w)[0], expected)
         else:
             self.assert_matches_dense(x, key_sets, w, rtol=1e-10)
             self.assert_matches_dense(x, key_sets, w, rtol=1e-12, tol=1e-13)
@@ -507,7 +509,7 @@ class TestAbsorbMatchesAddAtLoop:
     def test_one_dimensional_column_stays_one_dimensional(self):
         x, key_sets, w = nested_panel(np.random.default_rng(34), n=120)
         expected, _ = reference_absorb(x[:, 0], key_sets[:1], w)
-        got = absorb_fixed_effects(x[:, 0], key_sets[0], w)
+        got, _ = absorb_fixed_effects(x[:, 0], key_sets[:1], w)
         assert got.shape == (120,)
         assert np.array_equal(got, expected)
         self.assert_matches_dense(x[:, 0], key_sets, w, rtol=1e-10)
@@ -519,7 +521,7 @@ class TestAbsorbMatchesAddAtLoop:
         key_sets[1] = ["empty" if i % 25 == 0 else k for i, k in enumerate(key_sets[1])]
         w[::25] = 0.0
         expected, _ = reference_absorb(x, key_sets[1:], w)
-        assert np.array_equal(absorb_fixed_effects(x, key_sets[1], w), expected)
+        assert np.array_equal(absorb_fixed_effects(x, key_sets[1:2], w)[0], expected)
         self.assert_matches_dense(x, key_sets, w, rtol=1e-10)
         self.assert_matches_dense(x, key_sets, w, rtol=1e-12, tol=1e-13)
 
@@ -542,8 +544,8 @@ class TestAbsorbMatchesAddAtLoop:
         # Under the sweep loop's absolute rule the 1e8 panel did not converge
         # in 10,000 sweeps.
         x, key_sets, w = nested_panel(np.random.default_rng(7))
-        base = absorb_fixed_effects(x, key_sets, w)
-        got = absorb_fixed_effects(scale * x, key_sets, w, max_iter=60)
+        base, _ = absorb_fixed_effects(x, key_sets, w)
+        got, _ = absorb_fixed_effects(scale * x, key_sets, w, max_iter=60)
         assert np.abs(got - scale * base).max() <= 1e-10 * np.abs(scale * base).max()
 
 
@@ -595,11 +597,19 @@ def absorb_cases(draw):
 def test_cell_solve_matches_dense_oracle(case):
     """The solve over cells matches explicit dummies, ignores row order, and
     depends on the rows only through their cell sums: splitting every row
-    into two at half weight gives the same result."""
+    into two at half weight gives the same result. So do the degrees of
+    freedom it returns: the rank of the dummies for two dimensions, the
+    convention for three."""
     x, codes, w, rng = case
     # The default stopping rule bounds group means, not entries, to 1e-10;
     # a tighter one leaves the comparison to the solve itself.
-    got = absorb_fixed_effects(x, codes, w, tol=1e-13)
+    got, dof = absorb_fixed_effects(x, codes, w, tol=1e-13)
+    groups = [np.unique(c) for c in codes]
+    if len(codes) == 2:
+        dummies = np.column_stack([c[:, None] == g for c, g in zip(codes, groups)])
+        assert dof == np.linalg.matrix_rank(dummies.astype(float))
+    else:
+        assert dof == sum(g.size for g in groups) - (len(groups) - 1)
     expected = dense_absorb(x, codes, w)
     pos = w > 0
     scale = np.abs(expected[pos]).max()
@@ -607,11 +617,15 @@ def test_cell_solve_matches_dense_oracle(case):
     assert np.abs(got[pos] - expected[pos]).max() <= 1e-10 * scale
 
     order = rng.permutation(w.size)
-    shuffled = absorb_fixed_effects(x[order], [c[order] for c in codes], w[order], tol=1e-13)
+    shuffled, shuffled_dof = absorb_fixed_effects(x[order], [c[order] for c in codes],
+                                                  w[order], tol=1e-13)
     assert np.abs(shuffled - got[order]).max() <= 1e-10 * scale
+    assert shuffled_dof == dof
 
-    halves = absorb_fixed_effects(np.repeat(x, 2, axis=0), [np.repeat(c, 2) for c in codes],
-                                  np.repeat(w / 2, 2), tol=1e-13)
+    halves, halves_dof = absorb_fixed_effects(
+        np.repeat(x, 2, axis=0), [np.repeat(c, 2) for c in codes], np.repeat(w / 2, 2),
+        tol=1e-13)
+    assert halves_dof == dof
     assert np.abs(halves[::2] - got).max() <= 1e-10 * scale
     assert np.abs(halves[1::2] - got).max() <= 1e-10 * scale
 
