@@ -154,12 +154,13 @@ def write_manifest(out_dir: str, command: str, inputs: List[str], config: dict, 
 
 
 def _bundle_command(sub, name: str, help: str, edges: bool = False) -> argparse.ArgumentParser:
-    """A subcommand that reads a CSV bundle, with the design flags."""
+    """A subcommand that reads a CSV bundle, with the design flags; only
+    with ``edges`` does it take (and require) an edges file."""
     p = sub.add_parser(name, help=help)
     p.add_argument("--units", required=True, help="units CSV path")
     p.add_argument("--subunits", required=True, help="subunits CSV path")
-    p.add_argument("--edges", required=edges, default=None,
-                   help="edges CSV path" if edges else "optional edges CSV path")
+    if edges:
+        p.add_argument("--edges", required=True, help="edges CSV path")
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--bandwidth", type=float, default=None)
@@ -309,9 +310,10 @@ def _run(args) -> int:
     # The remaining commands consume a bundle.
     config = _settings(DesignConfig, file_cfg,
                        {**vars(args), "control_set": CONTROL_ALIASES.get(args.controls)})
-    design, report = load_design(args.units, args.subunits, edges_path=args.edges,
+    edges = getattr(args, "edges", None)
+    design, report = load_design(args.units, args.subunits, edges_path=edges,
                                  weight_cap=args.weight_cap)
-    inputs = [args.units, args.subunits] + ([args.edges] if args.edges else [])
+    inputs = [args.units, args.subunits, edges]
     manifest_cfg = {"design": _config_echo(config)}
     if report.messages:
         manifest_cfg["validation"] = report.messages

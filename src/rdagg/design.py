@@ -13,6 +13,8 @@ holds one dataset as numpy arrays, built once:
   label (NaN where an event lacks the attribute) and the rank of the
   subunit id;
 - optionally the edges of a spillover graph, as unit rows and event indices.
+  They come in as an ``Edges`` table, two id columns with one entry per
+  edge, which ``Design.assemble`` resolves as it resolves the events.
 
 A design has three constructors: ``io.load_design`` (CSV columns),
 ``simlab.generate_design`` (the generator's own arrays) and
@@ -21,8 +23,9 @@ records back on request. Events keep their input order, so every sum below
 runs in the order the events were given.
 
 Every constructor ends in ``Design.assemble``, the one place where ids are
-resolved and checked: it refuses duplicate unit or subunit ids and edges to
-unknown units or subunits. ``Design.require_owners`` is the one orphan
+resolved and checked: it refuses duplicate unit or subunit ids, edges to
+unknown units or subunits, and duplicate edges, since an edge given twice
+would count its event twice. ``Design.require_owners`` is the one orphan
 check, run where every event must belong to a unit (the partition graph).
 
 Every aggregate is read off one edge index: two integer arrays mapping each
@@ -227,7 +230,8 @@ class _Table:
     """Columns of one length: lists, arrays, or dicts of arrays keyed by label."""
 
     def __len__(self) -> int:
-        return len(self.ids)
+        # the first column's length (vars() keeps the field order)
+        return len(next(iter(vars(self).values())))
 
     def take(self, rows: np.ndarray):
         """The table on ``rows``, an index array."""
@@ -268,6 +272,15 @@ class Events(_Table):
     def attribute(self, label: str) -> np.ndarray:
         """An attribute column; all NaN when no event has the attribute."""
         return self.attributes.get(label, np.full(len(self), np.nan))
+
+
+@dataclass(frozen=True, eq=False)
+class Edges(_Table):
+    """Spillover graph columns, one entry per edge: edge k links the unit
+    ``unit_ids[k]`` to the subunit ``subunit_ids[k]``."""
+
+    unit_ids: Sequence[str]
+    subunit_ids: Sequence[str]
 
 
 def _floats(values) -> np.ndarray:
@@ -321,18 +334,18 @@ class Design:
     edge_event: Optional[np.ndarray] = None
 
     @classmethod
-    def assemble(cls, units: Units, events: Events,
-                 graph: Optional[SpilloverGraph] = None) -> "Design":
+    def assemble(cls, units: Units, events: Events, edges: Optional[Edges] = None) -> "Design":
         """Sort the units, code the fixed effects, rank the events and
         resolve every id: each event's unit and each edge's endpoints.
 
         This is the integrity gate of every constructor. It raises
-        IntegrityError on duplicate unit ids, on duplicate subunit ids and
-        on edges to an unknown unit or subunit; each message lists at most
-        five sorted ids, so it does not depend on row order. An event whose
-        unit id names no unit is kept (graph designs and sharp RD have such
-        events); ``require_owners`` refuses it where every event must
-        belong to a unit."""
+        IntegrityError on duplicate unit ids, on duplicate subunit ids, on
+        edges to an unknown unit or subunit and on an edge given twice;
+        each message lists at most five sorted ids or (unit, subunit)
+        pairs, so it does not depend on row order. An event whose unit id
+        names no unit is kept (graph designs and sharp RD have such events);
+        ``require_owners`` refuses it where every event must belong to a
+        unit."""
         units = units.take(np.array(sorted(range(len(units)), key=units.ids.__getitem__),
                                     dtype=np.intp))
         units = replace(units, controls=dict(sorted(units.controls.items())),
@@ -342,12 +355,20 @@ class Design:
         rank = np.empty(len(events), dtype=np.intp)
         rank[sorted(range(len(events)), key=events.ids.__getitem__)] = np.arange(len(events))
         edge_unit = edge_event = None
-        if graph is not None:
-            ends = tuple(zip(*graph.edges)) or ((), ())
-            edge_unit, edge_event = _lookup(rows, ends[0]), _lookup(index, ends[1])
+        if edges is not None:
+            edge_unit, edge_event = (_lookup(rows, edges.unit_ids),
+                                     _lookup(index, edges.subunit_ids))
             if (edge_unit < 0).any() or (edge_event < 0).any():
-                missing = {*compress(ends[0], edge_unit < 0), *compress(ends[1], edge_event < 0)}
+                missing = {*compress(edges.unit_ids, edge_unit < 0),
+                           *compress(edges.subunit_ids, edge_event < 0)}
                 raise IntegrityError(f"edges referencing missing endpoints: {_few(missing)}")
+            # a repeated edge would count its event twice in the unit's sums
+            pairs = np.sort(edge_unit * len(events) + edge_event)
+            twice = pairs[1:][pairs[1:] == pairs[:-1]].tolist()
+            if twice:
+                raise IntegrityError("duplicate edges: " + _few(
+                    {(units.ids[i], events.ids[j])
+                     for i, j in map(divmod, twice, repeat(len(events)))}))
         return cls(
             units=units,
             events=events,
@@ -386,7 +407,7 @@ class Design:
                 attributes={a: _floats(s.attributes.get(a, np.nan) for s in subunits)
                             for a in attributes},
             ),
-            graph,
+            None if graph is None else Edges(*(tuple(zip(*graph.edges)) or ((), ()))),
         )
 
     def require_owners(self) -> None:
@@ -417,10 +438,9 @@ class Design:
                 e.ids, e.unit_ids, e.running.tolist(), e.importance.tolist(),
                 e.win_flag.tolist()))
         ]
-        graph = None
-        if self.edge_unit is not None:
-            graph = SpilloverGraph(tuple((u.ids[i], e.ids[j]) for i, j in zip(
-                self.edge_unit.tolist(), self.edge_event.tolist())))
+        graph = None if self.edge_unit is None else SpilloverGraph(tuple(
+            (u.ids[i], e.ids[j]) for i, j in zip(self.edge_unit.tolist(),
+                                                 self.edge_event.tolist())))
         return units, subunits, graph
 
 
@@ -470,7 +490,7 @@ class _EdgeIndex:
 
 
 def _edge_index(design: Design, config: DesignConfig, spillover: bool) -> _EdgeIndex:
-    """The design's graph edges, or without ``spillover`` the partition
+    """The edges of the design's graph, or without ``spillover`` the partition
     graph, where edge j is event j linked to its owning unit (which must be
     one of the units)."""
     if spillover:

@@ -7,7 +7,7 @@ File schemas (UTF-8, header row, '.' decimal separator):
 - subunits.csv: subunit_id, unit_id, running, importance,
                 win_flag (optional, 0/1, may be blank), attr_* columns
                 (blank where a subunit lacks the attribute)
-- edges.csv:    outcome_unit_id, subunit_id
+- edges.csv:    outcome_unit_id, subunit_id (one row per distinct link)
 
 Prefixes are stripped on load: fe_region becomes fixed-effect dimension
 "region", ctrl_share_male becomes extra control "share_male", attr_votes
@@ -15,6 +15,9 @@ becomes attribute "votes".
 
 ``load_design`` reads the files straight into a ``design.Design`` of numpy
 arrays; ``load_bundle`` is ``load_design`` plus record materialization.
+``load_units``, ``load_subunits`` and ``load_edges`` return the column
+tables ``Units``, ``Events`` and ``Edges``; the last holds the two
+endpoint columns of edges.csv in file order, one entry per row.
 Each file is read in one ``csv.reader`` pass, split into columns of
 stripped cells, and each numeric column is converted whole with
 ``np.array(column, dtype=np.float64)``, which accepts exactly the strings
@@ -33,9 +36,10 @@ is split and counted before any cell is checked, so a row with the wrong
 number of fields is reported before a bad value.
 
 This module checks each file on its own. Ids (duplicates, subunits of
-unknown units, edge endpoints) are not checked here but by
-``design.Design.assemble`` and ``Design.require_owners``, the same gate the
-record API and the simulator pass through.
+unknown units, edge endpoints, edges.csv rows that repeat a link) are not
+checked here but by ``design.Design.assemble`` and
+``Design.require_owners``, the same gate the record API and the simulator
+pass through.
 """
 
 from __future__ import annotations
@@ -44,13 +48,14 @@ import csv
 import gc
 from dataclasses import dataclass, field
 from io import StringIO
+from itertools import compress
 from math import isfinite
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import Design, Events, SpilloverGraph, SubunitRecord, UnitRecord, Units
+from .design import Design, Edges, Events, SpilloverGraph, SubunitRecord, UnitRecord, Units
 from .errors import ConfigurationError, SchemaError
 
 
@@ -258,13 +263,14 @@ def load_subunits(path: str) -> Events:
     return Events(ids, columns[i_unit], running, importance, win_flag, attributes)
 
 
-def load_edges(path: str) -> SpilloverGraph:
+def load_edges(path: str) -> Edges:
+    """The two columns of edges.csv, checked for blank endpoints."""
     header, columns, lines = _read_columns(path)
     i_unit, i_sub = _columns(header, path, ("outcome_unit_id", "subunit_id"))
     blank = [i for i in (_first(columns[i_unit], ""), _first(columns[i_sub], "")) if i is not None]
     if blank:
         raise SchemaError(f"{path}:{lines[min(blank)]}: empty edge endpoint")
-    return SpilloverGraph(tuple(zip(columns[i_unit], columns[i_sub])))
+    return Edges(columns[i_unit], columns[i_sub])
 
 
 def load_design(units_path: str, subunits_path: str, edges_path: Optional[str] = None,
@@ -273,7 +279,7 @@ def load_design(units_path: str, subunits_path: str, edges_path: Optional[str] =
 
     The files are checked here for schema and values; ids and references
     are checked by ``Design.assemble`` on the files as read (duplicate ids,
-    edge endpoints) and, without an edges file, by
+    edge endpoints, duplicate edges) and, without an edges file, by
     ``Design.require_owners`` (every subunit must belong to a known unit).
     ``weight_cap`` then optionally drops units whose total subunit
     importance exceeds the cap, with their subunits and every edge touching
@@ -283,9 +289,9 @@ def load_design(units_path: str, subunits_path: str, edges_path: Optional[str] =
     edges from kept units to dropped subunits.
     """
     units, events = load_units(units_path), load_subunits(subunits_path)
-    graph = None if edges_path is None else load_edges(edges_path)
-    design = Design.assemble(units, events, graph)
-    if graph is None:
+    edges = None if edges_path is None else load_edges(edges_path)
+    design = Design.assemble(units, events, edges)
+    if edges is None:
         design.require_owners()
     report = ValidationReport()
     if weight_cap is None:
@@ -296,25 +302,22 @@ def load_design(units_path: str, subunits_path: str, edges_path: Optional[str] =
                           minlength=len(design.units) + 1)[1:] > weight_cap
     if not flagged.any():
         return design, report
-    dropped = {u for u, f in zip(design.units.ids, flagged) if f}
     gone = (owner >= 0) & flagged[owner]
-    report.dropped_unit_ids = sorted(dropped)
-    report.dropped_subunit_ids = sorted(s for s, g in zip(design.events.ids, gone) if g)
+    report.dropped_unit_ids = list(compress(design.units.ids, flagged))
+    report.dropped_subunit_ids = sorted(compress(design.events.ids, gone))
     report.messages.append(
-        f"dropped {len(dropped)} units with total subunit weight above "
+        f"dropped {len(report.dropped_unit_ids)} units with total subunit weight above "
         f"{weight_cap:g} (and {len(report.dropped_subunit_ids)} subunits)"
     )
-    units = design.units.take(np.flatnonzero(~flagged))
-    events = design.events.take(np.flatnonzero(~gone))
-    if graph is not None:
-        kept = [(u, s) for u, s in graph.edges if u not in dropped]
-        dropped_subunits = set(report.dropped_subunit_ids)
-        graph = SpilloverGraph(tuple(e for e in kept if e[1] not in dropped_subunits))
-        report.dropped_edges = len(kept) - len(graph.edges)
+    if edges is not None:
+        kept, cut = ~flagged[design.edge_unit], gone[design.edge_event]
+        edges = edges.take(np.flatnonzero(kept & ~cut))
+        report.dropped_edges = int((kept & cut).sum())
         if report.dropped_edges:
             report.messages.append(f"dropped {report.dropped_edges} edges from kept "
                                    f"units to dropped subunits")
-    return Design.assemble(units, events, graph), report
+    return Design.assemble(design.units.take(np.flatnonzero(~flagged)),
+                           design.events.take(np.flatnonzero(~gone)), edges), report
 
 
 def load_bundle(units_path: str, subunits_path: str, edges_path: Optional[str] = None,

@@ -270,7 +270,7 @@ class TestStack:
                 for k in range(30)]
         units = [unit(f"u{i}") for i in range(4)]
         graph = SpilloverGraph(tuple(
-            (f"u{int(rng.integers(0, 4))}", s.subunit_id) for s in subs for _ in range(2)
+            (f"u{i}", s.subunit_id) for s in subs for i in rng.choice(4, size=2, replace=False)
         ))
         for g in (None, graph):
             stack = design_stack(Design.from_records(units[::-1], subs[::-1], g),

@@ -32,6 +32,7 @@ from rdagg.io import (
     _number_column,
     load_bundle,
     load_design,
+    load_edges,
     serialize_subunits,
     serialize_units,
     write_bundle,
@@ -242,8 +243,13 @@ class TestLoad:
             "dropped 1 units with total subunit weight above 1.2 (and 3 subunits)",
             "dropped 1 edges from kept units to dropped subunits",
         ]
-        assert len(bundle.edges.edges) == 33
-        assert all(not s.startswith("u00") for _, s in bundle.edges.edges)
+        # the benchmark counts load_edges rows by len() and reads
+        # load_bundle(...).edges as a graph in file order
+        assert len(load_edges(paths[2])) == 37
+        with open(paths[2], encoding="utf-8") as fh:
+            rows = [tuple(row) for row in csv.reader(fh)][1:]
+        assert isinstance(bundle.edges, SpilloverGraph)
+        assert bundle.edges.edges == tuple(e for e in rows if not e[1].startswith("u00-"))
         result = estimate_spillover_bilateral(bundle.edges, bundle.units, bundle.subunits,
                                               DesignConfig(bandwidth=1.0))
         assert result.n_stacked_rows == 33
@@ -274,13 +280,16 @@ class TestLoad:
         assert len(design.edge_unit) == 36
 
     def test_weight_cap_without_cross_edges_adds_no_message(self, tmp_path):
-        bundle = load_bundle(*self.weight_cap_bundle(tmp_path, cross_edge=False),
-                             weight_cap=1.2)
+        paths = self.weight_cap_bundle(tmp_path, cross_edge=False)
+        bundle = load_bundle(*paths, weight_cap=1.2)
         assert bundle.report.dropped_edges == 0
         assert bundle.report.messages == [
             "dropped 1 units with total subunit weight above 1.2 (and 3 subunits)"
         ]
-        assert len(bundle.edges.edges) == 33
+        assert len(load_edges(paths[2])) == 36
+        assert isinstance(bundle.edges, SpilloverGraph)
+        assert bundle.edges.edges == tuple(
+            (f"u{i:02d}", f"u{i:02d}-s{j}") for i in range(1, 12) for j in range(3))
 
     def test_spillover_mode_allows_unattached_subunits(self, tmp_path):
         up = write(tmp_path, "units.csv", MINIMAL_UNITS)
@@ -315,6 +324,10 @@ class TestIntegrityGate:
         "edge to an unknown subunit": (
             UNITS, SUBUNITS, [("u1", "j1"), ("u2", "ghost")],
             "edges referencing missing endpoints: ['ghost']"),
+        "duplicate edges": (
+            UNITS, SUBUNITS, [("u2", "j2"), ("u1", "j1"), ("u2", "j2"), ("u3", "j1"),
+                              ("u1", "j1"), ("u2", "j2")],
+            "duplicate edges: [('u1', 'j1'), ('u2', 'j2')]"),
         "orphan subunit": (
             UNITS, SUBUNITS + [("s9", "nope9", 0.0, 1.0), ("s8", "nope8", 0.0, 1.0)], None,
             "subunits referencing missing units: ['s8', 's9']"),
@@ -693,6 +706,28 @@ class TestCli:
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["estimate-upper", "estimate-lower",
+                                         "estimate-benchmark", "sharp-rd",
+                                         "verify-equivalence", "balance", "plot-data"])
+    def test_edges_refused_where_no_graph_is_read(self, tmp_path, command, capsys):
+        paths = full_bundle(tmp_path, np.random.default_rng(8), edges=True)
+        with pytest.raises(SystemExit) as err:
+            main([command, "--units", paths["units"], "--subunits", paths["subunits"],
+                  "--edges", paths["edges"], "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --edges" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sharp_rd_refuses_orphan_subunits(self, tmp_path, capsys):
+        up = write(tmp_path, "units.csv", MINIMAL_UNITS)
+        sp = write(tmp_path, "subunits.csv",
+                   MINIMAL_SUBUNITS + "j1,ghost,0.1,1.0\nj2,ghost,-0.1,1.0\n")
+        assert main(["sharp-rd", "--units", up, "--subunits", sp,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "subunits referencing missing units: ['j1', 'j2']",
+            "type": "IntegrityError"}
 
     def test_computation_error_exits_1(self, tmp_path, capsys):
         up = write(tmp_path, "units.csv", "unit_id,outcome,weight\nu1,oops,1.0\n")

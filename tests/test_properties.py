@@ -32,7 +32,7 @@ MIN_PARTIAL_F = 1e-2
 def make_bundle(seed, fe):
     """A random bundle with an extra control, analysis weights, an optional
     fixed-effect dimension, and a graph linking each event to its own unit
-    and sometimes to one other unit."""
+    and sometimes to one other unit (each link once)."""
     rng = np.random.default_rng(seed)
     n_units = int(rng.integers(20, 41))
     units, subunits, edges = [], [], []
@@ -51,7 +51,8 @@ def make_bundle(seed, fe):
                                           float(rng.uniform(0.2, 2.0))))
             edges.append((uid, sid))
             if rng.random() < 0.5:
-                edges.append((f"u{int(rng.integers(0, n_units)):03d}", sid))
+                other = int(rng.integers(0, n_units - 1))
+                edges.append((f"u{other + (other >= i):03d}", sid))
     return units, subunits, edges
 
 
@@ -134,7 +135,8 @@ POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
 def bundles(draw):
     """Random records that write_bundle can write: every unit has the same
     fixed-effect dimensions and controls; attributes are ragged; win_flag
-    is blank, 0 or 1; with edges, subunits may name units that do not exist."""
+    is blank, 0 or 1; with edges, subunits may name units that do not exist,
+    and no link is drawn twice."""
     unit_ids = draw(st.lists(IDS, min_size=1, max_size=8, unique=True))
     dims = draw(st.lists(st.sampled_from(["state", "ind"]), unique=True))
     controls = draw(st.lists(st.sampled_from(["a", "b"]), unique=True))
@@ -166,7 +168,8 @@ def bundles(draw):
     graph = None
     if with_edges:
         pairs = st.tuples(st.sampled_from(unit_ids), st.sampled_from(subunit_ids or ["?"]))
-        graph = SpilloverGraph(tuple(draw(st.lists(pairs, max_size=15))) if subunit_ids else ())
+        graph = SpilloverGraph(
+            tuple(draw(st.lists(pairs, max_size=15, unique=True))) if subunit_ids else ())
     return InputBundle(units, subunits, graph)
 
 
