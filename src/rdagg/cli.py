@@ -261,12 +261,13 @@ def _run(args) -> int:
         out_csv = os.path.join(args.out, "mc_summary.csv")
         with open(out_csv, "w", encoding="utf-8") as fh:
             fh.write(summary.to_csv())
-        write_manifest(
-            args.out, cmd, [args.config] if args.config else [],
-            {"dgp": asdict(spec), "h_grid": h_grid, "estimators": estimators,
-             "reps": args.reps, "boot": args.boot},
-            spec.seed,
-        )
+        manifest_cfg = {"dgp": asdict(spec), "h_grid": h_grid, "estimators": estimators,
+                        "reps": args.reps, "boot": args.boot}
+        failures = [{"estimator": c.estimator, "h": c.h, "reasons": c.fail_reasons}
+                    for c in summary.cells if c.n_fail]
+        write_manifest(args.out, cmd, [args.config] if args.config else [],
+                       dict(manifest_cfg, failures=failures) if failures else manifest_cfg,
+                       spec.seed)
         print(f"wrote {out_csv} ({len(summary.cells)} cells"
               f"{', high failure rate' if summary.high_failure else ''})")
         return 0

@@ -25,8 +25,10 @@ runs in the order the events were given.
 Every constructor ends in ``Design.assemble``, the one place where ids are
 resolved and checked: it refuses duplicate unit or subunit ids, edges to
 unknown units or subunits, and duplicate edges, since an edge given twice
-would count its event twice. ``Design.require_owners`` is the one orphan
-check, run where every event must belong to a unit (the partition graph).
+would count its event twice. ``Design.subset`` keeps rows of a design
+already through the gate without resolving an id again.
+``Design.require_owners`` is the one orphan check, run where every event
+must belong to a unit (the partition graph).
 
 Every aggregate is read off one edge index: two integer arrays mapping each
 edge to a unit row and to an event. Without a spillover graph the index is
@@ -410,6 +412,25 @@ class Design:
             None if graph is None else Edges(*(tuple(zip(*graph.edges)) or ((), ()))),
         )
 
+    def subset(self, units: np.ndarray, events: np.ndarray,
+               edges: Optional[np.ndarray] = None) -> "Design":
+        """The design on the units, events and edges where the boolean masks
+        hold, equal to ``assemble`` on those rows without resolving an id
+        again: rows are renumbered by the count of kept rows before them,
+        kept events ranked by their old ranks and the fixed effects coded
+        over the kept keys. A kept event's unit and a kept edge's endpoints
+        must be kept."""
+        # the appended -1 is the row of the events of no unit
+        unit_row = np.append(np.cumsum(units) - 1, -1)
+        kept = self.units.take(np.flatnonzero(units))
+        return Design(
+            kept, self.events.take(np.flatnonzero(events)),
+            unit_row[self.event_unit[events]], np.argsort(np.argsort(self.event_rank[events])),
+            {dim: _codes(keys)[0] for dim, keys in kept.fe.items()},
+            None if edges is None else unit_row[self.edge_unit[edges]],
+            None if edges is None else np.cumsum(events)[self.edge_event[edges]] - 1,
+        )
+
     def require_owners(self) -> None:
         """Raise IntegrityError unless every event's unit id names a unit."""
         if (self.event_unit < 0).any():
@@ -518,18 +539,17 @@ def _unit_sum(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 def _exposures(design: Design, e: _EdgeIndex) -> UnitExposures:
     """Sum each unit's edges: the treatment over all of them, the instrument
-    and the controls over close ones. Sums run in edge order."""
+    and the controls over close ones, which are gathered once. Sums run in
+    edge order."""
     n, events = len(design.units), design.events
-    s_w, r, z = events.importance[e.event], events.running[e.event], e.instrument[e.event]
-    close = e.close[e.event]
-    rows = e.unit_row[close]
-
-    def close_sum(values):
-        return _unit_sum(rows, values[close], n)
-
-    treatment = _unit_sum(e.unit_row, s_w * e.treatment[e.event], n)
-    instrument = close_sum(s_w * z)
-    controls = np.column_stack([close_sum(s_w), close_sum(s_w * r), close_sum(s_w * r * z)])
+    treatment = _unit_sum(e.unit_row, events.importance[e.event] * e.treatment[e.event], n)
+    close = np.flatnonzero(e.close[e.event])
+    rows, event = e.unit_row[close], e.event[close]
+    s_w = events.importance[event]
+    s_r, z = s_w * events.running[event], e.instrument[event]
+    controls = np.column_stack([_unit_sum(rows, s_w, n), _unit_sum(rows, s_r, n),
+                                _unit_sum(rows, s_r * z, n)])
+    instrument = _unit_sum(rows, s_w * z, n)
     override = ~np.isnan(design.units.override)
     treatment[override] = design.units.override[override]
     return UnitExposures(design.units.ids, treatment, instrument, controls)

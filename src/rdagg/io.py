@@ -283,10 +283,11 @@ def load_design(units_path: str, subunits_path: str, edges_path: Optional[str] =
     ``Design.require_owners`` (every subunit must belong to a known unit).
     ``weight_cap`` then optionally drops units whose total subunit
     importance exceeds the cap, with their subunits and every edge touching
-    either, a consistency guard against impossible aggregates. Subunits
-    whose unit id names no unit (which an edges file allows) count toward
-    no unit and stay. Dropped ids land in the report, which also counts the
-    edges from kept units to dropped subunits.
+    either, a consistency guard against impossible aggregates; the kept rows
+    are a ``Design.subset`` of the checked design, so no id is looked up
+    twice. Subunits whose unit id names no unit (which an edges file allows)
+    count toward no unit and stay. Dropped ids land in the report, which
+    also counts the edges from kept units to dropped subunits.
     """
     units, events = load_units(units_path), load_subunits(subunits_path)
     edges = None if edges_path is None else load_edges(edges_path)
@@ -311,13 +312,12 @@ def load_design(units_path: str, subunits_path: str, edges_path: Optional[str] =
     )
     if edges is not None:
         kept, cut = ~flagged[design.edge_unit], gone[design.edge_event]
-        edges = edges.take(np.flatnonzero(kept & ~cut))
+        edges = kept & ~cut
         report.dropped_edges = int((kept & cut).sum())
         if report.dropped_edges:
             report.messages.append(f"dropped {report.dropped_edges} edges from kept "
                                    f"units to dropped subunits")
-    return Design.assemble(design.units.take(np.flatnonzero(~flagged)),
-                           design.events.take(np.flatnonzero(~gone)), edges), report
+    return design.subset(~flagged, ~gone, edges), report
 
 
 def load_bundle(units_path: str, subunits_path: str, edges_path: Optional[str] = None,

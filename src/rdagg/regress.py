@@ -14,9 +14,13 @@ Conventions
   nor HC1 standard errors.
 - Collinear columns are dropped in column order: column k is dropped when its
   residual norm, after projecting out previously kept columns in the weighted
-  metric, is at most PIVOT_RTOL times its own weighted norm. Kept columns are
-  solved at unit weighted norm, so neither the rank decision nor the solve
-  depends on the units a column is measured in.
+  metric, is at most PIVOT_RTOL times its own weighted norm, so the rank
+  decision does not depend on the units a column is measured in. The same
+  Gram-Schmidt pass (classical, run twice) gives an orthonormal basis Q of
+  the kept weighted columns and the triangular R with Q R equal to them, and
+  the least-squares solve is R b = Q'y (Bjorck 1967): the basis is
+  orthonormal whatever the scales, and the triangular solve scales with each
+  column, so the solve does not depend on those units either.
 - Every estimator is a just-identified IV with one endogenous column.
   ``iv_fit`` screens the controls once, partials outcome, treatment and
   instrument out of the kept ones with one solve, and reads every IV number
@@ -158,27 +162,35 @@ def _validate(problem: RegressionProblem):
 
 
 def _screen_columns(xw: np.ndarray):
-    """Rank screen in column order on the weighted design.
+    """Rank screen in column order on the weighted design, and its QR factors.
 
-    Returns the indices of kept columns and their weighted norms. Column k's
-    pivot is the norm of its residual after projecting out previously kept
-    columns (projection applied twice for numerical stability); it is dropped
-    when the pivot is at most PIVOT_RTOL times the column's own norm.
+    Returns the indices of kept columns, an orthonormal basis Q of them and
+    the upper-triangular R with ``Q @ R == xw[:, kept]``. Column k's pivot is
+    the norm of its residual after projecting out the basis of previously
+    kept columns, by classical Gram-Schmidt applied twice, which leaves the
+    basis orthonormal to working precision (Giraud, Langou & Rozloznik
+    2005); the two passes' coefficients are R's column. The column is
+    dropped when the pivot is at most PIVOT_RTOL times its own norm, and a
+    dropped column leaves nothing in Q or R.
     """
-    norms = np.sqrt(np.einsum("ij,ij->j", xw, xw))
+    cols = np.ascontiguousarray(xw.T)  # a private copy, reduced in place
+    norms = np.sqrt(np.einsum("ij,ij->i", cols, cols))
     kept: list = []
-    basis: list = []
-    for k in range(xw.shape[1]):
-        v = xw[:, k].copy()
-        for q in basis:
-            v -= (q @ v) * q
-        for q in basis:
-            v -= (q @ v) * q
+    basis, R = np.empty_like(cols), np.zeros((len(cols), len(cols)))
+    for k, v in enumerate(cols):
+        j, coef = len(kept), 0.0
+        if j:
+            coef = basis[:j] @ v
+            v -= coef @ basis[:j]
+            again = basis[:j] @ v
+            v -= again @ basis[:j]
+            coef += again
         pivot = float(np.sqrt(v @ v))
         if pivot > PIVOT_RTOL * norms[k]:
+            R[:j, j], R[j, j] = coef, pivot
+            basis[j] = v / pivot
             kept.append(k)
-            basis.append(v / pivot)
-    return kept, norms[kept]
+    return kept, basis[: len(kept)].T, R[: len(kept), : len(kept)]
 
 
 def _partial(columns: np.ndarray, on: np.ndarray, w: np.ndarray):
@@ -186,16 +198,12 @@ def _partial(columns: np.ndarray, on: np.ndarray, w: np.ndarray):
     columns with one weighted least-squares solve.
 
     Returns the kept indices, the coefficients (one row per kept column) and
-    the residuals. The solve runs on the kept columns scaled to unit
-    weighted norm; the coefficients are scaled back.
+    the residuals. The solve is R B = Q'(sqrt(w) columns) on the screen's
+    own factors, so the kept columns are orthogonalized once per call.
     """
     sw = np.sqrt(w)
-    ow = on * sw[:, None]
-    kept, norms = _screen_columns(ow)
-    if not kept:
-        return kept, np.empty((0, columns.shape[1])), columns.copy()
-    B, *_ = np.linalg.lstsq(ow[:, kept] / norms, columns * sw[:, None], rcond=None)
-    B /= norms[:, None]
+    kept, Q, R = _screen_columns(on * sw[:, None])
+    B = np.linalg.solve(R, Q.T @ (columns * sw[:, None]))
     return kept, B, columns - on[:, kept] @ B
 
 
@@ -241,8 +249,7 @@ def wls_fit(problem: RegressionProblem, extra_dof: int = 0) -> FitResult:
     if not kept:
         raise ConfigurationError("design matrix has no usable columns after rank screening")
     b, residuals = B[:, 0], e[:, 0]
-    kept_set = set(kept)
-    dropped = [labels[j] for j in range(X.shape[1]) if j not in kept_set]
+    dropped = [lab for j, lab in enumerate(labels) if j not in kept]
     n_obs = int(np.count_nonzero(w > 0))
     dof = n_obs - len(kept) - int(extra_dof)
     kept_labels = [labels[j] for j in kept]

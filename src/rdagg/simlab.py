@@ -22,7 +22,9 @@ no records.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -168,9 +170,10 @@ def generate_design(spec: DgpSpec, replication_index: int = 0) -> Tuple[Design, 
 
     width = max(5, len(str(n - 1)))
     unit_ids = [f"u{i:0{width}d}" for i in range(n)]
+    suffixes = [f"-s{k}" for k in range(int(counts.max()))]
     design = Design.assemble(
         Units(unit_ids, y, np.ones(n), np.full(n, np.nan), {}, {}),
-        Events([f"{unit_ids[i]}-s{k}" for i in range(n) for k in range(int(counts[i]))],
+        Events([uid + sfx for uid, c in zip(unit_ids, counts.tolist()) for sfx in suffixes[:c]],
                [unit_ids[i] for i in unit_idx.tolist()], r, s, np.full(r.size, np.nan), {}),
     )
     effects = dict(zip(unit_ids, unit_effects.tolist())) if unit_effects is not None else None
@@ -237,6 +240,10 @@ def _bootstrap_sd_se(values: np.ndarray, n_boot: int, seed: int) -> float:
 
 @dataclass
 class McCell:
+    """One (estimator, bandwidth) cell of a sweep. ``fail_reasons`` counts
+    the failed replications by cause: the exception class name, or
+    ``non-finite estimate`` for a NaN that the fit returned with a note."""
+
     estimator: str
     h: float
     median_bias: float
@@ -246,6 +253,7 @@ class McCell:
     sd_boot_se: float
     n_ok: int
     n_fail: int
+    fail_reasons: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -287,7 +295,8 @@ def run_monte_carlo(
 
     Each replication draws one dataset and every (estimator, bandwidth) pair
     is evaluated on that same dataset. An estimation failure (a package
-    error or a singular linear system) is recorded, not fatal; any other
+    error, a singular linear system or a non-finite estimate) is recorded,
+    not fatal, and each cell counts its failures by cause; any other
     exception propagates. The summary flags runs where more than 1% of cells
     failed. The true effect must be known (zero for the built-in confound
     outcomes), so heterogeneous-effects specs go through late_gap_check
@@ -308,13 +317,13 @@ def run_monte_carlo(
     def one_replication(rep: int):
         design, _ = generate_design(spec, rep)
         out = {}
-        for name in estimators:
-            for h in h_grid:
-                try:
-                    beta = _run_estimator(name, design, h)
-                except (RdaError, np.linalg.LinAlgError):
-                    beta = float("nan")
-                out[(name, h)] = beta
+        for name, h in product(estimators, h_grid):
+            try:
+                beta = _run_estimator(name, design, h)
+                reason = None if np.isfinite(beta) else "non-finite estimate"
+            except (RdaError, np.linalg.LinAlgError) as exc:
+                beta, reason = float("nan"), type(exc).__name__
+            out[(name, h)] = beta, reason
         return out, dataset_digest(design) if keep_digests else ""
 
     if threads > 1:
@@ -328,49 +337,34 @@ def run_monte_carlo(
 
     cells: List[McCell] = []
     estimates: Dict[Tuple[str, float], np.ndarray] = {}
-    total_fail = 0
-    cell_index = 0
-    for name in estimators:
-        for h in h_grid:
-            vals = np.array([results[rep][(name, h)] for rep in range(n_replications)])
-            ok = np.isfinite(vals)
-            n_fail = int((~ok).sum())
-            total_fail += n_fail
-            finite = vals[ok]
-            estimates[(name, h)] = finite
-            if finite.size:
-                biases = finite - true_beta
-                lo, hi = bootstrap_median_ci(
-                    biases, n_bootstrap, level, seed=_derived_seed(seed, 1, cell_index)
-                )
-                cells.append(
-                    McCell(
-                        estimator=name,
-                        h=h,
-                        median_bias=float(np.median(biases)),
-                        ci_lo=lo,
-                        ci_hi=hi,
-                        sd=float(finite.std(ddof=1)) if finite.size > 1 else float("nan"),
-                        sd_boot_se=_bootstrap_sd_se(
-                            finite, n_bootstrap, _derived_seed(seed, 2, cell_index)
-                        ),
-                        n_ok=int(finite.size),
-                        n_fail=n_fail,
-                    )
-                )
-            else:
-                cells.append(
-                    McCell(name, h, float("nan"), float("nan"), float("nan"),
-                           float("nan"), float("nan"), 0, n_fail)
-                )
-            cell_index += 1
-    n_cells = len(estimators) * len(h_grid) * n_replications
+    nan = float("nan")
+    for cell_index, (name, h) in enumerate(product(estimators, h_grid)):
+        pairs = [results[rep][(name, h)] for rep in range(n_replications)]
+        vals = np.array([beta for beta, _ in pairs])
+        finite = estimates[(name, h)] = vals[np.isfinite(vals)]
+        biases, lo, hi = finite - true_beta, nan, nan
+        if finite.size:
+            lo, hi = bootstrap_median_ci(
+                biases, n_bootstrap, level, seed=_derived_seed(seed, 1, cell_index)
+            )
+        cells.append(McCell(
+            estimator=name,
+            h=h,
+            median_bias=float(np.median(biases)) if finite.size else nan,
+            ci_lo=lo,
+            ci_hi=hi,
+            sd=float(finite.std(ddof=1)) if finite.size > 1 else nan,
+            sd_boot_se=_bootstrap_sd_se(finite, n_bootstrap, _derived_seed(seed, 2, cell_index)),
+            n_ok=int(finite.size),
+            n_fail=n_replications - int(finite.size),
+            fail_reasons=dict(sorted(Counter(reason for _, reason in pairs if reason).items())),
+        ))
     return McSummary(
         cells=cells,
         n_replications=n_replications,
         estimates=estimates,
         dataset_digests=list(digests) if keep_digests else [],
-        high_failure=total_fail > 0.01 * n_cells,
+        high_failure=sum(c.n_fail for c in cells) > 0.01 * len(cells) * n_replications,
     )
 
 

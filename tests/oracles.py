@@ -1,4 +1,4 @@
-"""Dense test-side oracles that share no code with ``rdagg.regress``."""
+"""Test-side oracles that share no code with the ``rdagg`` modules they check."""
 
 import numpy as np
 
@@ -68,3 +68,27 @@ def dense_absorb(columns, key_sets, w):
     sw = np.sqrt(w)
     b = np.linalg.lstsq(D * sw[:, None], (C.T * sw).T, rcond=None)[0]
     return C - D @ b
+
+
+def reference_exposures(design, index):
+    """Unit treatment, instrument and (n, 3) controls from the edge index
+    ``index``, with the close edges masked out of each gathered column in
+    turn. Every sum is ``np.bincount`` in edge order, as the package sums."""
+    n, events = len(design.units), design.events
+    event, unit_row = index.event, index.unit_row
+    s_w, r, z = events.importance[event], events.running[event], index.instrument[event]
+    close = index.close[event]
+    rows = unit_row[close]
+
+    def unit_sum(rows, values):
+        return np.bincount(rows, weights=values, minlength=n).astype(np.float64, copy=False)
+
+    def close_sum(values):
+        return unit_sum(rows, values[close])
+
+    treatment = unit_sum(unit_row, s_w * index.treatment[event])
+    instrument = close_sum(s_w * z)
+    controls = np.column_stack([close_sum(s_w), close_sum(s_w * r), close_sum(s_w * r * z)])
+    override = ~np.isnan(design.units.override)
+    treatment[override] = design.units.override[override]
+    return treatment, instrument, controls

@@ -1,7 +1,8 @@
 """Property tests: estimates do not depend on input row order, id labels, the
 units a control is measured in, or a common rescaling of the analysis
-weights; bundles survive a write/load round trip, and the CSV reader builds
-the same design as the record API."""
+weights; bundles survive a write/load round trip, the CSV reader builds
+the same design as the record API, and the unit exposures are the bits of
+the reference that masks each column."""
 
 from dataclasses import fields, replace
 
@@ -10,13 +11,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_exposures
 from rdagg.design import (
+    _OPS,
+    CUTOFF_RULES,
+    TIE_POLICIES,
+    TREATMENT_BASES,
     AttributeFilter,
     Design,
     DesignConfig,
+    Edges,
     SpilloverGraph,
     SubunitRecord,
     UnitRecord,
+    _edge_index,
+    _exposures,
     parse_filter,
 )
 from rdagg.estimators import stacked_iv, upper_iv
@@ -217,9 +226,10 @@ def assert_same_design(got, want):
 
 
 @settings(max_examples=60, deadline=None)
-@given(bundle=bundles())
-def test_csv_reader_builds_the_record_design(tmp_path_factory, bundle):
-    got, report = load_design(*write_files(tmp_path_factory, bundle))
+@given(bundle=bundles(), data=st.data())
+def test_csv_reader_builds_the_record_design(tmp_path_factory, bundle, data):
+    paths = write_files(tmp_path_factory, bundle)
+    got, report = load_design(*paths)
     # the files hold the subunits in id order and the edges sorted
     graph = None if bundle.edges is None else SpilloverGraph(tuple(sorted(bundle.edges.edges)))
     want = Design.from_records(
@@ -227,6 +237,21 @@ def test_csv_reader_builds_the_record_design(tmp_path_factory, bundle):
     )
     assert report.messages == []
     assert_same_design(got, want)
+
+    # a weight cap keeps the rows that Design.assemble would build from
+    totals = np.bincount(got.event_unit + 1, weights=got.events.importance,
+                         minlength=len(got.units) + 1)[1:]
+    cap = data.draw(st.sampled_from(totals.tolist()))
+    capped, _ = load_design(*paths, weight_cap=cap)
+    units = totals <= cap
+    events = (got.event_unit < 0) | units[got.event_unit]
+    edges = None
+    if got.edge_unit is not None:
+        keep = np.flatnonzero(units[got.edge_unit] & events[got.edge_event]).tolist()
+        edges = Edges([got.units.ids[got.edge_unit[k]] for k in keep],
+                      [got.events.ids[got.edge_event[k]] for k in keep])
+    assert_same_design(capped, Design.assemble(got.units.take(np.flatnonzero(units)),
+                                               got.events.take(np.flatnonzero(events)), edges))
 
 
 @settings(max_examples=200, deadline=None)
@@ -237,3 +262,34 @@ def test_filter_description_parses_back_to_the_filter(attribute, op, value, abso
     # the manifest echoes filters by describe(), so it must not round the threshold
     f = AttributeFilter(attribute, op, value, absolute)
     assert parse_filter(f.describe()) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(bundle=bundles(), data=st.data())
+def test_exposures_are_the_bits_of_the_masked_reference(bundle, data):
+    """With and without a graph, overrides, filters, either instrument
+    basis, either tie policy, empty close sets and units with no events."""
+    design = Design.from_records(bundle.units, bundle.subunits, bundle.edges)
+    filters = st.builds(AttributeFilter, st.sampled_from(["votes", "margin"]),
+                        st.sampled_from(sorted(_OPS)), NUMBERS, st.booleans())
+    config = DesignConfig(
+        bandwidth=data.draw(st.sampled_from([1e-300, 0.5, 2.0, 1e300])),
+        cutoff_rule=data.draw(st.sampled_from(CUTOFF_RULES)),
+        tie_policy=data.draw(st.sampled_from(TIE_POLICIES)),
+        filters=tuple(data.draw(st.lists(filters, max_size=2))),
+        instrument_basis=data.draw(st.sampled_from(TREATMENT_BASES)),
+    )
+    if config.instrument_basis == "win_flag":
+        # the basis refuses an event without a flag
+        flags = design.events.win_flag
+        design = replace(design, events=replace(design.events, win_flag=np.where(
+            np.isnan(flags), 1.0, flags)))
+    # the partition graph needs every event's unit
+    spillover = bundle.edges is not None and (
+        data.draw(st.booleans()) or bool((design.event_unit < 0).any()))
+    index = _edge_index(design, config, spillover)
+    with np.errstate(over="ignore", invalid="ignore"):  # drawn values reach 1e300
+        got, wants = _exposures(design, index), reference_exposures(design, index)
+    for column, want in zip((got.treatment, got.instrument, got.controls), wants):
+        assert column.dtype == want.dtype and column.shape == want.shape
+        assert np.array_equal(column, want, equal_nan=True)

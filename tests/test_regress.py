@@ -11,6 +11,8 @@ from rdagg.regress import (
     FE_MAX_ITER,
     FE_TOL,
     RegressionProblem,
+    _partial,
+    _screen_columns,
     absorb_fixed_effects,
     hc1_cov,
     iv_fit,
@@ -258,6 +260,10 @@ class TestTsls:
 
         for name in ("_screen_columns", "hc1_cov"):
             monkeypatch.setattr(regress, name, counted(name))
+        # the screen's own factors do the partialling solve
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: calls.append("lstsq") or lstsq(*a, **k))
         rng = np.random.default_rng(41)
         n = 60
         W = np.column_stack([np.ones(n), rng.normal(size=n)])
@@ -265,6 +271,53 @@ class TestTsls:
         iv_fit(rng.normal(size=n), z + rng.normal(size=n), z, columns(W, ["c", "w1"]),
                np.ones(n))
         assert calls == ["_screen_columns"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6),
+           collinear=st.sampled_from([None, "first", "middle", "last"]),
+           scale=st.sampled_from([1.0, 1e-8, 1e9]), zero_rows=st.booleans())
+    def test_partial_solves_on_the_screen_factors(self, seed, p, collinear, scale, zero_rows):
+        """The screen's Q R factors against the columns they factor, and the
+        partialling solve against np.linalg.lstsq on the kept columns, with a
+        collinear column placed first, in the middle or last, one column
+        scaled far from the others and rows of zero weight."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2 * p + 6, 60))
+        on = rng.normal(size=(n, p))
+        parts, dropped = [], []
+        if collinear is not None:
+            # a combination of one or two columns; the last of the dependent
+            # columns in column order is the one dropped
+            parts = rng.choice(p, size=min(p, 2), replace=False)
+            pos = {"first": 0, "middle": (p + 1) // 2, "last": p}[collinear]
+            on = np.insert(on, pos, on[:, parts] @ np.array([2.0, -0.5][:parts.size]), axis=1)
+            parts = list(parts + (parts >= pos))
+            dropped = [max(pos, *parts)]
+        # not a part of the combination: rescaling one would leave the
+        # combination in its span only to 1e-16 of the larger part's norm
+        on[:, rng.choice([j for j in range(on.shape[1]) if j not in parts])] *= scale
+        w = rng.uniform(0.2, 2.5, size=n)
+        if zero_rows:
+            w[rng.permutation(n)[: n // 4]] = 0.0
+        C = rng.normal(size=(n, 3))
+        sw = np.sqrt(w)
+        xw = on * sw[:, None]
+
+        kept, Q, R = _screen_columns(xw)
+        assert kept == [j for j in range(on.shape[1]) if j not in dropped]
+        assert np.abs(Q.T @ Q - np.eye(len(kept))).max() <= 1e-12
+        assert np.array_equal(R, np.triu(R))
+        norms = np.sqrt((xw[:, kept] ** 2).sum(axis=0))
+        assert (np.abs(Q @ R - xw[:, kept]).max(axis=0) <= 1e-12 * norms).all()
+
+        got_kept, B, resid = _partial(C, on, w)
+        # lstsq on unit-norm columns: its SVD is not invariant to column
+        # scales, and a 1e-8 column would cost it 1e-8 of accuracy
+        scaled = np.linalg.lstsq(xw[:, kept] / norms, C * sw[:, None], rcond=None)[0]
+        assert got_kept == kept
+        assert np.abs(B * norms[:, None] - scaled).max() <= 1e-10 * np.abs(scaled).max()
+        want_resid = C - on[:, kept] @ (scaled / norms[:, None])
+        assert np.abs(resid - want_resid).max() <= 1e-10 * np.abs(want_resid).max()
 
     def test_matches_dense_two_stage_oracle(self):
         """Every kernel output against two dense lstsq stages and HC1

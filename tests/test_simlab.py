@@ -1,10 +1,15 @@
 """Generators, replication sweeps, bootstrap intervals, and the estimand oracle."""
 
+import itertools
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from rdagg import simlab
+from rdagg.cli import main
 from rdagg.design import design_exposures
 from rdagg.errors import ConfigurationError, EstimationError
 from rdagg.estimators import stacked_iv
@@ -90,6 +95,14 @@ class TestGenerate:
         assert min(counts.values()) >= 1 and max(counts.values()) <= 8
         assert len(set(counts.values())) > 3
 
+    def test_j_range_design_digest_is_pinned(self):
+        # ids, counts and draws of a ragged design, with two-digit subunit
+        # suffixes; a change here breaks every stored digest
+        design, _ = generate_design(DgpSpec(n_units=30, j_range=(1, 12), seed=4), 2)
+        assert len(design.events) == 197 and "u00008-s10" in design.events.ids
+        assert dataset_digest(design) == (
+            "4972b5e6f588aece390e6c958fd023fb8f4008a4eb2e8646a387ccf5405f1563")
+
     @pytest.mark.parametrize("j_range", [(2,), (1, 4, 6), (1.5, 4), (1, "4"), [1, 4], 3])
     def test_j_range_must_be_two_ints(self, j_range):
         with pytest.raises(ConfigurationError, match="j_range"):
@@ -160,10 +173,16 @@ class TestRunMonteCarlo:
             run_monte_carlo(DgpSpec(n_units=10, outcome_kind="heterogeneous_effects"),
                             n_replications=2)
 
-    def test_estimation_errors_counted_and_bugs_propagate(self, monkeypatch):
+    def test_estimation_errors_counted_and_bugs_propagate(self, monkeypatch, tmp_path):
         spec = DgpSpec(n_units=40, seed=12)
         kw = dict(estimators=("upper",), h_grid=(0.5,), n_replications=2, n_bootstrap=20,
                   seed=12)
+        simulate = ["simulate", "--n-units", "40", "--seed", "12", "--estimators", "upper",
+                    "--h-grid", "0.5", "--reps", "3", "--boot", "20"]
+        assert run_monte_carlo(spec, **kw).cell("upper", 0.5).fail_reasons == {}
+        assert main(simulate + ["--out", str(tmp_path / "ok")]) == 0
+        manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+        assert "failures" not in manifest["config"]
 
         def estimation_error(*args, **kwargs):
             raise EstimationError("empty sample")
@@ -171,6 +190,29 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(simlab, "upper_iv", estimation_error)
         cell = run_monte_carlo(spec, **kw).cell("upper", 0.5)
         assert (cell.n_ok, cell.n_fail) == (0, 2)
+        assert cell.fail_reasons == {"EstimationError": 2}
+
+        # one replication in three of each cause, in turn
+        causes = itertools.cycle([
+            EstimationError("empty sample"),
+            SimpleNamespace(beta=float("nan")),  # iv_fit's NaN with a note
+            np.linalg.LinAlgError("singular matrix"),
+        ])
+
+        def failing(*args, **kwargs):
+            cause = next(causes)
+            if isinstance(cause, Exception):
+                raise cause
+            return cause
+
+        monkeypatch.setattr(simlab, "upper_iv", failing)
+        reasons = {"EstimationError": 1, "LinAlgError": 1, "non-finite estimate": 1}
+        cell = run_monte_carlo(spec, **dict(kw, n_replications=3)).cell("upper", 0.5)
+        assert (cell.n_ok, cell.n_fail, cell.fail_reasons) == (0, 3, reasons)
+        assert main(simulate + ["--out", str(tmp_path / "failed")]) == 0
+        manifest = json.loads((tmp_path / "failed" / "manifest.json").read_text())
+        assert manifest["config"]["failures"] == [
+            {"estimator": "upper", "h": 0.5, "reasons": reasons}]
 
         def bug(*args, **kwargs):
             raise TypeError("a bug, not a failed estimate")
