@@ -500,14 +500,16 @@ class UnitExposures:
 
 @dataclass(frozen=True)
 class _EdgeIndex:
-    """The edge index: edge -> unit row, edge -> event, and the per-event
-    arrays every aggregate reads."""
+    """The edge index: edge -> unit row, edge -> event, the per-event
+    arrays every aggregate reads, and the positions of the edges to close
+    events, in edge order."""
 
     unit_row: np.ndarray
     event: np.ndarray
     instrument: np.ndarray
     treatment: np.ndarray
     close: np.ndarray
+    close_edge: np.ndarray
 
 
 def _edge_index(design: Design, config: DesignConfig, spillover: bool) -> _EdgeIndex:
@@ -529,7 +531,8 @@ def _edge_index(design: Design, config: DesignConfig, spillover: bool) -> _EdgeI
         if missing.size:
             raise ConfigurationError(f"instrument_basis=win_flag but subunit "
                                      f"'{design.events.ids[missing[0]]}' has no win_flag")
-    return _EdgeIndex(unit_row, event, z, t, close_mask(design, config))
+    close = close_mask(design, config)
+    return _EdgeIndex(unit_row, event, z, t, close, np.flatnonzero(close[event]))
 
 
 def _unit_sum(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -543,8 +546,7 @@ def _exposures(design: Design, e: _EdgeIndex) -> UnitExposures:
     edge order."""
     n, events = len(design.units), design.events
     treatment = _unit_sum(e.unit_row, events.importance[e.event] * e.treatment[e.event], n)
-    close = np.flatnonzero(e.close[e.event])
-    rows, event = e.unit_row[close], e.event[close]
+    rows, event = e.unit_row[e.close_edge], e.event[e.close_edge]
     s_w = events.importance[event]
     s_r, z = s_w * events.running[event], e.instrument[event]
     controls = np.column_stack([_unit_sum(rows, s_w, n), _unit_sum(rows, s_r, n),
@@ -599,7 +601,7 @@ def design_stack(design: Design, config: DesignConfig, spillover: bool = False) 
     its own unit)."""
     e = _edge_index(design, config, spillover)
     exp = _exposures(design, e)
-    keep = np.flatnonzero(e.close[e.event])
+    keep = e.close_edge
     keep = keep[np.lexsort((design.event_rank[e.event[keep]], e.unit_row[keep]))]
     unit_row, event = e.unit_row[keep], e.event[keep]
     r = design.events.running[event]

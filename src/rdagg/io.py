@@ -18,15 +18,24 @@ arrays; ``load_bundle`` is ``load_design`` plus record materialization.
 ``load_units``, ``load_subunits`` and ``load_edges`` return the column
 tables ``Units``, ``Events`` and ``Edges``; the last holds the two
 endpoint columns of edges.csv in file order, one entry per row.
-Each file is read in one ``csv.reader`` pass, split into columns of
-stripped cells, and each numeric column is converted whole with
-``np.array(column, dtype=np.float64)``, which accepts exactly the strings
-``float()`` accepts. The checks (non-empty ids and fixed-effect keys,
-numbers that parse and are finite, positive importance, 0/1 win flags,
-nonnegative weights) then run on whole columns. Parsing is strict, and a
-failing file reports the error a row-by-row reader would have met first:
-each check finds its first failing row, the earliest row wins, and within
-a row the checks keep a fixed order. units.csv checks unit_id, the fe_*
+Each file is read whole and decoded as UTF-8; a byte that does not
+decode is a schema error that names its line and offset. A plain file
+(no '"', carriage return or NUL, every line with the header's number of
+fields, at least two, no line longer than ``csv.field_size_limit()``, no
+duplicate column name) is cut into columns with one ``str.split`` of its
+whole text. Any other file, which may hold quoted fields, blank or ragged
+rows, or "\\r\\n" line ends, is read by ``csv.reader``, so the errors of
+the split (an empty file, a duplicate column name, a row with the wrong
+number of fields, a field over the limit) all come from that path. Both
+paths give the same columns of stripped cells. Each numeric column is
+converted whole with ``np.array(column, dtype=np.float64)``, which
+accepts exactly the strings ``float()`` accepts. The checks (non-empty
+ids and fixed-effect keys, numbers that parse and are finite, positive
+importance, 0/1 win flags, nonnegative weights) then run on whole
+columns. Parsing is strict, and a failing file reports the error a
+row-by-row reader would have met first: each check finds its first
+failing row, the earliest row wins, and within a row the checks keep a
+fixed order. units.csv checks unit_id, the fe_*
 keys, outcome, weight, the ctrl_* columns, treatment_override, then the
 sign of the weight; subunits.csv checks subunit_id, importance (a number,
 then positive), running, win_flag, then the attr_* columns. Schema errors
@@ -75,47 +84,117 @@ class InputBundle:
     report: ValidationReport = field(default_factory=ValidationReport)
 
 
+# Besides "\n" and "\r", the ASCII characters that ``str.strip`` removes.
+_ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _read_text(path: str) -> Tuple[str, bytes]:
+    """The text of the file at ``path``, decoded as UTF-8, and its bytes."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot open ({exc})")
+    try:
+        return data.decode("utf-8"), data
+    except UnicodeDecodeError as exc:
+        # numbered as csv.reader numbers lines: "\n", "\r\n" and "\r" end one
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise SchemaError(f"{path}:{line}: not valid UTF-8 "
+                          f"(byte 0x{data[exc.start]:02x} at offset {exc.start})") from None
+
+
 def _read_columns(path: str) -> Tuple[List[str], List[List[str]], Sequence[int]]:
     """Header, the columns as lists of stripped cells, and the line each row
-    starts on (a quoted field may span lines).
+    starts on: one ``str.split`` of a plain text (see ``_plain_width``),
+    which gives what ``_reader_columns`` gives, and ``_reader_columns`` for
+    any other text."""
+    text, data = _read_text(path)
+    width = _plain_width(data)
+    del data
+    if not width:
+        return _reader_columns(text, path)
+    strip = not text.isascii() or any(c in text for c in _ASCII_SPACE)
+    trailing = text.endswith("\n")
+    joined = text.replace("\n", ",")
+    del text  # so that the split does not hold the text twice
+    cells = joined.split(",")
+    del joined
+    if trailing:
+        cells.pop()
+    columns = [cells[width + i::width] for i in range(width)]
+    if strip:
+        columns = [list(map(str.strip, column)) for column in columns]
+    return [h.strip() for h in cells[:width]], columns, range(2, len(cells) // width + 1)
+
+
+def _plain_width(data: bytes) -> int:
+    """The header width of a plain file whose UTF-8 bytes are ``data``, 0
+    for any other file.
+
+    A file is plain when it has no '"', '\\r' or '\\0'; when, after one
+    trailing '\\n' is dropped, each of its lines holds width - 1 commas for
+    a header of width at least 2, and at most ``csv.field_size_limit()``
+    bytes; and when its stripped header has no duplicate. ``csv.reader``
+    splits such a line at its commas and nowhere else, and no row is blank
+    or ragged.
+    """
+    if b'"' in data or b"\r" in data or b"\0" in data:
+        return 0
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    if not data.endswith(b"\n"):  # end the last line as if a "\n" followed
+        ends = np.append(ends, raw.size)
+    # the commas before each line's end
+    commas = np.searchsorted(np.flatnonzero(raw == ord(",")), ends)
+    width = int(commas[0]) + 1
+    if width < 2 or not np.array_equal(commas, np.arange(1, ends.size + 1) * (width - 1)):
+        return 0
+    if np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
+        return 0
+    header = [h.strip() for h in data[:ends[0]].decode("utf-8").split(",")]
+    return width if len(set(header)) == width else 0
+
+
+def _reader_columns(text: str, path: str) -> Tuple[List[str], List[List[str]], Sequence[int]]:
+    """Header, the columns as lists of stripped cells, and the line each row
+    starts on (a quoted field may span lines), read from ``text`` by
+    ``csv.reader``.
 
     Blank rows are skipped; every row is split and counted before any cell
     is parsed.
     """
+    handle = StringIO(text, newline="")
+    reader = csv.reader(handle)
     try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"{path}: cannot open ({exc})")
-    with handle:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}:1: empty file, expected a header row")
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}")
+    header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        raise SchemaError(f"{path}:1: duplicate column names")
+    # The row lists are acyclic, but the cyclic collector would rescan
+    # them again and again while they pile up.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}")
+    finally:
+        if collecting:
+            gc.enable()
+    lines: Sequence[int] = range(2, len(rows) + 2)
+    if reader.line_num != len(rows) + 1:
+        # a quoted field spans lines: read again, and start each row on
+        # the line after the one where the header or the row before ended
+        handle.seek(0)
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}:1: empty file, expected a header row")
-        except csv.Error as exc:
-            raise SchemaError(f"{path}:{reader.line_num}: {exc}")
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise SchemaError(f"{path}:1: duplicate column names")
-        # The row lists are acyclic, but the cyclic collector would rescan
-        # them again and again while they pile up.
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            rows = list(reader)
-        except csv.Error as exc:
-            raise SchemaError(f"{path}:{reader.line_num}: {exc}")
-        finally:
-            if collecting:
-                gc.enable()
-        lines: Sequence[int] = range(2, len(rows) + 2)
-        if reader.line_num != len(rows) + 1:
-            # a quoted field spans lines: read again, and start each row on
-            # the line after the one where the header or the row before ended
-            handle.seek(0)
-            reader = csv.reader(handle)
-            ends = [reader.line_num for _ in reader]
-            lines = [end + 1 for end in ends[:-1]]
+        ends = [reader.line_num for _ in reader]
+        lines = [end + 1 for end in ends[:-1]]
     width = len(header)
     if width == 1 or set(map(len, rows)) - {width}:
         kept = [(line, row) for line, row in zip(lines, rows)

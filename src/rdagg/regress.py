@@ -140,6 +140,16 @@ def _check_weights(w: np.ndarray, n: int) -> np.ndarray:
     return w
 
 
+def _check_finite(a: np.ndarray, names: Sequence[str]) -> None:
+    """Refuse a column (or a matrix, with one name per column) that holds a
+    value that is not finite, naming the column and row of the first."""
+    if not np.isfinite(a).all():
+        m = a.reshape(len(a), -1)
+        row, col = np.argwhere(~np.isfinite(m))[0]
+        raise ConfigurationError(
+            f"{names[col]} must be finite, got {float(m[row, col])} in row {row}")
+
+
 def _validate(problem: RegressionProblem):
     y = _as_vector(problem.response, "response")
     n = y.shape[0]
@@ -157,6 +167,8 @@ def _validate(problem: RegressionProblem):
         )
     if len(set(labels)) != len(labels):
         raise ConfigurationError("regressor labels must be unique")
+    _check_finite(y, ("response",))
+    _check_finite(X, labels)
     w = _check_weights(problem.weights, n)
     return y, X, labels, w
 
@@ -243,7 +255,10 @@ def _no_dof_note(n_obs: int, p: int) -> str:
 
 
 def wls_fit(problem: RegressionProblem, extra_dof: int = 0) -> FitResult:
-    """Weighted least squares with rank screening and HC1 standard errors."""
+    """Weighted least squares with rank screening and HC1 standard errors.
+
+    A response or regressor value that is not finite is refused with a
+    ConfigurationError that names its column."""
     y, X, labels, w = _validate(problem)
     kept, B, e = _partial(y[:, None], X, w)
     if not kept:
@@ -307,11 +322,13 @@ def iv_fit(
     - the reduced-form coefficient <z~, y~> / <z~, z~> and its HC1 SE;
     - the control coefficients B_y - beta B_x from the partialling solve.
 
-    An instrument or a treatment with no variation beyond the controls (its
-    partialled norm at most PIVOT_RTOL times its own) or an exactly zero
-    first stage leaves beta non-finite, with a note. With n - p - extra_dof
-    <= 0 every SE is NaN, with a note. A partial F below ``weak_f_threshold``
-    flags a weak instrument, with a note.
+    A value of y, x, z or a control that is not finite is refused with a
+    ConfigurationError that names its column. An instrument or a treatment
+    with no variation beyond the controls (its partialled norm at most
+    PIVOT_RTOL times its own) or an exactly zero first stage leaves beta
+    non-finite, with a note. With n - p - extra_dof <= 0 every SE is NaN,
+    with a note. A partial F below ``weak_f_threshold`` flags a weak
+    instrument, with a note.
     """
     y = _as_vector(y, "response")
     n = y.shape[0]
@@ -327,8 +344,11 @@ def iv_fit(
         raise ConfigurationError(
             f"response length {n} does not match treatment, instrument or control rows"
         )
+    yxz = np.column_stack([y, x, z])
+    _check_finite(yxz, ("response", "treatment", "instrument"))
+    _check_finite(C, labels)
     w = _check_weights(weights, n)
-    kept, B, partialled = _partial(np.column_stack([y, x, z]), C, w)
+    kept, B, partialled = _partial(yxz, C, w)
     yt, xt, zt = partialled.T
     n_obs = int(np.count_nonzero(w > 0))
     p = 1 + len(kept)

@@ -92,3 +92,19 @@ def reference_exposures(design, index):
     override = ~np.isnan(design.units.override)
     treatment[override] = design.units.override[override]
     return treatment, instrument, controls
+
+
+def reference_stack(design, index, kernel, bandwidth):
+    """The stacked rows from the edge index ``index``: the close edges
+    selected by a mask of their own, in (unit row, event rank) order, with
+    the columns gathered on them and the treatment of
+    ``reference_exposures``; ``n_close_events`` last."""
+    keep = np.flatnonzero(index.close[index.event])
+    keep = keep[np.lexsort((design.event_rank[index.event[keep]], index.unit_row[keep]))]
+    unit_row, event = index.unit_row[keep], index.event[keep]
+    r = design.events.running[event]
+    weights = np.ones(len(r)) if kernel == "uniform" else 1.0 - np.abs(r) / bandwidth
+    treatment = reference_exposures(design, index)[0]
+    return (unit_row, event, r, index.instrument[event], design.events.importance[event],
+            weights, design.units.outcome[unit_row], treatment[unit_row],
+            int(index.close.sum()))

@@ -429,6 +429,17 @@ class TestLoadErrors:
         with pytest.raises(SchemaError, match=r"units\.csv:2: field larger than field limit"):
             load_design(up, sp)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_not_utf8_names_line_and_byte(self, tmp_path, newline):
+        up = write(tmp_path, "units.csv", MINIMAL_UNITS)
+        head = (self.SUB_HEADER + "u1-s0,u1,0.05,1.0,1\n").replace("\n", newline).encode()
+        sp = tmp_path / "subunits.csv"
+        sp.write_bytes(head + b"u1-s1\xff,u1,0.1,1.0," + newline.encode())
+        with pytest.raises(SchemaError) as err:
+            load_design(up, str(sp))
+        assert str(err.value) == (
+            f"{sp}:3: not valid UTF-8 (byte 0xff at offset {len(head) + 5})")
+
     def test_treatment_override_not_a_number(self, tmp_path):
         up = write(tmp_path, "units.csv",
                    "unit_id,outcome,weight,treatment_override\nu1,1.5,1.0,\nu2,1.0,1.0,half\n")
@@ -748,6 +759,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err)
         assert payload["type"] == "SchemaError"
         assert "units.csv:2:" in payload["error"]
+
+    def test_not_utf8_exits_1_with_schema_error(self, tmp_path, capsys):
+        up = write(tmp_path, "units.csv", MINIMAL_UNITS)
+        sp = tmp_path / "subunits.csv"
+        sp.write_bytes(MINIMAL_SUBUNITS.encode().replace(b"0.05", b"0.0\xff"))
+        code = main(["estimate-upper", "--units", up, "--subunits", str(sp),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"{sp}:2: not valid UTF-8 (byte 0xff at offset 50)",
+            "type": "SchemaError"}
 
     def test_config_file_with_flag_override(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -1,20 +1,22 @@
 """Property tests: estimates do not depend on input row order, id labels, the
 units a control is measured in, or a common rescaling of the analysis
 weights; bundles survive a write/load round trip, the CSV reader builds
-the same design as the record API, and the unit exposures are the bits of
+the same design as the record API, the plain split of a CSV text reads it
+as csv.reader does, and the unit exposures and the stack are the bits of
 the reference that masks each column."""
 
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_exposures
+from oracles import reference_exposures, reference_stack
 from rdagg.design import (
     _OPS,
     CUTOFF_RULES,
+    KERNELS,
     TIE_POLICIES,
     TREATMENT_BASES,
     AttributeFilter,
@@ -26,10 +28,20 @@ from rdagg.design import (
     UnitRecord,
     _edge_index,
     _exposures,
+    design_stack,
     parse_filter,
 )
 from rdagg.estimators import stacked_iv, upper_iv
-from rdagg.io import InputBundle, load_bundle, load_design, write_bundle
+from rdagg.cli import main
+from rdagg.io import (
+    InputBundle,
+    _plain_width,
+    _read_columns,
+    _reader_columns,
+    load_bundle,
+    load_design,
+    write_bundle,
+)
 
 REL = 1e-10
 # A first stage near zero divides rounding noise into beta: at partial F
@@ -264,16 +276,17 @@ def test_filter_description_parses_back_to_the_filter(attribute, op, value, abso
     assert parse_filter(f.describe()) == f
 
 
-@settings(max_examples=200, deadline=None)
-@given(bundle=bundles(), data=st.data())
-def test_exposures_are_the_bits_of_the_masked_reference(bundle, data):
-    """With and without a graph, overrides, filters, either instrument
-    basis, either tie policy, empty close sets and units with no events."""
+def drawn_design(bundle, data):
+    """The bundle's design, a drawn config and whether to follow the graph:
+    with and without a graph, overrides, filters, either kernel, either
+    instrument basis, either tie policy, empty close sets and units with no
+    events."""
     design = Design.from_records(bundle.units, bundle.subunits, bundle.edges)
     filters = st.builds(AttributeFilter, st.sampled_from(["votes", "margin"]),
                         st.sampled_from(sorted(_OPS)), NUMBERS, st.booleans())
     config = DesignConfig(
         bandwidth=data.draw(st.sampled_from([1e-300, 0.5, 2.0, 1e300])),
+        kernel=data.draw(st.sampled_from(KERNELS)),
         cutoff_rule=data.draw(st.sampled_from(CUTOFF_RULES)),
         tie_policy=data.draw(st.sampled_from(TIE_POLICIES)),
         filters=tuple(data.draw(st.lists(filters, max_size=2))),
@@ -287,9 +300,104 @@ def test_exposures_are_the_bits_of_the_masked_reference(bundle, data):
     # the partition graph needs every event's unit
     spillover = bundle.edges is not None and (
         data.draw(st.booleans()) or bool((design.event_unit < 0).any()))
+    return design, config, spillover
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bundle=bundles(), data=st.data())
+def test_exposures_are_the_bits_of_the_masked_reference(bundle, data):
+    design, config, spillover = drawn_design(bundle, data)
     index = _edge_index(design, config, spillover)
     with np.errstate(over="ignore", invalid="ignore"):  # drawn values reach 1e300
         got, wants = _exposures(design, index), reference_exposures(design, index)
     for column, want in zip((got.treatment, got.instrument, got.controls), wants):
-        assert column.dtype == want.dtype and column.shape == want.shape
-        assert np.array_equal(column, want, equal_nan=True)
+        assert_same_bits(column, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bundle=bundles(), data=st.data())
+def test_stack_is_the_bits_of_the_masked_reference(bundle, data):
+    design, config, spillover = drawn_design(bundle, data)
+    with np.errstate(over="ignore", invalid="ignore"):  # drawn values reach 1e300
+        stack = design_stack(design, config, spillover)
+        *wants, n_close = reference_stack(design, _edge_index(design, config, spillover),
+                                          config.kernel, config.bandwidth)
+    for column, want in zip((stack.unit_row, stack.event, stack.running, stack.instrument,
+                             stack.importance, stack.kernel, stack.outcome,
+                             stack.treatment), wants):
+        assert_same_bits(column, want)
+    assert stack.n_close_events == n_close
+
+
+DIGITS = "0123456789"
+# what str.strip removes, ASCII and not; "\u2028" also ends a line for
+# str.splitlines, but not for a file read with newline=""
+STRIPPED = " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003\u2028"
+# what csv.reader reads otherwise than a split at "," and "\n"
+SPECIAL = ',"\r\n\x00'
+
+
+@st.composite
+def csv_texts(draw):
+    """Texts under a header of width 1 to 4: rows of the header's width,
+    ragged rows, blank and whitespace-only lines, "\\n" or "\\r\\n" line
+    ends, with and without a last line end, and header-only files. A wild
+    text draws its cells from the special characters too."""
+    wild = draw(st.booleans())
+    cells = st.text(st.sampled_from(DIGITS + STRIPPED + (SPECIAL if wild else "")), max_size=3)
+    width = draw(st.integers(1, 4))
+    lines = [",".join(draw(st.just(f"h{i}") | cells) for i in range(width))]
+    kinds = ["row", "ragged", "blank", "space"] if wild else ["row"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=5)):
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.text(st.sampled_from(STRIPPED), min_size=1, max_size=2)))
+        else:
+            n = width if kind == "row" else draw(st.sampled_from([width - 1, width + 1]))
+            lines.append(",".join(draw(cells) for _ in range(n)))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=csv_texts())
+def test_plain_split_reads_as_csv_reader_or_declines(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    plain = bool(_plain_width(text.encode("utf-8")))
+    event(f"plain: {plain}")
+    if plain:
+        header, columns, lines = _reader_columns(text, str(path))
+        got = _read_columns(str(path))
+        assert (got[0], got[1], list(got[2])) == (header, columns, list(lines))
+
+
+def test_crlf_bundle_and_its_lf_twin_read_and_estimate_alike(tmp_path):
+    """A bundle with "\\r\\n" line ends takes the csv.reader path and its
+    "\\n" twin the plain split; both give the same design and result."""
+    units, subunits, _ = make_bundle(3, fe=True)
+    designs, results = [], []
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        folder = tmp_path / name
+        folder.mkdir()
+        paths = [str(folder / "units.csv"), str(folder / "subunits.csv")]
+        write_bundle(InputBundle(units, subunits), *paths)
+        for path in paths:
+            with open(path, encoding="utf-8", newline="") as fh:
+                text = fh.read().replace("\n", newline)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert bool(_plain_width(text.encode("utf-8"))) is (newline == "\n")
+        designs.append(load_design(*paths)[0])
+        out = folder / "out"
+        assert main(["estimate-upper", "--units", paths[0], "--subunits", paths[1],
+                     "--bandwidth", "0.8", "--out", str(out)]) == 0
+        results.append((out / "result.json").read_bytes())
+    assert_same_design(*designs)
+    assert results[0] == results[1]

@@ -163,6 +163,17 @@ class TestWls:
         with pytest.raises(ConfigurationError, match="does not match"):
             wls_fit(make(np.array([1.0, 2.0, 3.0]), np.ones((2, 1)), np.ones(2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_response_or_regressor_refused(self, bad):
+        y, X, w = random_problem(np.random.default_rng(13))
+        y[7] = bad
+        with pytest.raises(ConfigurationError,
+                           match=rf"^response must be finite, got {bad} in row 7$"):
+            wls_fit(make(y, X, w))
+        y[7], X[4, 2] = 0.0, bad
+        with pytest.raises(ConfigurationError, match=rf"^x2 must be finite, got {bad} in row 4$"):
+            wls_fit(make(y, X, w))
+
 
 class TestTsls:
     def test_instrument_equal_to_endogenous_collapses_to_wls(self):
@@ -225,6 +236,18 @@ class TestTsls:
         assert np.isnan(fit.beta) and np.isnan(fit.robust_se)
         assert "treatment has no variation beyond the controls: estimate non-finite" \
             in fit.notes
+
+    @pytest.mark.parametrize("column", ["response", "treatment", "instrument", "c"])
+    def test_non_finite_column_refused_by_name(self, column):
+        # a NaN would otherwise come back as a NaN beta with no note
+        rng = np.random.default_rng(14)
+        n = 50
+        data = {name: rng.normal(size=n) for name in ("response", "treatment", "instrument", "c")}
+        data[column][11] = np.nan
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{column} must be finite, got nan in row 11$"):
+            iv_fit(data["response"], data["treatment"], data["instrument"],
+                   [("one", np.ones(n)), ("c", data["c"])], np.ones(n))
 
     def test_weak_instrument_is_a_warning_not_an_error(self):
         rng = np.random.default_rng(9)
