@@ -33,7 +33,7 @@ from .diagnostics import (
 )
 from .errors import RdaError, SchemaError
 from .estimators import collapsed_iv, equivalence, sharp_rd, stacked_iv, upper_iv
-from .io import _FirstError, _columns, _number_column, _read_columns, load_design
+from .io import load_design, load_numbers
 from .simlab import (
     DEFAULT_H_GRID,
     IMPORTANCE_SCHEMES,
@@ -234,17 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_numbers(path: str, key: str, numbers) -> tuple:
-    """The ``key`` column of a CSV file and its ``numbers`` columns as lists."""
-    header, columns, lines = _read_columns(path)
-    positions = _columns(header, path, (key,) + tuple(numbers))
-    errors = _FirstError(path, lines)
-    values = [_number_column(columns[i], name, errors).tolist()
-              for i, name in zip(positions[1:], numbers)]
-    errors.raise_first()
-    return (columns[positions[0]], *values)
-
-
 def _run(args) -> int:
     if hasattr(args, "out"):
         os.makedirs(args.out, exist_ok=True)
@@ -273,7 +262,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "var-decomp":
-        records = list(zip(*_read_numbers(args.micro, "cell", ("value", "weight"))))
+        records = list(zip(*load_numbers(args.micro, "cell", ("value", "weight"))))
         dec = variance_decomposition(records)
         _write_json(os.path.join(args.out, "decomposition.json"),
                     {"total": dec.total, "within": dec.within, "between": dec.between})
@@ -282,8 +271,8 @@ def _run(args) -> int:
         return 0
 
     if cmd == "counterfactual":
-        periods, actual, shortfall = _read_numbers(args.series, "period",
-                                                   ("actual", "shortfall"))
+        periods, actual, shortfall = load_numbers(args.series, "period",
+                                                  ("actual", "shortfall"))
         path = counterfactual_path(
             actual, shortfall, args.beta, (args.beta_lo, args.beta_hi),
             cumulative=not args.per_period,

@@ -38,9 +38,17 @@ outcome, close-set membership) are computed once and summed over edges with
 ``np.bincount``.
 
 Two things are built on that index: the unit exposures (treatment,
-shift-share instrument, and the three aggregated local-linear controls) and
-the stack, one row per (unit, close event) edge, which every stacked
-estimator reads.
+shift-share instrument, and the aggregated local-linear controls) and the
+stack, one row per (unit, close event) edge, which every stacked estimator
+reads.
+
+The local-linear basis q(r, z) = (1, r, r*z), for a running value r and its
+cutoff indicator z, is declared here once, with its labels:
+``local_linear_basis`` gives its columns, importance-weighted or not, and
+``control_columns`` the aggregated ones a control set keeps. The unit
+exposures sum s*q(r, z) over each unit's close events; every stacked fit,
+the sharp RD and the plotted lines regress on q(r, z) itself. Both levels
+control for one basis, and that is why the upper and lower estimates agree.
 
 Construction is pure and deterministic: outputs are ordered by id and depend
 only on the inputs.
@@ -64,10 +72,32 @@ CUTOFF_RULES = ("geq", "strict_gt")
 TIE_POLICIES = ("keep", "drop_exact_zero")
 TREATMENT_BASES = ("cutoff_crossing", "win_flag")
 CONTROL_SETS = ("all_three_rda", "total_weight_only", "none")
+# how many of the aggregated basis columns each control set keeps
+_CONTROL_WIDTH = dict(zip(CONTROL_SETS, (3, 1, 0)))
 
-AGG_WEIGHT = "agg_weight"
-AGG_RUNNING = "agg_running"
-AGG_RUNNING_POS = "agg_running_pos"
+# The labels of q(r, z) = (1, r, r*z) on rows, of its importance-weighted
+# sums over a unit's close events, and of the cutoff indicator z itself
+BASIS_LABELS = ("intercept", "running", "running_pos")
+AGG_LABELS = ("agg_weight", "agg_running", "agg_running_pos")
+INTERCEPT = BASIS_LABELS[0]
+CROSSING = "crossing"
+
+
+def local_linear_basis(r: np.ndarray, z: np.ndarray,
+                       w: Optional[np.ndarray] = None) -> List[np.ndarray]:
+    """The columns of w*q(r, z) for the cutoff indicator z: (w, w*r, (w*r)*z),
+    with w = 1 when None.
+
+    The last column is w*r times z, not w times r*z: where w*r overflows, a
+    z of 0 makes it NaN, as a sum of s*r*z written left to right does."""
+    wr = r if w is None else w * r
+    return [np.ones(len(r)) if w is None else w, wr, wr * z]
+
+
+def control_columns(control_set: str, controls: np.ndarray) -> List[Tuple[str, np.ndarray]]:
+    """The labelled aggregated-control columns that ``control_set`` keeps of
+    ``controls``, the (n, 3) ``UnitExposures.controls``: 3, 1 or 0 of them."""
+    return [(AGG_LABELS[j], controls[:, j]) for j in range(_CONTROL_WIDTH[control_set])]
 
 
 @dataclass(frozen=True)
@@ -495,7 +525,7 @@ class UnitExposures:
     unit_ids: List[str]
     treatment: np.ndarray
     instrument: np.ndarray
-    controls: np.ndarray  # columns: total weight, sum s*r, sum s*r_plus
+    controls: np.ndarray  # sums of s*q(r, z) over close events, columns AGG_LABELS
 
 
 @dataclass(frozen=True)
@@ -542,15 +572,14 @@ def _unit_sum(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 def _exposures(design: Design, e: _EdgeIndex) -> UnitExposures:
     """Sum each unit's edges: the treatment over all of them, the instrument
-    and the controls over close ones, which are gathered once. Sums run in
-    edge order."""
+    and the importance-weighted basis over close ones, which are gathered
+    once. Sums run in edge order."""
     n, events = len(design.units), design.events
     treatment = _unit_sum(e.unit_row, events.importance[e.event] * e.treatment[e.event], n)
     rows, event = e.unit_row[e.close_edge], e.event[e.close_edge]
-    s_w = events.importance[event]
-    s_r, z = s_w * events.running[event], e.instrument[event]
-    controls = np.column_stack([_unit_sum(rows, s_w, n), _unit_sum(rows, s_r, n),
-                                _unit_sum(rows, s_r * z, n)])
+    s_w, z = events.importance[event], e.instrument[event]
+    controls = np.column_stack([_unit_sum(rows, column, n) for column in
+                                local_linear_basis(events.running[event], z, s_w)])
     instrument = _unit_sum(rows, s_w * z, n)
     override = ~np.isnan(design.units.override)
     treatment[override] = design.units.override[override]

@@ -2,7 +2,8 @@
 counterfactual paths.
 
 The balance test and the plot points read the same ``design.Design`` as the
-estimators; everything here emits plain data (bin tables, coefficient
+estimators, and the balance controls and plotted lines the same local-linear
+basis; everything here emits plain data (bin tables, coefficient
 pairs, report objects) for external tooling.
 """
 
@@ -13,9 +14,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import Design, DesignConfig, Stack, _codes, cutoff_indicators, design_exposures
+from .design import (BASIS_LABELS, CROSSING, INTERCEPT, Design, DesignConfig, Stack, _codes,
+                     control_columns, cutoff_indicators, design_exposures, local_linear_basis)
 from .errors import ConfigurationError, EstimationError
-from .estimators import INTERCEPT, _control_columns
 from .regress import RegressionProblem, wls_fit
 
 # scipy.stats.norm.ppf(0.975) to the bit, written out so that importing this
@@ -77,19 +78,17 @@ def balance(
     if n_keep < len(covariates) + 2:
         raise EstimationError("too few complete observations for the balance test")
 
-    design = Design.assemble(design.units.take(np.flatnonzero(complete)),
-                             design.events.take(np.flatnonzero(complete[design.event_unit])))
+    design = design.subset(complete, complete[design.event_unit])
     exp = design_exposures(design, config)
     y = exp.treatment if target == "treatment" else exp.instrument
     w = design.units.weight
     cov_mat = cov_mat[complete]
-    ctrl_labels, ctrl = _control_columns(config, exp.controls)
-    ones = np.ones(n_keep)
+    ctrl_labels, ctrl = zip(*control_columns(config.control_set, exp.controls),
+                            (INTERCEPT, np.ones(n_keep)))
 
-    full = wls_fit(RegressionProblem(y, np.column_stack([cov_mat, ctrl, ones]),
-                                     covariates + ctrl_labels + [INTERCEPT], w))
-    controls_only = wls_fit(RegressionProblem(y, np.column_stack([ctrl, ones]),
-                                              ctrl_labels + [INTERCEPT], w))
+    full = wls_fit(RegressionProblem(y, np.column_stack([cov_mat, *ctrl]),
+                                     [*covariates, *ctrl_labels], w))
+    controls_only = wls_fit(RegressionProblem(y, np.column_stack(ctrl), ctrl_labels, w))
     rss_restricted = controls_only.weighted_rss
     partial_r2 = (
         (rss_restricted - full.weighted_rss) / rss_restricted if rss_restricted > 0 else 0.0
@@ -195,6 +194,14 @@ def _greedy_bins(order: np.ndarray, weights: np.ndarray, n_bins: int) -> np.ndar
     return assignment
 
 
+# the coefficients of the plotted lines, and what each leaves of the lines
+# when the fit drops it
+_LINE_LABELS = (*BASIS_LABELS, CROSSING)
+_DROPPED_LINE = dict(zip(_LINE_LABELS, (
+    "both intercepts are NaN", "both slopes are NaN", "the right slope is the left slope",
+    "the jump and the right intercept are NaN")))
+
+
 def rd_plot_data(
     points: Sequence,
     n_bins_per_side: int = 20,
@@ -210,6 +217,11 @@ def rd_plot_data(
     A point heavier than a bin's share of the weight fills more than one
     bin's target, which can leave later bins empty; those are omitted, with
     a notice.
+
+    The lines are one weighted fit of the value on q(r, z) and the crossing
+    indicator z. A coefficient the fit cannot identify (as when every
+    right-side point has one running value) is dropped; a notice names it
+    and says what it leaves of the lines, which keep their values.
     """
     if n_bins_per_side < 1:
         raise ConfigurationError("n_bins_per_side must be positive")
@@ -248,18 +260,11 @@ def rd_plot_data(
             v_mean = float((v[members] * ww).sum() / wsum) if wsum > 0 else float(v[members].mean())
             bins.append(RdPlotBin(side, r_mean, v_mean, wsum, len(members)))
 
-    fit = wls_fit(
-        RegressionProblem(
-            response=v,
-            regressors=np.column_stack([np.ones(len(r)), r, r * z, z]),
-            labels=[INTERCEPT, "running", "running_pos", "crossing"],
-            weights=w,
-        )
-    )
-    b0 = fit.coefficients.get(INTERCEPT, float("nan"))
-    b_r = fit.coefficients.get("running", float("nan"))
-    b_rp = fit.coefficients.get("running_pos", 0.0)
-    b_z = fit.coefficients.get("crossing", float("nan"))
+    fit = wls_fit(RegressionProblem(v, np.column_stack([*local_linear_basis(r, z), z]),
+                                    _LINE_LABELS, w))
+    notices += [f"line coefficient '{lab}' not identified: {_DROPPED_LINE[lab]}"
+                for lab in fit.dropped_columns]
+    b0, b_r, b_rp, b_z = map(fit.coefficients.get, _LINE_LABELS)
     if not np.isfinite(b_rp):
         b_rp = 0.0
     return RdPlotData(

@@ -16,6 +16,12 @@ Every stacked estimator reads the one stack of ``design.design_stack``: the
 lower-level IV is the bilateral spillover IV on the partition graph, the
 collapsed spillover IV groups the same stack by event, and the verifier
 broadcasts unit-level residuals through its unit rows.
+
+Every fit reads the one local-linear basis q(r, z) that ``design`` declares:
+``upper_iv`` controls for the aggregated columns its control set keeps
+(``design.control_columns``), and the stacked fits, the verifier's lower
+path and ``sharp_rd`` for q(r, z) on their rows
+(``design.local_linear_basis``). No estimator writes the basis out itself.
 """
 
 from __future__ import annotations
@@ -32,14 +38,16 @@ from .design import (
     SubunitRecord,
     UnitExposures,
     UnitRecord,
-    AGG_RUNNING,
-    AGG_RUNNING_POS,
-    AGG_WEIGHT,
+    BASIS_LABELS,
+    CROSSING,
+    INTERCEPT,
     close_mask,
+    control_columns,
     cutoff_indicators,
     design_exposures,
     design_stack,
     kernel_weights,
+    local_linear_basis,
 )
 from .errors import ConfigurationError, EstimationError
 from .regress import (
@@ -51,11 +59,6 @@ from .regress import (
     residualize,
     wls_fit,
 )
-
-INTERCEPT = "intercept"
-RUNNING = "running"
-RUNNING_POS = "running_pos"
-
 
 @dataclass
 class EstimateResult:
@@ -118,15 +121,6 @@ def _fe_codes(design: Design, dims: Sequence[str]) -> List[np.ndarray]:
     return out
 
 
-def _control_columns(config: DesignConfig, controls: np.ndarray):
-    """Select aggregated-control columns per the configured control set."""
-    if config.control_set == "all_three_rda":
-        return [AGG_WEIGHT, AGG_RUNNING, AGG_RUNNING_POS], controls
-    if config.control_set == "total_weight_only":
-        return [AGG_WEIGHT], controls[:, :1]
-    return [], controls[:, :0]
-
-
 def _absorb(y: np.ndarray, x: np.ndarray, z: np.ndarray,
             control_cols: List[Tuple[str, np.ndarray]], weights: np.ndarray,
             fe_key_lists: List[np.ndarray], config: DesignConfig):
@@ -170,8 +164,7 @@ def _iv_estimate(y: np.ndarray, x: np.ndarray, z: np.ndarray,
 
 def _upper_columns(design: Design, exp: UnitExposures, config: DesignConfig):
     """Outcome, weights, controls and fixed-effect codes of the unit-level IV."""
-    labels, ctrl = _control_columns(config, exp.controls)
-    cols = [(lab, ctrl[:, j]) for j, lab in enumerate(labels)] + _extra_columns(design)
+    cols = control_columns(config.control_set, exp.controls) + _extra_columns(design)
     fe = _fe_codes(design, config.fe_dimensions)
     if not fe and config.include_intercept:
         cols.append((INTERCEPT, np.ones(len(design.units))))
@@ -203,15 +196,6 @@ def upper_iv(design: Design, config: DesignConfig, spillover: bool = False,
     )
 
 
-def _q_columns(r: np.ndarray, z: np.ndarray, with_intercept: bool):
-    cols = []
-    if with_intercept:
-        cols.append((INTERCEPT, np.ones(len(r))))
-    cols.append((RUNNING, r))
-    cols.append((RUNNING_POS, r * z))
-    return cols
-
-
 def stacked_iv(design: Design, config: DesignConfig, spillover: bool = False) -> EstimateResult:
     """Stacking IV on the (unit, close event) rows of ``design_stack``: the
     lower-level IV, or with ``spillover`` the bilateral IV on the design's
@@ -233,7 +217,9 @@ def stacked_iv(design: Design, config: DesignConfig, spillover: bool = False) ->
     if config.lower_unit_weights:
         weights = weights * design.units.weight[rows]
     fe = [codes[rows] for codes in _fe_codes(design, config.fe_dimensions)]
-    cols = _q_columns(stack.running, stack.instrument, with_intercept=not fe)
+    cols = [*zip(BASIS_LABELS, local_linear_basis(stack.running, stack.instrument))]
+    if fe:
+        del cols[0]  # the fixed effects absorb the intercept
     cols += [(lab, col[rows]) for lab, col in _extra_columns(design)]
     return _iv_estimate(
         stack.outcome, stack.treatment, stack.instrument, cols, weights, fe, config,
@@ -273,7 +259,7 @@ def equivalence(design: Design, config: DesignConfig,
         raise EstimationError("empty stacked sample: no close subunits pass the design")
     beta_b = _iv_estimate(
         y_res[rows], x_res[rows], stack.instrument,
-        _q_columns(stack.running, stack.instrument, with_intercept=True),
+        [*zip(BASIS_LABELS, local_linear_basis(stack.running, stack.instrument))],
         stack.importance * w[rows], [], config, "lower-equivalent",
         n_units=int(np.count_nonzero(np.bincount(rows))), n_stacked_rows=len(rows),
     ).beta
@@ -287,9 +273,6 @@ def equivalence(design: Design, config: DesignConfig,
         tolerance=tolerance,
         passed=bool(relative <= tolerance),
     )
-
-
-CROSSING = "crossing"
 
 
 def sharp_rd(design: Design, outcome: np.ndarray, config: DesignConfig) -> EstimateResult:
@@ -319,8 +302,8 @@ def sharp_rd(design: Design, outcome: np.ndarray, config: DesignConfig) -> Estim
     fit = wls_fit(
         RegressionProblem(
             response=outcome[idx],
-            regressors=np.column_stack([z, np.ones(len(idx)), r, r * z]),
-            labels=[CROSSING, INTERCEPT, RUNNING, RUNNING_POS],
+            regressors=np.column_stack([z, *local_linear_basis(r, z)]),
+            labels=[CROSSING, *BASIS_LABELS],
             weights=weights,
         )
     )
@@ -368,7 +351,8 @@ def collapsed_iv(design: Design, config: DesignConfig) -> EstimateResult:
     return _iv_estimate(
         np.bincount(group, weights=stack.outcome) / counts,
         np.bincount(group, weights=stack.treatment) / counts,
-        z, _q_columns(r, z, with_intercept=True), weights, [], config, "spillover-collapsed",
+        z, [*zip(BASIS_LABELS, local_linear_basis(r, z))], weights, [], config,
+        "spillover-collapsed",
         n_units=len(events), n_stacked_rows=len(events), extra_notes=notes,
     )
 

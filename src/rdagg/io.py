@@ -15,6 +15,8 @@ becomes attribute "votes".
 
 ``load_design`` reads the files straight into a ``design.Design`` of numpy
 arrays; ``load_bundle`` is ``load_design`` plus record materialization.
+``load_numbers`` reads any other keyed numeric table (a key column and
+numeric columns by name), such as the CLI's micro records and series.
 ``load_units``, ``load_subunits`` and ``load_edges`` return the column
 tables ``Units``, ``Events`` and ``Edges``; the last holds the two
 endpoint columns of edges.csv in file order, one entry per row.
@@ -350,6 +352,19 @@ def load_edges(path: str) -> Edges:
     if blank:
         raise SchemaError(f"{path}:{lines[min(blank)]}: empty edge endpoint")
     return Edges(columns[i_unit], columns[i_sub])
+
+
+def load_numbers(path: str, key: str, numbers: Sequence[str]) -> tuple:
+    """The ``key`` column of a CSV file as strings and its ``numbers``
+    columns as lists of finite floats, read and checked as every file here
+    is; the file may hold other columns too."""
+    header, columns, lines = _read_columns(path)
+    positions = _columns(header, path, (key, *numbers))
+    errors = _FirstError(path, lines)
+    values = [_number_column(columns[i], name, errors).tolist()
+              for i, name in zip(positions[1:], numbers)]
+    errors.raise_first()
+    return (columns[positions[0]], *values)
 
 
 def load_design(units_path: str, subunits_path: str, edges_path: Optional[str] = None,

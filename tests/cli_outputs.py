@@ -11,7 +11,10 @@ messages do not depend on where OUT is. The bundles: a partition bundle,
 the same units with two subunits of an unknown unit, and four edges files
 over them (a graph with a cross edge into the capped unit, the orphans'
 links, an edge to an unknown unit, a repeated edge row). Each runs with and
-without a weight cap that drops one unit and the cross edge.
+without a weight cap that drops one unit and the cross edge. The commands
+that read a keyed numeric table, ``var-decomp`` and ``counterfactual``, run
+in OUT/cases/tables/<case> on tables written to OUT/inputs/tables, some of
+them malformed.
 
 The file name has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -96,6 +99,35 @@ def make_inputs():
     }
 
 
+def table_cases():
+    """The table commands' cases: name -> argv."""
+    rng = np.random.default_rng(19)
+    micro = [("cell", "value", "weight", "note")] + [
+        (f"c{int(rng.integers(0, 5))}", f"{rng.normal():.6f}", f"{rng.uniform(0.1, 3):.6f}", "x")
+        for _ in range(30)]
+    series = [("period", "actual", "shortfall")] + [
+        (2000 + t, f"{0.27 + 0.01 * t + 0.002 * rng.normal():.6f}", f"{rng.uniform(0, 0.1):.6f}")
+        for t in range(10)]
+    files = {
+        "micro": write("inputs/tables/micro.csv", micro),
+        "series": write("inputs/tables/series.csv", series),
+        "bad-number": write("inputs/tables/bad_number.csv",
+                            series[:4] + [(2003, "0.3", "lots")] + series[5:]),
+        "no-weight": write("inputs/tables/no_weight.csv", [row[:2] for row in micro]),
+        "infinite": write("inputs/tables/infinite.csv", micro[:3] + [("c1", "inf", "1", "x")]),
+    }
+    beta = ["--beta", "-0.2", "--beta-lo", "-0.35", "--beta-hi", "-0.05"]
+    return {
+        "var-decomp": ["var-decomp", "--micro", files["micro"]],
+        "var-decomp-no-weight": ["var-decomp", "--micro", files["no-weight"]],
+        "var-decomp-infinite": ["var-decomp", "--micro", files["infinite"]],
+        "counterfactual": ["counterfactual", "--series", files["series"]] + beta,
+        "counterfactual-per-period": ["counterfactual", "--series", files["series"],
+                                      "--per-period"] + beta,
+        "counterfactual-bad-number": ["counterfactual", "--series", files["bad-number"]] + beta,
+    }
+
+
 def run(argv, folder):
     """Run one command into ``folder`` and record its streams and exit code."""
     os.makedirs(folder)
@@ -125,6 +157,9 @@ def main(out_dir):
                 case = os.path.join("cases", bundle + ("-cap" if cap else ""), "-".join(command))
                 code = run(list(command) + files + flags, case)
                 codes[code] = codes.get(code, 0) + 1
+    for name, argv in table_cases().items():
+        code = run(argv, os.path.join("cases", "tables", name))
+        codes[code] = codes.get(code, 0) + 1
     print(f"{sum(codes.values())} cases; exit codes {dict(sorted(codes.items()))}")
 
 

@@ -1,6 +1,7 @@
 """Balance reports, plot bins, variance splits, counterfactual arithmetic."""
 
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -127,6 +128,12 @@ class TestBalance:
                       covariates=["c"])
         assert rep.n_dropped == 10
         assert rep.n_obs == 40
+        # the report is the one on the design built without the dropped units
+        kept = [u for u in units if u.extra_controls]
+        owners = {u.unit_id for u in kept}
+        want = balance(Design.from_records(kept, [s for s in subs if s.unit_id in owners]),
+                       DesignConfig(), target="instrument", covariates=["c"])
+        assert asdict(rep) == {**asdict(want), "n_dropped": 10}
 
     def test_subunits_of_unknown_unit_refused(self):
         # balance once dropped them silently (n_dropped=0) while every
@@ -247,6 +254,27 @@ class TestRdPlot:
         assert len(data.bins) == 6
         assert all(np.isfinite([b.running, b.value, b.weight]).all() for b in data.bins)
         assert data.notices == ["left side: 1 of 5 bins have observations; empty bins omitted"]
+
+    @pytest.mark.parametrize("right_running, notice", [
+        (0.0, "line coefficient 'running_pos' not identified: the right slope is the left slope"),
+        (0.2, "line coefficient 'crossing' not identified: "
+              "the jump and the right intercept are NaN"),
+    ])
+    def test_dropped_line_coefficient_is_named(self, right_running, notice):
+        # With every right-side point at one running value the line fit
+        # cannot identify the right slope (r = 0: r*z is all zero) or the
+        # jump (r = 0.2: r*z is 0.2 z). The values were always these; the
+        # drop used to be silent.
+        pts = [(-(i + 1) / 10, 1.0 + 0.3 * i, 1.0) for i in range(6)]
+        pts += [(right_running, 2.0 + 0.1 * i, 1.0) for i in range(4)]
+        data = rd_plot_data(pts, n_bins_per_side=2)
+        assert data.notices == [notice]
+        if right_running == 0.0:
+            assert data.right_line[1] == data.left_line[1]
+            assert np.isfinite([data.jump, *data.right_line]).all()
+        else:
+            assert np.isnan(data.jump) and np.isnan(data.right_line[0])
+            assert np.isfinite([*data.left_line, data.right_line[1]]).all()
 
     def test_one_sided_input_rejected(self):
         with pytest.raises(EstimationError, match="both sides"):

@@ -73,6 +73,18 @@ def test_absorb_first_parameter_is_columns():
     assert params[0] == "columns"
 
 
+@pytest.mark.parametrize("module, source", [("diagnostics", "estimators"), ("cli", "io")])
+def test_no_private_name_crosses(module, source):
+    """diagnostics reads the control basis from design, not from the
+    estimators, and only io knows the CSV format: cli reads tables through
+    its public reader."""
+    tree = ast.parse(Path(SRC, "rdagg", f"{module}.py").read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level and node.module == source
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 def test_public_names():
     """The package namespace, submodules aside: a record adapter that comes
     back shows up here."""

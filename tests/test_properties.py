@@ -2,8 +2,9 @@
 units a control is measured in, or a common rescaling of the analysis
 weights; bundles survive a write/load round trip, the CSV reader builds
 the same design as the record API, the plain split of a CSV text reads it
-as csv.reader does, and the unit exposures and the stack are the bits of
-the reference that masks each column."""
+as csv.reader does, the unit exposures and the stack are the bits of the
+reference that masks each column, and the units' aggregated controls are
+the unit sums of the stack's weighted local-linear basis."""
 
 from dataclasses import fields, replace
 
@@ -28,7 +29,9 @@ from rdagg.design import (
     UnitRecord,
     _edge_index,
     _exposures,
+    design_exposures,
     design_stack,
+    local_linear_basis,
     parse_filter,
 )
 from rdagg.estimators import stacked_iv, upper_iv
@@ -332,6 +335,31 @@ def test_stack_is_the_bits_of_the_masked_reference(bundle, data):
                              stack.treatment), wants):
         assert_same_bits(column, want)
     assert stack.n_close_events == n_close
+
+
+@settings(max_examples=200, deadline=None)
+@given(bundle=bundles(), data=st.data())
+def test_aggregated_controls_are_the_unit_sums_of_the_stacked_basis(bundle, data):
+    """The upper level's controls are the sums, over each unit's stacked
+    rows, of q(r, z) weighted as the lower level weights the rows under the
+    uniform kernel. The sums run in another order, so they agree to a
+    rounding bound on the sum of absolute terms wherever that is finite."""
+    design, config, spillover = drawn_design(bundle, data)
+    config = replace(config, kernel="uniform")
+    with np.errstate(over="ignore", invalid="ignore"):  # drawn values reach 1e300
+        got = design_exposures(design, config, spillover).controls
+        stack = design_stack(design, config, spillover)
+        basis = local_linear_basis(stack.running, stack.instrument,
+                                   stack.importance * stack.kernel)
+
+        def unit_sums(columns):
+            return np.column_stack([np.bincount(stack.unit_row, weights=c, minlength=len(got))
+                                    for c in columns]).reshape(got.shape)
+
+        want, scale = unit_sums(basis), unit_sums(map(np.abs, basis))
+    finite = np.isfinite(scale)
+    event(f"spillover: {spillover}; finite sums: {finite.all()}")
+    assert (np.abs(got[finite] - want[finite]) <= 1e-12 * scale[finite]).all()
 
 
 DIGITS = "0123456789"
