@@ -199,12 +199,15 @@ class DesignConfig:
     """Bandwidth, kernel, cutoff/tie policy, filters, and control selection.
 
     ``fe_tol`` and ``fe_max_iter`` govern absorbing two or more
-    ``fe_dimensions`` (one is exact): a column has converged when its
-    largest weighted group mean of the residual is at most ``fe_tol`` times
-    its weighted RMS before absorption, and ConvergenceError is raised if
-    ``fe_max_iter`` conjugate-gradient iterations do not get every column
-    there. The iterations run over cells, the distinct combinations of
-    fixed-effect keys, not over rows.
+    ``fe_dimensions``. The dimension with the most groups is eliminated
+    exactly (Abowd, Creecy & Kramarz 2002), so one dimension needs no
+    iteration; conjugate gradients solve for the effects of the others. A
+    column has converged when its largest weighted group mean of the
+    residual is at most ``fe_tol`` times its weighted RMS before
+    absorption, and ConvergenceError is raised if ``fe_max_iter``
+    conjugate-gradient iterations do not get every column there. The
+    iterations run over cells, the distinct combinations of fixed-effect
+    keys, not over rows.
     """
 
     bandwidth: float = 0.1
@@ -267,12 +270,15 @@ class _Table:
 
     def take(self, rows: np.ndarray):
         """The table on ``rows``, an index array."""
-        def pick(col):
-            if isinstance(col, dict):
-                return {label: pick(c) for label, c in col.items()}
-            return col[rows] if isinstance(col, np.ndarray) else [col[i] for i in rows.tolist()]
+        return replace(self, **{f.name: _pick(getattr(self, f.name), rows) for f in fields(self)})
 
-        return replace(self, **{f.name: pick(getattr(self, f.name)) for f in fields(self)})
+
+def _pick(col, rows: np.ndarray):
+    """A column, or a dict of columns, on ``rows``. A module-level function,
+    so that no closure holds ``rows`` in a reference cycle past the call."""
+    if isinstance(col, dict):
+        return {label: _pick(c, rows) for label, c in col.items()}
+    return col[rows] if isinstance(col, np.ndarray) else [col[i] for i in rows.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,7 +445,8 @@ class Design:
                 attributes={a: _floats(s.attributes.get(a, np.nan) for s in subunits)
                             for a in attributes},
             ),
-            None if graph is None else Edges(*(tuple(zip(*graph.edges)) or ((), ()))),
+            None if graph is None else Edges([unit for unit, _ in graph.edges],
+                                             [sub for _, sub in graph.edges]),
         )
 
     def subset(self, units: np.ndarray, events: np.ndarray,

@@ -25,16 +25,18 @@ Conventions
   ``iv_fit`` screens the controls once, partials outcome, treatment and
   instrument out of the kept ones with one solve, and reads every IV number
   off the partialled columns in closed form (Frisch-Waugh-Lovell).
-- Fixed effects are absorbed before the fit. One dimension is one exact
-  demeaning pass; two or more are one Jacobi-preconditioned conjugate-
-  gradient solve of the dummy normal equations for all columns at once,
-  stopped when every column's largest weighted group mean of the residual
-  is at most ``tol`` times the column's weighted RMS, so the rule does not
-  depend on the units of a column. The solve runs over cells (distinct
-  combinations of keys across the dimensions) from their weight sums and
-  weighted column sums, which is all the equations read of the rows. The
-  same group codes and cells give the degrees of freedom the effects spend,
-  which the absorption returns with the columns.
+- Fixed effects are absorbed before the fit. The dimension with the most
+  groups is eliminated exactly, since its weighted group means take one
+  pass (Abowd, Creecy & Kramarz 2002), and one Jacobi-preconditioned
+  conjugate-gradient solve of the Schur complement finds the other
+  dimensions' effects for all columns at once; with one dimension nothing
+  is left to solve. It stops when every column's largest weighted group
+  mean of the residual is at most ``tol`` times the column's weighted RMS,
+  so the rule does not depend on the units of a column. The solve runs over
+  cells (distinct combinations of keys across the dimensions) from their
+  weight sums and weighted column sums, which is all the equations read of
+  the rows. The same group codes and cells give the degrees of freedom the
+  effects spend, which the absorption returns with the columns.
 """
 
 from __future__ import annotations
@@ -433,18 +435,21 @@ def _factorize(keys) -> tuple:
 
 
 def _cells(coded) -> tuple:
-    """The cell of every row and the first row of every cell.
+    """The cell of every row, and every dimension's (codes, groups) on the
+    cells.
 
     A cell is one combination of group codes across all dimensions; cells
-    are numbered in the sorted order of their codes. Each chained code is
-    below (cells so far) * (groups of the next dimension), at most n * g, so
-    it cannot overflow.
+    are numbered in the sorted order of their codes, so with one dimension
+    the cells are its groups. Each chained code is below (cells so far) *
+    (groups of the next dimension), at most n * g, so it cannot overflow.
     """
-    cell = coded[0][0]
-    for codes, n_groups in coded[1:]:
+    (cell, n_cells), *rest = coded
+    if not rest:
+        return cell, [(np.arange(n_cells), n_cells)]
+    for codes, n_groups in rest:
         _, first, cell = np.unique(cell * n_groups + codes, return_index=True,
                                    return_inverse=True)
-    return cell, first
+    return cell, [(codes[first], n_groups) for codes, n_groups in coded]
 
 
 def _flat_index(codes: np.ndarray, k: int) -> np.ndarray:
@@ -491,23 +496,30 @@ def absorb_fixed_effects(
     groups-minus-one of each further one, which ignores disconnected
     components. The count depends on the keys only, not on the weights.
 
-    A single dimension is one exact pass: subtract each row's weighted group
-    mean. Two or more dimensions solve the normal equations
-    D'WD a = D'W y for every column at once by conjugate gradients with a
-    Jacobi preconditioner (1 / group weight sum, 0 for an empty group), and
-    return y - D a (Correia 2017, reghdfe; Gaure 2013, lfe). The
-    preconditioned residual is the weighted group means of y - D a, and a
-    column has converged when the largest of them is at most ``tol`` times
-    the column's weighted RMS before absorption, a rule that does not depend
-    on the column's scale. Raises ConvergenceError (carrying the largest
-    attained ratio) if ``max_iter`` iterations do not suffice, and
-    ConfigurationError on a non-finite column.
+    One dimension is eliminated exactly and conjugate gradients solve for
+    the rest (Abowd, Creecy & Kramarz 2002). The eliminated dimension e is
+    the one with the most groups, the first listed on a tie: given the
+    other dimensions' effects a, its effects are the weighted group means
+    of y - D_r a, one ``np.bincount``. What remains is the Schur complement
+    D_r'W(I - P_e)D_r a = D_r'W(I - P_e)y, where P_e takes each row to its
+    weighted group mean in e. It is solved for every column at once by
+    conjugate gradients with a Jacobi preconditioner (1 / group weight sum
+    in D_r, 0 for an empty group; Correia 2017, reghdfe; Gaure 2013, lfe),
+    and the columns come back as (I - P_e)(y - D_r a). With one dimension
+    nothing remains, and this is the exact pass: subtract each row's
+    weighted group mean. The residual's group means in e are zero by
+    construction, and its group means in the other dimensions are the
+    preconditioned Schur residual. A column has converged when the largest
+    of them is at most ``tol`` times the column's weighted RMS before
+    absorption, a rule that does not depend on the column's scale. Raises
+    ConvergenceError (carrying the largest attained ratio) if ``max_iter``
+    iterations do not suffice, and ConfigurationError on a non-finite
+    column.
 
     The solve runs over cells, not rows. A cell is one combination of keys
     across the dimensions, and every row of a cell has the same dummies, so
-    the normal equations depend on the rows only through each cell's weight
-    sum and weighted column sums. The solve uses D_c'W_cD_c and D_c'(sum w y)
-    over the cells, and rows come back once as y - D a. Group sums are
+    the equations depend on the rows only through each cell's weight sum
+    and weighted column sums, and rows come back once. Group sums are
     ``np.bincount`` calls over the index ``code * k + column``, adding each
     group's terms in row (or cell) order; D a is ``np.take`` of the group
     values. Rows of zero weight are not identified: they get the effects
@@ -533,67 +545,71 @@ def absorb_fixed_effects(
             )
     w = _check_weights(weights, n)
     norms = np.sqrt(w @ (y * y))
-    # one dimension sums rows; two or more sum cells, and solve on them
-    cell_w, cell_wy = w, y * w[:, None]
-    if len(coded) > 1:
-        cell, first = _cells(coded)
-        cell_w = np.bincount(cell, weights=w, minlength=first.size)
-        cell_wy = np.bincount(_flat_index(cell, k), weights=cell_wy.ravel(),
-                              minlength=first.size * k).reshape(-1, k)
-        coded = [(codes[first], n_groups) for codes, n_groups in coded]
-    flat = [(_flat_index(codes, k), n_groups) for codes, n_groups in coded]
-    wsum = np.concatenate([
-        np.bincount(codes, weights=cell_w, minlength=g) for codes, g in coded
-    ])
+    cell, coded = _cells(coded)
+    n_cells = coded[0][0].size
+    cell_w = np.bincount(cell, weights=w, minlength=n_cells)
+    cell_wy = np.bincount(_flat_index(cell, k), weights=(y * w[:, None]).ravel(),
+                          minlength=n_cells * k).reshape(-1, k)
+    e = max(range(len(coded)), key=lambda d: coded[d][1])
+    eliminated, n_eliminated = coded[e]
+    flat_e = _flat_index(eliminated, k)
+    # an empty group's sums are zero, and so are its means
+    wsum_e = np.bincount(eliminated, weights=cell_w, minlength=n_eliminated)
+    wsum_e = np.where(wsum_e > 0, wsum_e, 1.0)[:, None]
+    # the remaining dimensions' groups stacked in order: one row per dimension
+    rest = coded[:e] + coded[e + 1:]
+    offsets = np.cumsum([0] + [g for _, g in rest])
+    groups = np.array([codes + offset for (codes, _), offset in zip(rest, offsets)],
+                      dtype=np.intp).reshape(len(rest), n_cells)
+    flat = _flat_index(groups.ravel(), k)
+    wsum = np.bincount(groups.ravel(), weights=np.tile(cell_w, len(rest)),
+                       minlength=offsets[-1])
 
-    def group_sums(v: np.ndarray) -> np.ndarray:
-        # D'v for weighted totals v, the dimensions' groups stacked in order
-        return np.concatenate([
-            np.bincount(f, weights=v.ravel(), minlength=g * k) for f, g in flat
-        ]).reshape(-1, k)
+    def means_e(t: np.ndarray) -> np.ndarray:
+        # the eliminated dimension's weighted group means of weighted cell totals t
+        return np.bincount(flat_e, weights=t.ravel(),
+                           minlength=n_eliminated * k).reshape(-1, k) / wsum_e
 
-    if len(coded) == 1:
-        means = group_sums(cell_wy) / np.where(wsum > 0, wsum, 1.0)[:, None]
-        out = y - np.take(means, coded[0][0], axis=0)
-    else:
-        offsets = np.cumsum([0] + [g for _, g in coded])
-        groups = [codes + offset for (codes, _), offset in zip(coded, offsets)]
+    def schur_sums(t: np.ndarray) -> np.ndarray:
+        # D_r'W(I - P_e) on weighted cell totals t
+        t = t - cell_w[:, None] * np.take(means_e(t), eliminated, axis=0)
+        return np.bincount(flat, weights=np.tile(t.ravel(), len(rest)),
+                           minlength=offsets[-1] * k).reshape(-1, k)
 
-        def expand(a: np.ndarray) -> np.ndarray:
-            # D_c a: each cell's group values summed over the dimensions
-            total = np.take(a, groups[0], axis=0)
-            for g in groups[1:]:
-                total += np.take(a, g, axis=0)
-            return total
+    def expand(a: np.ndarray) -> np.ndarray:
+        # D_r a: each cell's group values summed over the remaining dimensions
+        return np.take(a, groups, axis=0).sum(axis=0)
 
-        dinv = np.divide(1.0, wsum, out=np.zeros_like(wsum), where=wsum > 0)[:, None]
-        rms = norms / np.sqrt(w.sum())
-        alpha = np.zeros((wsum.size, k))
-        resid = group_sums(cell_wy)
+    dinv = np.divide(1.0, wsum, out=np.zeros(wsum.size), where=wsum > 0)[:, None]
+    rms = norms / np.sqrt(w.sum())
+    alpha = np.zeros((wsum.size, k))
+    resid = schur_sums(cell_wy)
+    means = dinv * resid
+    direction = means.copy()
+    rz = np.einsum("gj,gj->j", resid, means)
+    for iteration in range(max_iter + 1):
+        worst = np.abs(means).max(axis=0, initial=0.0)
+        active = worst > tol * rms
+        if not active.any():
+            break
+        if iteration == max_iter:
+            attained = float(np.max(worst[active] / rms[active]))
+            raise ConvergenceError(
+                f"fixed-effect absorption did not converge in {max_iter} iterations "
+                f"(attained {attained:.3e}, tol {tol:.3e})",
+                attained=attained,
+            )
+        image = schur_sums(expand(direction) * cell_w[:, None])
+        step = np.divide(rz, np.einsum("gj,gj->j", direction, image),
+                         out=np.zeros(k), where=active)
+        alpha += step * direction
+        resid -= step * image
         means = dinv * resid
-        direction = means.copy()
-        rz = np.einsum("gj,gj->j", resid, means)
-        for iteration in range(max_iter + 1):
-            worst = np.abs(means).max(axis=0, initial=0.0)
-            active = worst > tol * rms
-            if not active.any():
-                break
-            if iteration == max_iter:
-                attained = float(np.max(worst[active] / rms[active]))
-                raise ConvergenceError(
-                    f"fixed-effect absorption did not converge in {max_iter} iterations "
-                    f"(attained {attained:.3e}, tol {tol:.3e})",
-                    attained=attained,
-                )
-            image = group_sums(expand(direction) * cell_w[:, None])
-            step = np.divide(rz, np.einsum("gj,gj->j", direction, image),
-                             out=np.zeros(k), where=active)
-            alpha += step * direction
-            resid -= step * image
-            means = dinv * resid
-            rz_next = np.einsum("gj,gj->j", resid, means)
-            direction = means + np.divide(rz_next, rz, out=np.zeros(k), where=active) * direction
-            rz = rz_next
-        out = y - np.take(expand(alpha), cell, axis=0)
+        rz_next = np.einsum("gj,gj->j", resid, means)
+        direction = means + np.divide(rz_next, rz, out=np.zeros(k), where=active) * direction
+        rz = rz_next
+    fitted = expand(alpha)
+    fitted += np.take(means_e(cell_wy - cell_w[:, None] * fitted), eliminated, axis=0)
+    out = y - np.take(fitted, cell, axis=0)
     out[:, np.sqrt(w @ (out * out)) <= PIVOT_RTOL * norms] = 0.0
     return (out[:, 0] if squeeze else out), _spent_dof(coded)

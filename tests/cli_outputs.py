@@ -5,16 +5,21 @@ that each run leaves behind, for comparing two trees byte for byte:
     diff -r OUT_a OUT_b
 
 The script writes its bundles to OUT/inputs and runs each case in
-OUT/cases/<bundle>[-cap]/<command>: the command's output files, plus ``stdout``,
-``stderr`` and ``exit``. The inputs are named by paths relative to OUT, so
-messages do not depend on where OUT is. The bundles: a partition bundle,
-the same units with two subunits of an unknown unit, and four edges files
-over them (a graph with a cross edge into the capped unit, the orphans'
-links, an edge to an unknown unit, a repeated edge row). Each runs with and
-without a weight cap that drops one unit and the cross edge. The commands
-that read a keyed numeric table, ``var-decomp`` and ``counterfactual``, run
-in OUT/cases/tables/<case> on tables written to OUT/inputs/tables, some of
-them malformed.
+OUT/cases/<bundle>[-cap|-<config>]/<command>: the command's output files, plus
+``stdout``, ``stderr`` and ``exit``. The inputs are named by paths relative
+to OUT, so messages do not depend on where OUT is. The bundles: a partition
+bundle, the same units with two subunits of an unknown unit, and four edges
+files over them (a graph with a cross edge into the capped unit, the
+orphans' links, an edge to an unknown unit, a repeated edge row). The
+bundles without edges run every command but ``spillover``, and one
+``spillover`` run without ``--edges`` records the usage error; the bundles
+with edges run the three ``spillover`` modes. Each runs with and without a
+weight cap that drops one unit and the cross edge. The partition and graph
+bundles also run with each ``--config`` file of CONFIGS, which absorb fixed
+effects in one dimension (region) and in two (region and sector). The
+commands that read a keyed numeric table, ``var-decomp`` and
+``counterfactual``, run in OUT/cases/tables/<case> on tables written to
+OUT/inputs/tables, some of them malformed.
 
 The file name has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -37,12 +42,16 @@ COMMANDS = (
     ("verify-equivalence",),
     ("balance",),
     ("plot-data", "--bins", "6"),
+)
+SPILLOVER_COMMANDS = (
     ("spillover", "bilateral"),
     ("spillover", "collapsed"),
     ("spillover", "upper"),
 )
 # u00's three events weigh 3.0 in all; every other unit's at most 2.4
 WEIGHT_CAP = "2.7"
+# config name -> fe_dimensions; sector (4 groups) crosses region (3 groups)
+CONFIGS = {"fe-region": "region", "fe-region-sector": "region, sector"}
 
 
 def write(path, rows):
@@ -56,14 +65,14 @@ def make_inputs():
     """The bundles: name -> (units, subunits, edges or None)."""
     rng = np.random.default_rng(16)
     n = 40
-    units = [("unit_id", "outcome", "weight", "fe_region", "ctrl_share")]
+    units = [("unit_id", "outcome", "weight", "fe_region", "ctrl_share", "fe_sector")]
     subunits = [("subunit_id", "unit_id", "running", "importance", "win_flag",
                  "attr_votes", "attr_outcome")]
     graph = [("outcome_unit_id", "subunit_id")]
     for i in range(n):
         uid = f"u{i:02d}"
         units.append((uid, f"{rng.normal():.6f}", f"{rng.uniform(0.5, 2):.6f}", f"r{i % 3}",
-                      f"{rng.normal():.6f}"))
+                      f"{rng.normal():.6f}", f"k{i // 2 % 4}"))
         for k in range(3 if i == 0 else int(rng.integers(1, 4))):
             sid = f"{uid}-s{k}"
             r = rng.uniform(-1, 1)
@@ -89,6 +98,8 @@ def make_inputs():
                                   graph + [("nobody", "u01-s0")]),
         "duplicate-edge": write("inputs/duplicate_edge/edges.csv", graph + [graph[5]]),
     }
+    for name, dims in CONFIGS.items():
+        write(f"inputs/{name}.cfg", [(f"fe_dimensions = {dims}",)])
     return {
         "partition": (files["units"], files["subunits"], None),
         "orphans": (files["units"], files["orphan-subunits"], None),
@@ -145,18 +156,32 @@ def run(argv, folder):
     return code
 
 
+def bundle_cases():
+    """The bundle commands' cases: folder under OUT/cases -> argv."""
+    cases = {}
+    for bundle, (units, subunits, edges) in make_inputs().items():
+        files = ["--units", units, "--subunits", subunits] + (["--edges", edges] if edges else [])
+        commands = SPILLOVER_COMMANDS if edges else COMMANDS
+        variants = [("", []), ("-cap", ["--weight-cap", WEIGHT_CAP])]
+        if bundle in ("partition", "graph"):
+            variants += [(f"-{name}", ["--config", f"inputs/{name}.cfg"]) for name in CONFIGS]
+        for suffix, flags in variants:
+            for command in commands:
+                cases[os.path.join(bundle + suffix, "-".join(command))] = (
+                    list(command) + files + ["--bandwidth", "0.6"] + flags)
+    units, subunits, _ = make_inputs()["partition"]
+    cases[os.path.join("partition", "spillover-upper-no-edges")] = [
+        "spillover", "upper", "--units", units, "--subunits", subunits, "--bandwidth", "0.6"]
+    return cases
+
+
 def main(out_dir):
     os.makedirs(out_dir, exist_ok=True)
     os.chdir(out_dir)
     codes = {}
-    for bundle, (units, subunits, edges) in make_inputs().items():
-        files = ["--units", units, "--subunits", subunits] + (["--edges", edges] if edges else [])
-        for cap in (None, WEIGHT_CAP):
-            flags = ["--bandwidth", "0.6"] + (["--weight-cap", cap] if cap else [])
-            for command in COMMANDS:
-                case = os.path.join("cases", bundle + ("-cap" if cap else ""), "-".join(command))
-                code = run(list(command) + files + flags, case)
-                codes[code] = codes.get(code, 0) + 1
+    for name, argv in bundle_cases().items():
+        code = run(argv, os.path.join("cases", name))
+        codes[code] = codes.get(code, 0) + 1
     for name, argv in table_cases().items():
         code = run(argv, os.path.join("cases", "tables", name))
         codes[code] = codes.get(code, 0) + 1

@@ -1,5 +1,8 @@
 """Close sets, instruments, aggregated controls, stacks, and spillover graphs."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -386,6 +389,36 @@ def collapsed_oracle(graph, units, subs, cfg):
     z = (r >= 0).astype(float)
     fit = dense_tsls(yy, xx, z, np.column_stack([np.ones(len(r)), r, r * z]), w)
     return fit["beta"], len(recs)
+
+
+class TestRecordBridge:
+    def test_graph_becomes_edge_columns(self):
+        units, subs = [unit("u1"), unit("u2")], [sub("a", "u1", 0.1), sub("b", "u2", -0.1)]
+        graph = SpilloverGraph((("u2", "a"), ("u1", "b"), ("u1", "a")))
+        design = Design.from_records(units, subs, graph)
+        assert design.edge_unit.tolist() == [1, 0, 0]
+        assert design.edge_event.tolist() == [0, 1, 0]
+        assert design.to_records()[2] == graph
+
+    def test_empty_graph_gives_empty_columns(self):
+        design = Design.from_records([unit("u1")], [sub("a", "u1", 0.1)], SpilloverGraph(()))
+        assert design.edge_unit.size == 0 and design.edge_event.size == 0
+        assert design.to_records()[2] == SpilloverGraph(())
+
+    def test_take_leaves_no_reference_cycle(self):
+        # A recursive closure once held itself and the index array in a
+        # cycle, so every take kept its rows alive until a collection.
+        design = Design.from_records([unit("u1", fe_keys={"state": "s"}), unit("u2")],
+                                     [sub("a", "u1", 0.1)])
+        gc.disable()
+        try:
+            rows = np.array([1, 0])
+            alive = weakref.ref(rows)
+            assert design.units.take(rows).ids == ["u2", "u1"]
+            del rows
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestCollapse:
