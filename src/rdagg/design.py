@@ -325,7 +325,7 @@ def _floats(values) -> np.ndarray:
     return np.fromiter(values, dtype=np.float64)
 
 
-def _codes(keys: list) -> Tuple[np.ndarray, list]:
+def key_codes(keys: list) -> Tuple[np.ndarray, list]:
     """Integer codes of ``keys`` in order of first appearance (-1 for None),
     and the distinct keys in that order."""
     index: dict = {}
@@ -412,7 +412,7 @@ class Design:
             events=events,
             event_unit=_lookup(rows, events.unit_ids),
             event_rank=rank,
-            fe_codes={dim: _codes(keys)[0] for dim, keys in units.fe.items()},
+            fe_codes={dim: key_codes(keys)[0] for dim, keys in units.fe.items()},
             edge_unit=edge_unit,
             edge_event=edge_event,
         )
@@ -463,7 +463,7 @@ class Design:
         return Design(
             kept, self.events.take(np.flatnonzero(events)),
             unit_row[self.event_unit[events]], np.argsort(np.argsort(self.event_rank[events])),
-            {dim: _codes(keys)[0] for dim, keys in kept.fe.items()},
+            {dim: key_codes(keys)[0] for dim, keys in kept.fe.items()},
             None if edges is None else unit_row[self.edge_unit[edges]],
             None if edges is None else np.cumsum(events)[self.edge_event[edges]] - 1,
         )
@@ -606,6 +606,14 @@ def design_exposures(design: Design, config: DesignConfig,
     return _exposures(design, _edge_index(design, config, spillover))
 
 
+# The settings that decide a sample: which events are close, their kernel
+# weights and the instrument. The control set, fixed effects, intercept and
+# weighting enter only the fit, so one stack serves every config that agrees
+# on these.
+SAMPLE_SETTINGS = ("bandwidth", "kernel", "cutoff_rule", "tie_policy", "filters",
+                   "instrument_basis")
+
+
 @dataclass(frozen=True)
 class Stack:
     """The stacked sample: one row per (unit, close event) edge.
@@ -616,6 +624,12 @@ class Stack:
     ``kernel`` is the row's kernel weight. ``n_close_events`` counts close
     events, linked or not. ``exposures`` are the unit aggregates the stack
     was built with.
+
+    A stack also records what it was built from: the design itself, the
+    ``spillover`` flag and the config. An estimator given a stack reuses it
+    only for that design and flag and a config with the same
+    ``SAMPLE_SETTINGS`` (``reuse``); a config that differs only in
+    the control set, say, shares it.
     """
 
     unit_ids: List[str]
@@ -629,12 +643,36 @@ class Stack:
     treatment: np.ndarray
     n_close_events: int
     exposures: UnitExposures
+    design: Design = field(repr=False)
+    spillover: bool
+    config: DesignConfig
+
+    def reuse(self, design: Design, config: DesignConfig, spillover: bool) -> "Stack":
+        """This stack, for a fit on ``design`` under ``config``. Raises
+        ConfigurationError unless ``design_stack(design, config, spillover)``
+        would build this sample: the same design object, the same flag and
+        the same sample settings."""
+        if design is not self.design:
+            raise ConfigurationError("the stack was built from another design")
+        if spillover != self.spillover:
+            raise ConfigurationError(f"the stack was built with spillover={self.spillover}")
+        differ = [f"{name}={getattr(self.config, name)!r} (not {getattr(config, name)!r})"
+                  for name in SAMPLE_SETTINGS
+                  if getattr(self.config, name) != getattr(config, name)]
+        if differ:
+            raise ConfigurationError(f"the stack was built with {', '.join(differ)}")
+        return self
 
 
 def design_stack(design: Design, config: DesignConfig, spillover: bool = False) -> Stack:
     """The stacked sample over the edge index: the design's graph, or
     without ``spillover`` the partition graph (each close event paired with
-    its own unit)."""
+    its own unit).
+
+    The stack keeps the unit exposures it was built with and records its
+    design, flag and config, so that any fit on the same design and flag
+    whose config agrees on ``SAMPLE_SETTINGS`` can read it instead of
+    building its own (``Stack.reuse``)."""
     e = _edge_index(design, config, spillover)
     exp = _exposures(design, e)
     keep = e.close_edge
@@ -643,4 +681,5 @@ def design_stack(design: Design, config: DesignConfig, spillover: bool = False) 
     r = design.events.running[event]
     return Stack(exp.unit_ids, unit_row, event, r, e.instrument[event],
                  design.events.importance[event], kernel_weights(r, config),
-                 design.units.outcome[unit_row], exp.treatment[unit_row], int(e.close.sum()), exp)
+                 design.units.outcome[unit_row], exp.treatment[unit_row], int(e.close.sum()), exp,
+                 design, spillover, config)

@@ -14,8 +14,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import (BASIS_LABELS, CROSSING, INTERCEPT, Design, DesignConfig, Stack, _codes,
-                     control_columns, cutoff_indicators, design_exposures, local_linear_basis)
+from .design import (BASIS_LABELS, CROSSING, INTERCEPT, Design, DesignConfig, Stack,
+                     control_columns, cutoff_indicators, design_exposures, key_codes,
+                     local_linear_basis)
 from .errors import ConfigurationError, EstimationError
 from .regress import RegressionProblem, wls_fit
 
@@ -304,7 +305,7 @@ def variance_decomposition(records: Sequence[Tuple]) -> VarianceDecomposition:
     grand = float((v * w).sum() / total_w)
     total = float((w * (v - grand) ** 2).sum() / total_w)
 
-    codes, keys = _codes(cells)
+    codes, keys = key_codes(cells)
     wsum = np.bincount(codes, weights=w, minlength=len(keys))
     vsum = np.bincount(codes, weights=w * v, minlength=len(keys))
     means = vsum / np.where(wsum > 0, wsum, 1.0)

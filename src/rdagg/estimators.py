@@ -35,6 +35,7 @@ from .design import (
     Design,
     DesignConfig,
     SpilloverGraph,
+    Stack,
     SubunitRecord,
     UnitExposures,
     UnitRecord,
@@ -172,7 +173,8 @@ def _upper_columns(design: Design, exp: UnitExposures, config: DesignConfig):
 
 
 def upper_iv(design: Design, config: DesignConfig, spillover: bool = False,
-             specification: Optional[str] = None) -> EstimateResult:
+             specification: Optional[str] = None, stack: Optional[Stack] = None
+             ) -> EstimateResult:
     """Outcome-level 2SLS: Y on the aggregated treatment, instrumented by the
     close-event shift-share, with the configured control set, extra unit
     controls, absorbed fixed effects, and analysis weights. With
@@ -180,14 +182,17 @@ def upper_iv(design: Design, config: DesignConfig, spillover: bool = False,
 
     Requires the uniform kernel (the instrument is a plain weighted sum). The
     reduced form (Y on the instrument and the same controls) is also fitted
-    and reported.
+    and reported. Given a ``stack`` of ``design_stack(design, config,
+    spillover)``, the fit reads its exposures instead of building them; a
+    stack of another design, flag or sample raises ConfigurationError.
     """
     if config.kernel != "uniform":
         raise ConfigurationError("upper-level estimation requires the uniform kernel")
     if config.control_set == "none" and not config.include_intercept and not config.fe_dimensions:
         raise ConfigurationError(
             "control_set='none' without an intercept leaves the estimator unidentified")
-    exp = design_exposures(design, config, spillover)
+    exp = (design_exposures(design, config, spillover) if stack is None
+           else stack.reuse(design, config, spillover).exposures)
     y, w, cols, fe = _upper_columns(design, exp, config)
     tag = specification or ("spillover-upper:" if spillover else "upper:") + config.control_set
     return _iv_estimate(
@@ -196,7 +201,8 @@ def upper_iv(design: Design, config: DesignConfig, spillover: bool = False,
     )
 
 
-def stacked_iv(design: Design, config: DesignConfig, spillover: bool = False) -> EstimateResult:
+def stacked_iv(design: Design, config: DesignConfig, spillover: bool = False,
+               stack: Optional[Stack] = None) -> EstimateResult:
     """Stacking IV on the (unit, close event) rows of ``design_stack``: the
     lower-level IV, or with ``spillover`` the bilateral IV on the design's
     graph.
@@ -206,9 +212,12 @@ def stacked_iv(design: Design, config: DesignConfig, spillover: bool = False) ->
     (intercept, running value, its above-cutoff interaction) plus the unit's
     extra controls and absorbed fixed effects enter as covariates. Row
     weights are importance times kernel weight, optionally times the unit's
-    analysis weight.
+    analysis weight. A ``stack`` given is used in place of
+    ``design_stack(design, config, spillover)``, which it must be (see
+    ``Stack.reuse``).
     """
-    stack = design_stack(design, config, spillover)
+    stack = (design_stack(design, config, spillover) if stack is None
+             else stack.reuse(design, config, spillover))
     rows = stack.unit_row
     if not rows.size:
         raise EstimationError(

@@ -13,10 +13,16 @@ so datasets depend only on (seed, replication_index) and summaries do not
 depend on scheduling or thread count.
 
 ``generate_design`` emits a dataset as a ``design.Design`` straight from the
-generator's arrays; ``generate_dgp`` is its record form. A Monte Carlo
-replication builds one design and evaluates every (estimator, bandwidth)
-cell on it; ``dataset_digest`` hashes the design itself, so a sweep builds
-no records.
+generator's arrays; ``generate_dgp`` is its record form. The ids and their
+resolution depend only on the number of events of each unit, so they are
+assembled once into a skeleton and kept for the next call with the same
+counts; each call places its draws into it. ``dataset_digest`` hashes the
+design itself, so a sweep builds no records.
+
+A Monte Carlo replication builds one design and goes bandwidth by
+bandwidth: it builds the stack at h once and hands it to the three
+estimators, whose configs differ only in the control set, which the sample
+does not read.
 """
 
 from __future__ import annotations
@@ -24,12 +30,14 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import Design, DesignConfig, Events, SubunitRecord, UnitRecord, Units
+from .design import (Design, DesignConfig, Events, Stack, SubunitRecord, UnitRecord, Units,
+                     design_stack)
 from .errors import ConfigurationError, EstimationError, RdaError
 from .estimators import stacked_iv, upper_iv
 
@@ -168,16 +176,44 @@ def generate_design(spec: DgpSpec, replication_index: int = 0) -> Tuple[Design, 
     if spec.noise_sd > 0:
         y = y + spec.noise_sd * rng.standard_normal(n)
 
+    skeleton, order = _skeleton(tuple(counts.tolist()))
+    design = replace(skeleton, units=replace(skeleton.units, outcome=y[order]),
+                     events=replace(skeleton.events, running=r, importance=s))
+    effects = (dict(zip(skeleton.units.ids, unit_effects[order].tolist()))
+               if unit_effects is not None else None)
+    return design, DgpTruth(true_beta=truth, unit_effects=effects)
+
+
+@lru_cache(maxsize=1)
+def _skeleton(counts: Tuple[int, ...]) -> Tuple[Design, np.ndarray]:
+    """What a generated design takes from its sizes alone: the ids of unit i
+    and of its events, given ``counts[i]`` events each, resolved through
+    ``Design.assemble``, and the constant weight, override and win-flag
+    columns. Also the input position of each unit row, so that drawn unit
+    columns are placed in the design's row order.
+
+    One entry is kept, so a sweep with fixed counts assembles once and one
+    with drawn counts once per replication. Designs that share a skeleton
+    share its ids and arrays; the arrays are read-only."""
+    n = len(counts)
     width = max(5, len(str(n - 1)))
     unit_ids = [f"u{i:0{width}d}" for i in range(n)]
-    suffixes = [f"-s{k}" for k in range(int(counts.max()))]
-    design = Design.assemble(
-        Units(unit_ids, y, np.ones(n), np.full(n, np.nan), {}, {}),
-        Events([uid + sfx for uid, c in zip(unit_ids, counts.tolist()) for sfx in suffixes[:c]],
-               [unit_ids[i] for i in unit_idx.tolist()], r, s, np.full(r.size, np.nan), {}),
+    suffixes = [f"-s{k}" for k in range(max(counts))]
+    # Per-event constants are zero-stride views, which take no memory: the
+    # kept skeleton adds only the ids and their resolution to what a caller
+    # holds. The placeholder outcome of unit i is i, so the design's row
+    # order reads off it.
+    nan, zero = (np.broadcast_to(value, sum(counts)) for value in (np.nan, 0.0))
+    skeleton = Design.assemble(
+        Units(unit_ids, np.arange(n, dtype=np.float64), np.ones(n), np.full(n, np.nan), {}, {}),
+        Events([uid + sfx for uid, c in zip(unit_ids, counts) for sfx in suffixes[:c]],
+               [uid for uid, c in zip(unit_ids, counts) for _ in range(c)], zero, zero, nan, {}),
     )
-    effects = dict(zip(unit_ids, unit_effects.tolist())) if unit_effects is not None else None
-    return design, DgpTruth(true_beta=truth, unit_effects=effects)
+    order = skeleton.units.outcome.astype(np.intp)
+    for array in (order, skeleton.units.weight, skeleton.units.override,
+                  skeleton.event_unit, skeleton.event_rank):
+        array.flags.writeable = False
+    return skeleton, order
 
 
 def generate_dgp(spec: DgpSpec, replication_index: int = 0
@@ -204,13 +240,14 @@ def mc_design_config(h: float, control_set: str) -> DesignConfig:
                         tie_policy="keep", control_set=control_set)
 
 
-def _run_estimator(name: str, design: Design, h: float) -> float:
+def _run_estimator(name: str, design: Design, h: float, stack: Stack) -> float:
+    """One estimator's beta at ``h``, on the stack the sweep built there."""
     if name == "upper":
-        return upper_iv(design, mc_design_config(h, "all_three_rda")).beta
+        return upper_iv(design, mc_design_config(h, "all_three_rda"), stack=stack).beta
     if name == "benchmark":
-        return upper_iv(design, mc_design_config(h, "total_weight_only")).beta
+        return upper_iv(design, mc_design_config(h, "total_weight_only"), stack=stack).beta
     if name == "lower":
-        return stacked_iv(design, mc_design_config(h, "all_three_rda")).beta
+        return stacked_iv(design, mc_design_config(h, "all_three_rda"), stack=stack).beta
     raise ConfigurationError(f"unknown estimator '{name}' (choose from {MC_ESTIMATORS})")
 
 
@@ -294,13 +331,16 @@ def run_monte_carlo(
     """Replication sweep over bandwidths with common random numbers.
 
     Each replication draws one dataset and every (estimator, bandwidth) pair
-    is evaluated on that same dataset. An estimation failure (a package
-    error, a singular linear system or a non-finite estimate) is recorded,
-    not fatal, and each cell counts its failures by cause; any other
-    exception propagates. The summary flags runs where more than 1% of cells
-    failed. The true effect must be known (zero for the built-in confound
-    outcomes), so heterogeneous-effects specs go through late_gap_check
-    instead.
+    is evaluated on that same dataset. The work goes in this order: per
+    replication, one ``generate_design``; per bandwidth, one
+    ``design_stack``; per estimator, one fit on that stack. An estimation
+    failure (a package error, a singular linear system or a non-finite
+    estimate) is recorded, not fatal, and each cell counts its failures by
+    cause; a stack that cannot be built fails every estimator at its
+    bandwidth with its cause. Any other exception propagates. The summary
+    flags runs where more than 1% of cells failed. The true effect must be
+    known (zero for the built-in confound outcomes), so heterogeneous-effects
+    specs go through late_gap_check instead.
     """
     if n_replications < 2:
         raise ConfigurationError("n_replications must be at least 2")
@@ -317,13 +357,20 @@ def run_monte_carlo(
     def one_replication(rep: int):
         design, _ = generate_design(spec, rep)
         out = {}
-        for name, h in product(estimators, h_grid):
+        for h in h_grid:
+            # one sample per bandwidth: the control set does not enter it
             try:
-                beta = _run_estimator(name, design, h)
-                reason = None if np.isfinite(beta) else "non-finite estimate"
+                stack = design_stack(design, mc_design_config(h, "all_three_rda"))
             except (RdaError, np.linalg.LinAlgError) as exc:
-                beta, reason = float("nan"), type(exc).__name__
-            out[(name, h)] = beta, reason
+                out.update({(name, h): (float("nan"), type(exc).__name__) for name in estimators})
+                continue
+            for name in estimators:
+                try:
+                    beta = _run_estimator(name, design, h, stack)
+                    reason = None if np.isfinite(beta) else "non-finite estimate"
+                except (RdaError, np.linalg.LinAlgError) as exc:
+                    beta, reason = float("nan"), type(exc).__name__
+                out[(name, h)] = beta, reason
         return out, dataset_digest(design) if keep_digests else ""
 
     if threads > 1:

@@ -19,7 +19,9 @@ bundles also run with each ``--config`` file of CONFIGS, which absorb fixed
 effects in one dimension (region) and in two (region and sector). The
 commands that read a keyed numeric table, ``var-decomp`` and
 ``counterfactual``, run in OUT/cases/tables/<case> on tables written to
-OUT/inputs/tables, some of them malformed.
+OUT/inputs/tables, some of them malformed. ``simulate`` runs in
+OUT/cases/simulate/<case>: a small sweep with fixed event counts, the same
+on two threads, and one whose counts a ``j_range`` config file draws.
 
 The file name has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -139,6 +141,20 @@ def table_cases():
     }
 
 
+def simulate_cases():
+    """The Monte Carlo cases: name -> argv. At the smallest bandwidth the
+    ``j_range`` sweep leaves a replication without an estimate, so its
+    manifest lists failures."""
+    config = write("inputs/simulate/j_range.cfg", [("j_range = 1:6",)])
+    sweep = ["simulate", "--n-units", "40", "--seed", "5", "--reps", "4", "--boot", "50",
+             "--h-grid", "0.05,0.4,0.9"]
+    return {
+        "fixed": sweep,
+        "fixed-threads": sweep + ["--threads", "2"],
+        "j-range": sweep + ["--config", config, "--importance", "dirichlet_random"],
+    }
+
+
 def run(argv, folder):
     """Run one command into ``folder`` and record its streams and exit code."""
     os.makedirs(folder)
@@ -182,9 +198,10 @@ def main(out_dir):
     for name, argv in bundle_cases().items():
         code = run(argv, os.path.join("cases", name))
         codes[code] = codes.get(code, 0) + 1
-    for name, argv in table_cases().items():
-        code = run(argv, os.path.join("cases", "tables", name))
-        codes[code] = codes.get(code, 0) + 1
+    for folder, cases in (("tables", table_cases()), ("simulate", simulate_cases())):
+        for name, argv in cases.items():
+            code = run(argv, os.path.join("cases", folder, name))
+            codes[code] = codes.get(code, 0) + 1
     print(f"{sum(codes.values())} cases; exit codes {dict(sorted(codes.items()))}")
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import dense_tsls
 from rdagg.design import (
+    AttributeFilter,
     Design,
     DesignConfig,
     SpilloverGraph,
@@ -18,7 +19,7 @@ from rdagg.design import (
 from rdagg.errors import ConfigurationError, EstimationError
 from rdagg.estimators import collapsed_iv, equivalence, sharp_rd, stacked_iv, upper_iv
 from rdagg import design, estimators
-from rdagg.simlab import DgpSpec, estimand_oracle, generate_dgp, late_gap_check
+from rdagg.simlab import DgpSpec, estimand_oracle, generate_design, generate_dgp, late_gap_check
 
 
 def sub(sid, uid, r, s=1.0, **kw):
@@ -180,6 +181,58 @@ class TestStackConsistency:
         got = stacked_iv(Design.from_records(units, subs), cfg)
         assert got.beta == pytest.approx(fit["beta"], rel=1e-12)
         assert got.n_stacked_rows == len(rows)
+
+
+class TestSharedStack:
+    """A fit given a stack reads it only if ``design_stack`` would build that
+    sample for the fit's design, spillover flag and sample settings."""
+
+    CFG = DesignConfig(bandwidth=0.5, cutoff_rule="strict_gt")
+
+    @pytest.fixture
+    def replications(self):
+        spec = DgpSpec(n_units=60, seed=21)
+        return generate_design(spec, 0)[0], generate_design(spec, 1)[0]
+
+    @pytest.mark.parametrize("fit", [upper_iv, stacked_iv])
+    @pytest.mark.parametrize("change, match", [
+        (dict(bandwidth=0.6), "bandwidth=0.5"),
+        (dict(cutoff_rule="geq"), "cutoff_rule"),
+        (dict(tie_policy="drop_exact_zero"), "tie_policy"),
+        (dict(filters=(AttributeFilter("votes", ">=", 20.0),)), "filters"),
+        (dict(instrument_basis="win_flag"), "instrument_basis"),
+    ])
+    def test_other_sample_settings_refused(self, replications, fit, change, match):
+        design = replications[0]
+        stack = design_stack(design, self.CFG)
+        with pytest.raises(ConfigurationError, match=match):
+            fit(design, replace(self.CFG, **change), stack=stack)
+
+    @pytest.mark.parametrize("fit", [upper_iv, stacked_iv])
+    def test_other_design_refused(self, replications, fit):
+        # two replications of one spec share their ids and resolution
+        a, b = replications
+        assert a.units.ids is b.units.ids
+        with pytest.raises(ConfigurationError, match="another design"):
+            fit(a, self.CFG, stack=design_stack(b, self.CFG))
+
+    @pytest.mark.parametrize("fit", [upper_iv, stacked_iv])
+    def test_other_spillover_flag_refused(self, fit):
+        units, subs = random_bundle(np.random.default_rng(22), n_units=30)
+        graph = SpilloverGraph(tuple((s.unit_id, s.subunit_id) for s in subs))
+        design = Design.from_records(units, subs, graph)
+        for built, asked in ((False, True), (True, False)):
+            stack = design_stack(design, self.CFG, spillover=built)
+            with pytest.raises(ConfigurationError, match="spillover"):
+                fit(design, self.CFG, spillover=asked, stack=stack)
+
+    def test_control_set_shares_the_stack(self, replications):
+        design = replications[0]
+        stack = design_stack(design, self.CFG)
+        benchmark = replace(self.CFG, control_set="total_weight_only")
+        assert upper_iv(design, benchmark, stack=stack) == upper_iv(design, benchmark)
+        assert upper_iv(design, self.CFG, stack=stack) == upper_iv(design, self.CFG)
+        assert stacked_iv(design, self.CFG, stack=stack) == stacked_iv(design, self.CFG)
 
 
 class TestReduction:

@@ -73,11 +73,15 @@ def test_absorb_first_parameter_is_columns():
     assert params[0] == "columns"
 
 
-@pytest.mark.parametrize("module, source", [("diagnostics", "estimators"), ("cli", "io")])
+@pytest.mark.parametrize("module, source", [
+    ("diagnostics", "estimators"), ("diagnostics", "design"), ("cli", "io"),
+    ("simlab", "estimators"),
+])
 def test_no_private_name_crosses(module, source):
-    """diagnostics reads the control basis from design, not from the
-    estimators, and only io knows the CSV format: cli reads tables through
-    its public reader."""
+    """diagnostics reads the control basis and the key coding from design's
+    public names, not from the estimators; only io knows the CSV format, so
+    cli reads tables through its public reader; and a Monte Carlo sweep
+    shares its stacks through the estimators' public signatures."""
     tree = ast.parse(Path(SRC, "rdagg", f"{module}.py").read_text(encoding="utf-8"))
     private = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level and node.module == source

@@ -2,15 +2,16 @@
 
 import itertools
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from rdagg import simlab
+from rdagg import design, simlab
 from rdagg.cli import main
-from rdagg.design import design_exposures
+from rdagg.design import Design, design_exposures
 from rdagg.errors import ConfigurationError, EstimationError
 from rdagg.estimators import stacked_iv
 from rdagg.simlab import (
@@ -221,6 +222,26 @@ class TestRunMonteCarlo:
         with pytest.raises(TypeError, match="a bug"):
             run_monte_carlo(spec, **kw)
 
+        # every estimator at a bandwidth reads the one sample built there, so
+        # each records the cause when that sample cannot be built
+        monkeypatch.undo()
+        design_stack = simlab.design_stack
+
+        def no_sample_at_half(data, config, *args, **kwargs):
+            if config.bandwidth == 0.5:
+                raise EstimationError("empty sample")
+            return design_stack(data, config, *args, **kwargs)
+
+        monkeypatch.setattr(simlab, "design_stack", no_sample_at_half)
+        out = run_monte_carlo(spec, **dict(kw, estimators=simlab.MC_ESTIMATORS,
+                                           h_grid=(0.5, 0.9)))
+        for name in simlab.MC_ESTIMATORS:
+            assert out.cell(name, 0.5).fail_reasons == {"EstimationError": 2}
+            assert (out.cell(name, 0.9).n_ok, out.cell(name, 0.9).fail_reasons) == (2, {})
+        monkeypatch.setattr(simlab, "design_stack", bug)
+        with pytest.raises(TypeError, match="a bug"):
+            run_monte_carlo(spec, **kw)
+
     def test_generates_one_design_per_replication(self, monkeypatch):
         calls = {"generate_design": 0, "generate_dgp": 0}
         for name in calls:
@@ -234,6 +255,39 @@ class TestRunMonteCarlo:
         run_monte_carlo(DgpSpec(n_units=40, seed=13), h_grid=(0.5, 0.9), n_replications=3,
                         n_bootstrap=20, seed=13)
         assert calls == {"generate_design": 3, "generate_dgp": 0}
+
+    def test_builds_each_sample_and_id_skeleton_once(self, monkeypatch):
+        """One edge index per (replication, bandwidth) serves all three
+        estimators, and the ids are assembled once per run of fixed counts
+        and once per replication when the counts are drawn."""
+        calls = Counter()
+        edge_index, assemble = design._edge_index, Design.assemble.__func__
+
+        def counted_edge_index(*args, **kwargs):
+            calls["_edge_index"] += 1
+            return edge_index(*args, **kwargs)
+
+        def counted_assemble(cls, *args, **kwargs):
+            calls["assemble"] += 1
+            return assemble(cls, *args, **kwargs)
+
+        monkeypatch.setattr(design, "_edge_index", counted_edge_index)
+        monkeypatch.setattr(Design, "assemble", classmethod(counted_assemble))
+        # a unit count no other test uses, so no kept skeleton fits it yet
+        kw = dict(h_grid=(0.4, 0.8), n_replications=3, n_bootstrap=20, seed=14)
+        run_monte_carlo(DgpSpec(n_units=37), **kw)
+        assert calls == {"_edge_index": 3 * 2, "assemble": 1}
+        calls.clear()
+        run_monte_carlo(DgpSpec(n_units=37, j_range=(1, 6)), **kw)
+        assert calls == {"_edge_index": 3 * 2, "assemble": 3}
+
+    def test_replications_share_a_read_only_id_skeleton(self):
+        spec = DgpSpec(n_units=30, seed=15)
+        a, b = generate_design(spec, 0)[0], generate_design(spec, 1)[0]
+        assert a.units.ids is b.units.ids and a.event_rank is b.event_rank
+        assert dataset_digest(a) != dataset_digest(b)
+        with pytest.raises(ValueError, match="read-only"):
+            a.units.weight[0] = 2.0
 
     def test_late_gap_check_lives_next_to_the_oracle(self):
         import rdagg
