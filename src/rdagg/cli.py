@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
+from io import StringIO
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
@@ -33,7 +34,7 @@ from .diagnostics import (
 )
 from .errors import RdaError, SchemaError
 from .estimators import collapsed_iv, equivalence, sharp_rd, stacked_iv, upper_iv
-from .io import load_design, load_numbers
+from .io import decode_utf8, load_design, load_numbers
 from .simlab import (
     DEFAULT_H_GRID,
     IMPORTANCE_SCHEMES,
@@ -53,6 +54,14 @@ def _parse_bool(raw: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"cannot parse boolean '{raw}'")
+
+
+def _parse_grid(raw: str) -> List[float]:
+    """Comma-separated bandwidths; an empty string is no grid."""
+    try:
+        return [float(h) for h in raw.split(",")] if raw else []
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_range(raw: str) -> Tuple[int, int]:
@@ -77,18 +86,21 @@ def load_config_file(path: str) -> Dict[str, str]:
     """Flat key=value text; '#' starts a comment; later keys win.
 
     Keys are the field names of ``DesignConfig`` and ``DgpSpec``; any other
-    key raises SchemaError, listing every such key.
+    key raises SchemaError, listing every such key. The text is decoded as
+    the CSV files are (``io.decode_utf8``), and "\n", "\r\n" and "\r" each
+    end a line.
     """
     out: Dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SchemaError(f"{path}:{lineno}: expected key=value, got '{raw.strip()}'")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    with open(path, "rb") as fh:
+        text = decode_utf8(fh.read(), path)
+    for lineno, raw in enumerate(StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise SchemaError(f"{path}:{lineno}: expected key=value, got '{raw.strip()}'")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     unknown = sorted(set(out) - _CONFIG_KEYS)
     if unknown:
         raise SchemaError(f"{path}: unknown config keys {unknown} "
@@ -207,7 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--importance", dest="importance_scheme", choices=IMPORTANCE_SCHEMES,
                    default=None)
     p.add_argument("--estimators", default=",".join(MC_ESTIMATORS))
-    p.add_argument("--h-grid", default=None, help="comma-separated bandwidths")
+    p.add_argument("--h-grid", type=_parse_grid, default=None,
+                   help="comma-separated bandwidths")
 
     p = _bundle_command(sub, "balance", "covariate balance report")
     p.add_argument("--target", choices=("treatment", "instrument"), default="instrument")
@@ -242,7 +255,7 @@ def _run(args) -> int:
 
     if cmd == "simulate":
         spec = _settings(DgpSpec, file_cfg, vars(args))
-        h_grid = list(map(float, args.h_grid.split(","))) if args.h_grid else list(DEFAULT_H_GRID)
+        h_grid = args.h_grid or list(DEFAULT_H_GRID)
         estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
         summary = run_monte_carlo(spec, estimators=estimators, h_grid=h_grid,
                                   n_replications=args.reps, n_bootstrap=args.boot,

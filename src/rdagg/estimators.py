@@ -14,8 +14,9 @@ graph and calls ``upper_iv`` or ``stacked_iv`` with ``spillover=True``.
 
 Every stacked estimator reads the one stack of ``design.design_stack``: the
 lower-level IV is the bilateral spillover IV on the partition graph, the
-collapsed spillover IV groups the same stack by event, and the verifier
-broadcasts unit-level residuals through its unit rows.
+collapsed spillover IV is the bilateral fit on the same rows with its
+scores summed by event, and the verifier broadcasts unit-level residuals
+through its unit rows.
 
 Every fit reads the one local-linear basis q(r, z) that ``design`` declares:
 ``upper_iv`` controls for the aggregated columns its control set keeps
@@ -141,14 +142,15 @@ def _iv_estimate(y: np.ndarray, x: np.ndarray, z: np.ndarray,
                  control_cols: List[Tuple[str, np.ndarray]], weights: np.ndarray,
                  fe_key_lists: List[np.ndarray], config: DesignConfig, specification: str,
                  n_units: int, n_stacked_rows: int,
-                 extra_notes: Optional[List[str]] = None) -> EstimateResult:
+                 extra_notes: Optional[List[str]] = None,
+                 clusters: Optional[np.ndarray] = None) -> EstimateResult:
     """The IV kernel on prepared columns.
 
     Fixed effects, when present, are absorbed from every column and counted
     as extra dropped degrees of freedom.
     """
     *columns, extra_dof = _absorb(y, x, z, control_cols, weights, fe_key_lists, config)
-    fit = iv_fit(*columns, weights, extra_dof, config.weak_f_threshold)
+    fit = iv_fit(*columns, weights, extra_dof, config.weak_f_threshold, clusters)
     return EstimateResult(
         specification=specification,
         beta=fit.beta,
@@ -332,37 +334,35 @@ def sharp_rd(design: Design, outcome: np.ndarray, config: DesignConfig) -> Estim
 
 
 def collapsed_iv(design: Design, config: DesignConfig) -> EstimateResult:
-    """IV on intervention-level collapsed records over the design's graph.
+    """Intervention-level IV over the design's graph: the bilateral fit on
+    the rows of ``design_stack(design, config, spillover=True)``, without
+    extra unit controls or unit weights, with its scores summed by event.
 
-    Outcomes and treatments are averaged over each close subunit's linked
-    units and weighted by importance times neighbor count. Extra unit
-    controls have no intervention-level counterpart and are ignored (noted).
-    Equals the bilateral estimate when no extra controls are present.
-    Fixed effects have no intervention-level counterpart either, and
-    ``fe_dimensions`` raises ConfigurationError.
+    These are the normal equations and the HC1 of the regression on linked
+    close events, each with the mean outcome and treatment of its units and
+    weight importance times neighbor count times kernel weight (the
+    shock-level regression of Borusyak, Hull & Jaravel 2022). Extra unit
+    controls have no event-level counterpart and are ignored (noted), so
+    without them the beta is the bilateral one. Fixed effects have none
+    either, and ``fe_dimensions`` raises ConfigurationError.
     """
     if config.fe_dimensions:
         raise ConfigurationError("the collapsed specification does not absorb fixed effects")
     stack = design_stack(design, config, spillover=True)
-    events, first, group, counts = np.unique(
-        stack.event, return_index=True, return_inverse=True, return_counts=True
-    )
-    if not events.size:
+    n_events = int(np.count_nonzero(np.bincount(stack.event)))
+    if not n_events:
         raise EstimationError("no collapsed records: no close linked subunits")
     notes = []
-    dropped = stack.n_close_events - events.size
+    dropped = stack.n_close_events - n_events
     if dropped:
         notes.append(f"dropped {dropped} close subunits with no linked units")
     if design.units.controls:
         notes.append("extra unit controls are ignored in the collapsed specification")
-    r, z = stack.running[first], stack.instrument[first]
-    weights = stack.importance[first] * counts * stack.kernel[first]
     return _iv_estimate(
-        np.bincount(group, weights=stack.outcome) / counts,
-        np.bincount(group, weights=stack.treatment) / counts,
-        z, [*zip(BASIS_LABELS, local_linear_basis(r, z))], weights, [], config,
-        "spillover-collapsed",
-        n_units=len(events), n_stacked_rows=len(events), extra_notes=notes,
+        stack.outcome, stack.treatment, stack.instrument,
+        [*zip(BASIS_LABELS, local_linear_basis(stack.running, stack.instrument))],
+        stack.importance * stack.kernel, [], config, "spillover-collapsed",
+        n_units=n_events, n_stacked_rows=n_events, extra_notes=notes, clusters=stack.event,
     )
 
 

@@ -20,8 +20,8 @@ numeric columns by name), such as the CLI's micro records and series.
 ``load_units``, ``load_subunits`` and ``load_edges`` return the column
 tables ``Units``, ``Events`` and ``Edges``; the last holds the two
 endpoint columns of edges.csv in file order, one entry per row.
-Each file is read whole and decoded as UTF-8; a byte that does not
-decode is a schema error that names its line and offset. A plain file
+Each file is read whole and decoded by ``decode_utf8``; a byte that does
+not decode is a schema error that names its line and offset. A plain file
 (no '"', carriage return or NUL, every line with the header's number of
 fields, at least two, no line longer than ``csv.field_size_limit()``, no
 duplicate column name) is cut into columns with one ``str.split`` of its
@@ -90,6 +90,19 @@ class InputBundle:
 _ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
+def decode_utf8(data: bytes, path: str) -> str:
+    """``data``, the bytes of the file at ``path``, decoded as UTF-8; a byte
+    that does not decode is a SchemaError naming its line and offset."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # numbered as csv.reader numbers lines: "\n", "\r\n" and "\r" end one
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise SchemaError(f"{path}:{line}: not valid UTF-8 "
+                          f"(byte 0x{data[exc.start]:02x} at offset {exc.start})") from None
+
+
 def _read_text(path: str) -> Tuple[str, bytes]:
     """The text of the file at ``path``, decoded as UTF-8, and its bytes."""
     try:
@@ -97,14 +110,7 @@ def _read_text(path: str) -> Tuple[str, bytes]:
             data = handle.read()
     except OSError as exc:
         raise SchemaError(f"{path}: cannot open ({exc})")
-    try:
-        return data.decode("utf-8"), data
-    except UnicodeDecodeError as exc:
-        # numbered as csv.reader numbers lines: "\n", "\r\n" and "\r" end one
-        head = data[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise SchemaError(f"{path}:{line}: not valid UTF-8 "
-                          f"(byte 0x{data[exc.start]:02x} at offset {exc.start})") from None
+    return decode_utf8(data, path), data
 
 
 def _read_columns(path: str) -> Tuple[List[str], List[List[str]], Sequence[int]]:

@@ -25,6 +25,9 @@ Conventions
   ``iv_fit`` screens the controls once, partials outcome, treatment and
   instrument out of the kept ones with one solve, and reads every IV number
   off the partialled columns in closed form (Frisch-Waugh-Lovell).
+- Given cluster codes, ``iv_fit`` sums the robust scores by cluster and
+  counts clusters in place of rows, so its HC1 is that of the regression
+  on cluster sums; without codes every row is its own cluster.
 - Fixed effects are absorbed before the fit. The dimension with the most
   groups is eliminated exactly, since its weighted group means take one
   pass (Abowd, Creecy & Kramarz 2002), and one Jacobi-preconditioned
@@ -306,6 +309,7 @@ def iv_fit(
     weights,
     extra_dof: int = 0,
     weak_f_threshold: float = WEAK_F_THRESHOLD,
+    clusters=None,
 ) -> IvFit:
     """Just-identified IV of ``y`` on the treatment ``x``, instrumented by ``z``.
 
@@ -323,6 +327,12 @@ def iv_fit(
       partial F (coefficient / SE)^2;
     - the reduced-form coefficient <z~, y~> / <z~, z~> and its HC1 SE;
     - the control coefficients B_y - beta B_x from the partialling solve.
+
+    With ``clusters``, one nonnegative integer code per row, every robust SE
+    sums the scores w_i z~_i e_i of each cluster (one ``np.bincount``)
+    before squaring, and n counts the G clusters of positive weight, so
+    c = G / (G - p - extra_dof), the HC1 of the regression on cluster sums.
+    One code per row gives the same bits as none.
 
     A value of y, x, z or a control that is not finite is refused with a
     ConfigurationError that names its column. An instrument or a treatment
@@ -352,7 +362,13 @@ def iv_fit(
     w = _check_weights(weights, n)
     kept, B, partialled = _partial(yxz, C, w)
     yt, xt, zt = partialled.T
-    n_obs = int(np.count_nonzero(w > 0))
+    if clusters is None:
+        n_obs = int(np.count_nonzero(w > 0))
+    else:
+        codes = np.asarray(clusters)
+        if codes.shape != (n,) or codes.dtype.kind not in "iu" or codes.min() < 0:
+            raise ConfigurationError(f"clusters must be {n} nonnegative integer codes")
+        n_obs = int(np.count_nonzero(np.bincount(codes, weights=w) > 0))
     p = 1 + len(kept)
     dof = n_obs - p - int(extra_dof)
     wz = w * zt
@@ -363,7 +379,10 @@ def iv_fit(
         # HC1 entry of a coefficient whose FWL weights are w z~ / denominator
         if dof <= 0:
             return nan
-        return float(np.sqrt(n_obs / dof * np.sum((wz * residuals) ** 2)) / abs(denominator))
+        scores = wz * residuals
+        if clusters is not None:
+            scores = np.bincount(codes, weights=scores)
+        return float(np.sqrt(n_obs / dof * np.sum(scores ** 2)) / abs(denominator))
 
     notes: list = []
     beta = se = nan

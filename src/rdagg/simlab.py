@@ -241,14 +241,13 @@ def mc_design_config(h: float, control_set: str) -> DesignConfig:
 
 
 def _run_estimator(name: str, design: Design, h: float, stack: Stack) -> float:
-    """One estimator's beta at ``h``, on the stack the sweep built there."""
+    """One estimator's beta at ``h``, on the stack the sweep built there;
+    ``name`` is one of MC_ESTIMATORS."""
     if name == "upper":
         return upper_iv(design, mc_design_config(h, "all_three_rda"), stack=stack).beta
     if name == "benchmark":
         return upper_iv(design, mc_design_config(h, "total_weight_only"), stack=stack).beta
-    if name == "lower":
-        return stacked_iv(design, mc_design_config(h, "all_three_rda"), stack=stack).beta
-    raise ConfigurationError(f"unknown estimator '{name}' (choose from {MC_ESTIMATORS})")
+    return stacked_iv(design, mc_design_config(h, "all_three_rda"), stack=stack).beta
 
 
 def bootstrap_median_ci(
@@ -338,9 +337,11 @@ def run_monte_carlo(
     estimate) is recorded, not fatal, and each cell counts its failures by
     cause; a stack that cannot be built fails every estimator at its
     bandwidth with its cause. Any other exception propagates. The summary
-    flags runs where more than 1% of cells failed. The true effect must be
-    known (zero for the built-in confound outcomes), so heterogeneous-effects
-    specs go through late_gap_check instead.
+    flags runs where more than 1% of cells failed. An estimator name not in
+    MC_ESTIMATORS or a bandwidth that is not positive is a
+    ConfigurationError before the first replication. The true effect must
+    be known (zero for the built-in confound outcomes), so
+    heterogeneous-effects specs go through late_gap_check instead.
     """
     if n_replications < 2:
         raise ConfigurationError("n_replications must be at least 2")
@@ -353,6 +354,12 @@ def run_monte_carlo(
     true_beta = 0.0  # every other generator is a pure confound
     estimators = list(estimators)
     h_grid = [float(h) for h in h_grid]
+    unknown = [name for name in estimators if name not in MC_ESTIMATORS]
+    if unknown:
+        raise ConfigurationError(f"unknown estimators {unknown} (choose from {MC_ESTIMATORS})")
+    bad = [h for h in h_grid if not h > 0]
+    if bad:
+        raise ConfigurationError(f"bandwidths must be positive, got {bad}")
 
     def one_replication(rep: int):
         design, _ = generate_design(spec, rep)
@@ -489,7 +496,8 @@ def late_gap_check(
     For each bandwidth, averages the upper- and lower-level estimates over
     replicated draws from ``spec`` (common datasets across bandwidths) and
     reports the gaps to the oracle value of the limiting estimand. Used to
-    confirm that gaps shrink as the bandwidth shrinks.
+    confirm that gaps shrink as the bandwidth shrinks. Both estimators read
+    one ``design_stack`` per design and bandwidth.
     """
     if oracle is None:
         oracle = estimand_oracle(spec, seed=seed)
@@ -497,9 +505,11 @@ def late_gap_check(
     rows: List[LateGapRow] = []
     for h in h_grid:
         cfg = mc_design_config(h, "all_three_rda")
+        stacks = [design_stack(design, cfg) for design in designs]
         moments = []
         for fit in (upper_iv, stacked_iv):
-            b = np.array([fit(design, cfg).beta for design in designs])
+            b = np.array([fit(design, cfg, stack=stack).beta
+                          for design, stack in zip(designs, stacks)])
             sim_se = float(b.std(ddof=1) / np.sqrt(len(b))) if len(b) > 1 else float("nan")
             moments += [float(b.mean()), sim_se]
         bu, se_u, bl, se_l = moments

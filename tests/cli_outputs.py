@@ -15,8 +15,10 @@ bundles without edges run every command but ``spillover``, and one
 ``spillover`` run without ``--edges`` records the usage error; the bundles
 with edges run the three ``spillover`` modes. Each runs with and without a
 weight cap that drops one unit and the cross edge. The partition and graph
-bundles also run with each ``--config`` file of CONFIGS, which absorb fixed
-effects in one dimension (region) and in two (region and sector). The
+bundles also run with each ``--config`` file of CONFIGS: two absorb fixed
+effects, in one dimension (region) and in two (region and sector), and one
+sets the triangular kernel, so the stacked and collapsed fits weigh rows by
+kernel. The
 commands that read a keyed numeric table, ``var-decomp`` and
 ``counterfactual``, run in OUT/cases/tables/<case> on tables written to
 OUT/inputs/tables, some of them malformed. ``simulate`` runs in
@@ -52,8 +54,10 @@ SPILLOVER_COMMANDS = (
 )
 # u00's three events weigh 3.0 in all; every other unit's at most 2.4
 WEIGHT_CAP = "2.7"
-# config name -> fe_dimensions; sector (4 groups) crosses region (3 groups)
-CONFIGS = {"fe-region": "region", "fe-region-sector": "region, sector"}
+# config name -> its one line; sector (4 groups) crosses region (3 groups)
+CONFIGS = {"fe-region": "fe_dimensions = region",
+           "fe-region-sector": "fe_dimensions = region, sector",
+           "triangular": "kernel = triangular"}
 
 
 def write(path, rows):
@@ -100,8 +104,8 @@ def make_inputs():
                                   graph + [("nobody", "u01-s0")]),
         "duplicate-edge": write("inputs/duplicate_edge/edges.csv", graph + [graph[5]]),
     }
-    for name, dims in CONFIGS.items():
-        write(f"inputs/{name}.cfg", [(f"fe_dimensions = {dims}",)])
+    for name, line in CONFIGS.items():
+        write(f"inputs/{name}.cfg", [(line,)])
     return {
         "partition": (files["units"], files["subunits"], None),
         "orphans": (files["units"], files["orphan-subunits"], None),

@@ -3,7 +3,7 @@
 import numpy as np
 
 
-def dense_tsls(y, x, z, controls, w, extra_dof=0):
+def dense_tsls(y, x, z, controls, w, extra_dof=0, clusters=None):
     """Textbook just-identified 2SLS on full-rank dense matrices.
 
     Two ``np.linalg.lstsq`` stages on sqrt(w)-weighted rows, and HC1
@@ -12,11 +12,18 @@ def dense_tsls(y, x, z, controls, w, extra_dof=0):
     the columns of the design. ``controls`` is an (n, k) matrix. Returns
     beta and its SE, the first-stage coefficient, SE and partial F, the
     reduced-form coefficient and SE, and the control coefficients.
+
+    With ``clusters``, one label per row, the meat sums the score rows of
+    each cluster first, through the dense (rows x clusters) indicator
+    matrix, and n counts the clusters whose rows have positive weight.
     """
     y, x, z, w = (np.asarray(v, dtype=float) for v in (y, x, z, w))
     C = np.asarray(controls, dtype=float).reshape(len(y), -1)
     sw = np.sqrt(w)
     n_obs = int(np.sum(w > 0))
+    if clusters is not None:
+        member = (np.asarray(clusters)[:, None] == np.unique(clusters)[None, :]).astype(float)
+        n_obs = int(np.sum(member.T @ w > 0))
 
     def fit(target, X):
         b = np.linalg.lstsq(X * sw[:, None], target * sw, rcond=None)[0]
@@ -28,6 +35,8 @@ def dense_tsls(y, x, z, controls, w, extra_dof=0):
             return np.full(X.shape[1], np.nan)
         bread = (X * w[:, None]).T @ X
         score = X * (w * e)[:, None]
+        if clusters is not None:
+            score = member.T @ score
         meat = score.T @ score * (n_obs / dof)
         half = np.linalg.solve(bread, meat)
         return np.sqrt(np.diag(np.linalg.solve(bread, half.T)))

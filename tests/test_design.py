@@ -376,19 +376,20 @@ class TestSpillover:
 def collapsed_oracle(graph, units, subs, cfg):
     """IV on collapsed records averaged by hand: per close subunit, the
     unweighted mean outcome and treatment of its linked units, weight
-    importance times neighbor count."""
+    importance times neighbor count times kernel weight. Returns the dense
+    fit, with its HC1 over the records, and the number of records."""
     x = {uid: v[0] for uid, v in build_spillover_exposure(graph, subs, units, cfg).items()}
     y = {u.unit_id: u.outcome for u in units}
     recs = []
     for s in sorted(subs, key=lambda s: s.subunit_id):
         neighbors = [u for u, j in graph.edges if j == s.subunit_id]
+        kernel = 1.0 if cfg.kernel == "uniform" else 1.0 - abs(s.running) / cfg.bandwidth
         if abs(s.running) <= cfg.bandwidth and neighbors:
             recs.append((np.mean([y[u] for u in neighbors]), np.mean([x[u] for u in neighbors]),
-                         s.importance * len(neighbors), s.running))
+                         s.importance * len(neighbors) * kernel, s.running))
     yy, xx, w, r = (np.array(col) for col in zip(*recs))
     z = (r >= 0).astype(float)
-    fit = dense_tsls(yy, xx, z, np.column_stack([np.ones(len(r)), r, r * z]), w)
-    return fit["beta"], len(recs)
+    return dense_tsls(yy, xx, z, np.column_stack([np.ones(len(r)), r, r * z]), w), len(recs)
 
 
 class TestRecordBridge:
@@ -433,21 +434,30 @@ class TestCollapse:
                 edges.append((f"u{int(i):02d}", s.subunit_id))
         return units, subs, SpilloverGraph(tuple(edges))
 
+    @staticmethod
+    def assert_matches(got, want):
+        """Beta, its SE and the first stage against the dense event-level fit."""
+        for value, key in ((got.beta, "beta"), (got.robust_se, "robust_se"),
+                           (got.first_stage.coefficient, "fs_coefficient"),
+                           (got.first_stage.robust_se, "fs_se"),
+                           (got.first_stage.partial_f, "fs_partial_f")):
+            assert value == pytest.approx(want[key], rel=1e-10), key
+
     def test_neighbor_mean(self):
         units, subs, graph = self.bundle(max_neighbors=3)
-        cfg = DesignConfig(bandwidth=0.1)
-        got = collapsed_iv(Design.from_records(units, subs, graph), cfg)
-        beta, n_records = collapsed_oracle(graph, units, subs, cfg)
-        assert not any("dropped" in note for note in got.notes)
-        assert got.beta == pytest.approx(beta, rel=1e-10)
-        assert got.n_units == n_records == 12
+        for kernel in ("uniform", "triangular"):
+            cfg = DesignConfig(bandwidth=0.1, kernel=kernel)
+            got = collapsed_iv(Design.from_records(units, subs, graph), cfg)
+            want, n_records = collapsed_oracle(graph, units, subs, cfg)
+            assert not any("dropped" in note for note in got.notes)
+            self.assert_matches(got, want)
+            assert got.n_units == got.n_stacked_rows == n_records == 12
 
     def test_single_neighbor_identity(self):
         units, subs, graph = self.bundle(max_neighbors=1)
         cfg = DesignConfig(bandwidth=0.1)
         got = collapsed_iv(Design.from_records(units, subs, graph), cfg)
-        beta, _ = collapsed_oracle(graph, units, subs, cfg)
-        assert got.beta == pytest.approx(beta, rel=1e-10)
+        self.assert_matches(got, collapsed_oracle(graph, units, subs, cfg)[0])
 
     def test_neighborless_close_subunit_dropped_with_notice(self):
         units, subs, graph = self.bundle(max_neighbors=3, orphans=1)

@@ -19,7 +19,8 @@ from rdagg.design import (
 from rdagg.errors import ConfigurationError, EstimationError
 from rdagg.estimators import collapsed_iv, equivalence, sharp_rd, stacked_iv, upper_iv
 from rdagg import design, estimators
-from rdagg.simlab import DgpSpec, estimand_oracle, generate_design, generate_dgp, late_gap_check
+from rdagg.simlab import (DgpSpec, estimand_oracle, generate_design, generate_dgp,
+                          late_gap_check, mc_design_config)
 
 
 def sub(sid, uid, r, s=1.0, **kw):
@@ -550,13 +551,21 @@ class TestSpillover:
         assert bilateral.beta == pytest.approx(lower.beta, rel=1e-12)
 
     def test_bilateral_equals_collapsed_without_extras(self):
+        """The collapsed fit is the bilateral fit with its scores summed by
+        event: under either kernel every coefficient is the same bits, and
+        only the SEs differ."""
         rng = np.random.default_rng(17)
         units, subs, graph = self.spillover_bundle(rng)
-        cfg = DesignConfig(bandwidth=0.8)
         data = Design.from_records(units, subs, graph)
-        bil = stacked_iv(data, cfg, spillover=True)
-        col = collapsed_iv(data, cfg)
-        assert col.beta == pytest.approx(bil.beta, rel=1e-10)
+        for kernel in ("uniform", "triangular"):
+            cfg = DesignConfig(bandwidth=0.8, kernel=kernel)
+            bil = stacked_iv(data, cfg, spillover=True)
+            col = collapsed_iv(data, cfg)
+            assert col.beta == bil.beta
+            assert col.first_stage.coefficient == bil.first_stage.coefficient
+            assert col.reduced_form.coefficient == bil.reduced_form.coefficient
+            assert col.control_coefficients == bil.control_coefficients
+            assert col.robust_se != bil.robust_se
 
     def test_collapsed_refuses_fixed_effects(self):
         units, subs, graph = self.spillover_bundle(np.random.default_rng(17))
@@ -605,3 +614,26 @@ class TestLateGap:
         by_h = {row.bandwidth: row for row in rows}
         assert by_h[0.05].gap_upper < by_h[0.5].gap_upper
         assert by_h[0.05].gap_lower < by_h[0.5].gap_lower
+
+    def test_builds_each_sample_once(self, monkeypatch):
+        """One edge index per (design, bandwidth) serves both estimators,
+        and each row's means are bit for bit those of fits that build their
+        own samples."""
+        spec = DgpSpec(n_units=60, outcome_kind="heterogeneous_effects", effect_sd=0.1, seed=5)
+        oracle = estimand_oracle(spec, n_units=20_000)
+        calls = []
+        edge_index = design._edge_index
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return edge_index(*args, **kwargs)
+
+        monkeypatch.setattr(design, "_edge_index", counted)
+        rows = late_gap_check(spec, h_grid=(0.3, 0.6, 0.9), n_replications=4, oracle=oracle)
+        assert len(calls) == 4 * 3
+        monkeypatch.undo()
+        designs = [generate_design(spec, rep)[0] for rep in range(4)]
+        for row in rows:
+            cfg = mc_design_config(row.bandwidth, "all_three_rda")
+            for fit, mean in ((upper_iv, row.beta_upper), (stacked_iv, row.beta_lower)):
+                assert float(np.array([fit(d, cfg).beta for d in designs]).mean()) == mean

@@ -956,3 +956,22 @@ class TestOneSchema:
         assert payload["type"] == "SchemaError"
         assert named in payload["error"]
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_config_not_utf8_names_line_and_byte(self, tmp_path, capsys, newline):
+        head = f"bandwidth = 0.5{newline}# note{newline}".encode()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(head + b"# caf\xe9" + newline.encode())
+        assert main(["simulate", "--config", str(cfg), "--reps", "2", "--boot", "10",
+                     "--h-grid", "0.5", "--out", str(tmp_path / "out")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"{cfg}:3: not valid UTF-8 (byte 0xe9 at offset {len(head) + 5})",
+            "type": "SchemaError"}
+
+    def test_config_lines_end_at_each_line_break(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"bandwidth = 0.5\r\nrho = 0.2\rkernel\n")
+        with pytest.raises(SchemaError, match=r"run\.cfg:3: expected key=value, got 'kernel'"):
+            cli.load_config_file(str(cfg))
+        cfg.write_bytes(b"bandwidth = 0.5\r\nrho = 0.2\rseed = 3")
+        assert cli.load_config_file(str(cfg)) == {"bandwidth": "0.5", "rho": "0.2", "seed": "3"}

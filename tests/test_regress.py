@@ -413,6 +413,61 @@ class TestTsls:
             seen.add(kind)
         assert seen == set(kinds)
 
+    def test_cluster_sums_match_dense_oracle(self):
+        """Scores summed by cluster against the dense indicator-matrix
+        sandwich, on 30 instances with clusters of one to nine rows, some
+        with extra degrees of freedom, and one cluster of zero weight that
+        the cluster count leaves out."""
+        rng = np.random.default_rng(41)
+        rel = lambda a, b: abs(a - b) / max(1.0, abs(a), abs(b))
+        for i in range(30):
+            n, k = int(rng.integers(40, 150)), int(rng.integers(2, 5))
+            C = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
+            clusters = np.sort(rng.integers(0, n // int(rng.integers(1, 10)) + 1, size=n))
+            z = rng.normal(size=n) + rng.normal(size=clusters.max() + 1)[clusters]
+            x = 0.8 * z + C @ rng.normal(size=k) + rng.normal(size=n)
+            y = 1.3 * x + C @ rng.normal(size=k) + rng.normal(size=n)
+            w = rng.uniform(0.2, 2.5, size=n)
+            if i % 3 == 1:
+                w[clusters == clusters[n // 2]] = 0.0
+            extra_dof = int(rng.integers(0, 4))
+            fit = iv_fit(y, x, z, columns(C, [f"c{j}" for j in range(k)]), w, extra_dof,
+                         clusters=clusters)
+            want = dense_tsls(y, x, z, C, w, extra_dof, clusters=clusters)
+            got = {
+                "beta": fit.beta,
+                "robust_se": fit.robust_se,
+                "fs_coefficient": fit.first_stage.coefficient,
+                "fs_se": fit.first_stage.robust_se,
+                "fs_partial_f": fit.first_stage.partial_f,
+                "rf_coefficient": fit.reduced_form.coefficient,
+                "rf_se": fit.reduced_form.robust_se,
+            }
+            for key, value in got.items():
+                assert rel(value, want[key]) <= 1e-10, (i, key)
+
+    def test_one_row_per_cluster_gives_the_same_bits_as_none(self):
+        rng = np.random.default_rng(42)
+        n = 80
+        C = np.column_stack([np.ones(n), rng.normal(size=n)])
+        z = rng.normal(size=n)
+        x, w = 0.5 * z + rng.normal(size=n), rng.uniform(0.1, 2.0, size=n)
+        y = x + rng.normal(size=n)
+        w[::7] = 0.0
+        plain = iv_fit(y, x, z, columns(C, ["c0", "c1"]), w, 2)
+        clustered = iv_fit(y, x, z, columns(C, ["c0", "c1"]), w, 2, clusters=np.arange(n))
+        assert clustered == plain
+
+    @pytest.mark.parametrize("codes", [
+        lambda n: np.arange(n - 1), lambda n: np.arange(n) - 1,
+        lambda n: np.arange(n, dtype=float), lambda n: np.zeros((n, 1), dtype=int),
+    ])
+    def test_bad_cluster_codes_refused(self, codes):
+        rng = np.random.default_rng(43)
+        y, x, z = rng.normal(size=(3, 20))
+        with pytest.raises(ConfigurationError, match="nonnegative integer codes"):
+            iv_fit(y, x, z, [], np.ones(20), clusters=codes(20))
+
 
 class TestResidualize:
     def test_on_itself_gives_zero(self):

@@ -169,6 +169,33 @@ class TestRunMonteCarlo:
         with pytest.raises(ConfigurationError):
             run_monte_carlo(DgpSpec(n_units=10), n_replications=1)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(estimators=("upper", "bogus")), r"unknown estimators \['bogus'\]"),
+        (dict(h_grid=(0.5, 0.0, -1.0)), r"bandwidths must be positive, got \[0.0, -1.0\]"),
+        (dict(h_grid=(float("nan"),)), "bandwidths must be positive"),
+    ])
+    def test_bad_estimator_or_bandwidth_refused_before_the_sweep(self, monkeypatch, kw,
+                                                                 message):
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simlab, "generate_design", no_replication)
+        with pytest.raises(ConfigurationError, match=message):
+            run_monte_carlo(DgpSpec(n_units=10), n_replications=2, **kw)
+
+    def test_cli_refuses_bad_estimator_or_bandwidth(self, tmp_path, capsys):
+        simulate = ["simulate", "--n-units", "20", "--reps", "2", "--boot", "10"]
+        for flags in (["--estimators", "upper,bogus"], ["--h-grid", "0.5,-0.1"]):
+            out = tmp_path / flags[0].lstrip("-")
+            assert main(simulate + flags + ["--out", str(out)]) == 1
+            error = json.loads(capsys.readouterr().err)
+            assert error["type"] == "ConfigurationError"
+            assert not any(out.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(simulate + ["--h-grid", "0.5,abc", "--out", str(tmp_path / "abc")])
+        assert exc.value.code == 2
+        assert "--h-grid: could not convert string to float: 'abc'" in capsys.readouterr().err
+
     def test_heterogeneous_kind_redirected(self):
         with pytest.raises(ConfigurationError, match="late_gap_check"):
             run_monte_carlo(DgpSpec(n_units=10, outcome_kind="heterogeneous_effects"),
