@@ -54,7 +54,6 @@ from .regress import (
     ReducedForm,
     RegressionProblem,
     absorb_fixed_effects,
-    hc1_cov,
     iv_fit,
     residualize,
     wls_fit,

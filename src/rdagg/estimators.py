@@ -342,9 +342,10 @@ def collapsed_iv(design: Design, config: DesignConfig) -> EstimateResult:
     close events, each with the mean outcome and treatment of its units and
     weight importance times neighbor count times kernel weight (the
     shock-level regression of Borusyak, Hull & Jaravel 2022). Extra unit
-    controls have no event-level counterpart and are ignored (noted), so
-    without them the beta is the bilateral one. Fixed effects have none
-    either, and ``fe_dimensions`` raises ConfigurationError.
+    controls and ``lower_unit_weights`` have no event-level counterpart and
+    are ignored (noted), so without them the beta is the bilateral one.
+    Fixed effects have none either, and ``fe_dimensions`` raises
+    ConfigurationError.
     """
     if config.fe_dimensions:
         raise ConfigurationError("the collapsed specification does not absorb fixed effects")
@@ -358,6 +359,8 @@ def collapsed_iv(design: Design, config: DesignConfig) -> EstimateResult:
         notes.append(f"dropped {dropped} close subunits with no linked units")
     if design.units.controls:
         notes.append("extra unit controls are ignored in the collapsed specification")
+    if config.lower_unit_weights:
+        notes.append("unit weights are ignored in the collapsed specification")
     return _iv_estimate(
         stack.outcome, stack.treatment, stack.instrument,
         [*zip(BASIS_LABELS, local_linear_basis(stack.running, stack.instrument))],

@@ -2,9 +2,9 @@
 
 Everything estimated in this package reduces to the primitives here: weighted
 least squares, the instrumental-variable kernel, weighted residualization
-(partialling out), fixed-effect absorption, and the HC1 sandwich
-covariance. All routines are pure functions of their inputs and produce
-identical output for identical inputs in identical column order.
+(partialling out) and fixed-effect absorption; each fit computes its own
+HC1 sandwich covariance. All routines are pure functions of their inputs
+and produce identical output for identical inputs in identical column order.
 
 Conventions
 -----------
@@ -21,6 +21,10 @@ Conventions
   the least-squares solve is R b = Q'y (Bjorck 1967): the basis is
   orthonormal whatever the scales, and the triangular solve scales with each
   column, so the solve does not depend on those units either.
+- ``wls_fit`` takes its HC1 covariance from the same factors: with S the
+  basis Q with row i scaled by sqrt(w_i) e_i, it is c R^-1 S'S R^-T, one
+  solve against R. No X'WX is formed or inverted, and there is no separate
+  sandwich routine (``hc1_cov`` left the public API).
 - Every estimator is a just-identified IV with one endogenous column.
   ``iv_fit`` screens the controls once, partials outcome, treatment and
   instrument out of the kept ones with one solve, and reads every IV number
@@ -214,45 +218,15 @@ def _partial(columns: np.ndarray, on: np.ndarray, w: np.ndarray):
     """Screen ``on`` and partial every column of ``columns`` out of its kept
     columns with one weighted least-squares solve.
 
-    Returns the kept indices, the coefficients (one row per kept column) and
-    the residuals. The solve is R B = Q'(sqrt(w) columns) on the screen's
-    own factors, so the kept columns are orthogonalized once per call.
+    Returns the kept indices, the coefficients (one row per kept column),
+    the residuals and the screen's factors Q and R. The solve is
+    R B = Q'(sqrt(w) columns) on those factors, so the kept columns are
+    orthogonalized once per call.
     """
     sw = np.sqrt(w)
     kept, Q, R = _screen_columns(on * sw[:, None])
     B = np.linalg.solve(R, Q.T @ (columns * sw[:, None]))
-    return kept, B, columns - on[:, kept] @ B
-
-
-def hc1_cov(
-    regressors: np.ndarray,
-    residuals: np.ndarray,
-    weights: np.ndarray,
-    extra_dof: int = 0,
-):
-    """HC1 sandwich covariance for a completed weighted fit.
-
-    V = (X'WX)^-1 [ n/(n-p) * sum_i (w_i e_i x_i)(w_i e_i x_i)' ] (X'WX)^-1
-
-    where n counts rows with positive weight and p counts columns plus
-    ``extra_dof`` (absorbed fixed effects). Raises when n - p <= 0.
-    """
-    X = _as_matrix(regressors, "regressors")
-    e = _as_vector(residuals, "residuals")
-    w = _check_weights(weights, X.shape[0])
-    n_obs = int(np.count_nonzero(w > 0))
-    p = X.shape[1] + int(extra_dof)
-    dof = n_obs - p
-    if dof <= 0:
-        raise ConfigurationError(
-            f"nonpositive degrees of freedom: {n_obs} observations, {p} parameters"
-        )
-    bread = (X * w[:, None]).T @ X
-    score = X * (w * e)[:, None]
-    meat = score.T @ score * (n_obs / dof)
-    bread_inv = np.linalg.solve(bread, np.eye(bread.shape[0]))
-    cov = bread_inv @ meat @ bread_inv
-    return np.sqrt(np.clip(np.diag(cov), 0.0, None)), cov
+    return kept, B, columns - on[:, kept] @ B, Q, R
 
 
 def _no_dof_note(n_obs: int, p: int) -> str:
@@ -262,10 +236,18 @@ def _no_dof_note(n_obs: int, p: int) -> str:
 def wls_fit(problem: RegressionProblem, extra_dof: int = 0) -> FitResult:
     """Weighted least squares with rank screening and HC1 standard errors.
 
+    The covariance comes from the screen's factors of the weighted kept
+    columns, Q R = sqrt(W) X. The scores w_i e_i x_i are the rows of S R,
+    where S is Q with row i scaled by sqrt(w_i) e_i, and the bread X'WX is
+    R'R, so the HC1 sandwich is c R^-1 S'S R^-T with c = n / (n - p -
+    extra_dof): one solve against R, no X'WX, so its accuracy follows the
+    condition number of the design, not its square (Higham 2002, ch. 20).
+    With n - p - extra_dof <= 0 every SE is NaN, with a note.
+
     A response or regressor value that is not finite is refused with a
     ConfigurationError that names its column."""
     y, X, labels, w = _validate(problem)
-    kept, B, e = _partial(y[:, None], X, w)
+    kept, B, e, Q, R = _partial(y[:, None], X, w)
     if not kept:
         raise ConfigurationError("design matrix has no usable columns after rank screening")
     b, residuals = B[:, 0], e[:, 0]
@@ -276,7 +258,9 @@ def wls_fit(problem: RegressionProblem, extra_dof: int = 0) -> FitResult:
 
     notes: list = []
     if dof > 0:
-        se_vals, cov = hc1_cov(X[:, kept], residuals, w, extra_dof=extra_dof)
+        half = np.linalg.solve(R, (Q * (np.sqrt(w) * residuals)[:, None]).T)
+        cov = n_obs / dof * (half @ half.T)
+        se_vals = np.sqrt(np.diag(cov))
     else:
         se_vals = np.full(len(kept), np.nan)
         cov = np.full((len(kept), len(kept)), np.nan)
@@ -360,7 +344,7 @@ def iv_fit(
     _check_finite(yxz, ("response", "treatment", "instrument"))
     _check_finite(C, labels)
     w = _check_weights(weights, n)
-    kept, B, partialled = _partial(yxz, C, w)
+    kept, B, partialled, _, _ = _partial(yxz, C, w)
     yt, xt, zt = partialled.T
     if clusters is None:
         n_obs = int(np.count_nonzero(w > 0))

@@ -16,7 +16,8 @@ depend on scheduling or thread count.
 generator's arrays; ``generate_dgp`` is its record form. The ids and their
 resolution depend only on the number of events of each unit, so they are
 assembled once into a skeleton and kept for the next call with the same
-counts; each call places its draws into it. ``dataset_digest`` hashes the
+counts; each call places its draws into it. ``generate_dgp``, a one-off,
+drops the skeleton it used. ``dataset_digest`` hashes the
 design itself, so a sweep builds no records.
 
 A Monte Carlo replication builds one design and goes bandwidth by
@@ -193,8 +194,9 @@ def _skeleton(counts: Tuple[int, ...]) -> Tuple[Design, np.ndarray]:
     columns are placed in the design's row order.
 
     One entry is kept, so a sweep with fixed counts assembles once and one
-    with drawn counts once per replication. Designs that share a skeleton
-    share its ids and arrays; the arrays are read-only."""
+    with drawn counts once per replication; ``generate_dgp`` clears it.
+    Designs that share a skeleton share its ids and arrays; the arrays are
+    read-only."""
     n = len(counts)
     width = max(5, len(str(n - 1)))
     unit_ids = [f"u{i:0{width}d}" for i in range(n)]
@@ -218,8 +220,10 @@ def _skeleton(counts: Tuple[int, ...]) -> Tuple[Design, np.ndarray]:
 
 def generate_dgp(spec: DgpSpec, replication_index: int = 0
                  ) -> Tuple[List[UnitRecord], List[SubunitRecord], DgpTruth]:
-    """``generate_design`` as records."""
+    """``generate_design`` as records. A one-off call has no next
+    replication to share its skeleton with, so it leaves none behind."""
     design, truth = generate_design(spec, replication_index)
+    _skeleton.cache_clear()
     units, subunits, _ = design.to_records()
     return units, subunits, truth
 

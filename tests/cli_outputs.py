@@ -2,7 +2,7 @@
 that each run leaves behind, for comparing two trees byte for byte:
 
     PYTHONPATH=<tree>/src python tests/cli_outputs.py OUT
-    diff -r OUT_a OUT_b
+    python tests/cli_outputs.py OUT_a --against OUT_b
 
 The script writes its bundles to OUT/inputs and runs each case in
 OUT/cases/<bundle>[-cap|-<config>]/<command>: the command's output files, plus
@@ -25,11 +25,19 @@ OUT/inputs/tables, some of them malformed. ``simulate`` runs in
 OUT/cases/simulate/<case>: a small sweep with fixed event counts, the same
 on two threads, and one whose counts a ``j_range`` config file draws.
 
+With ``--against OTHER_OUT`` the script runs nothing: it walks both output
+trees and prints, for each file that differs, how many numbers moved, the
+largest relative move of any number with the line that holds it, and the
+first non-numeric difference; then the files found in one tree only. A
+number is a decimal literal not joined to a letter or digit, compared as a
+float, so ``1.0`` and ``1.00`` are no move; the relative move of a and b is |a - b| / max(|a|, |b|).
+
 The file name has no ``test_`` prefix, so pytest does not collect it.
 """
 
 import io
 import os
+import re
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -37,6 +45,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 
 from rdagg import cli
+
+# a decimal literal on its own, not the digits of an id such as u01-s2
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
 COMMANDS = (
     ("estimate-upper",),
@@ -209,7 +220,62 @@ def main(out_dir):
     print(f"{sum(codes.values())} cases; exit codes {dict(sorted(codes.items()))}")
 
 
+def files_under(root):
+    """Every file under ``root``, as paths relative to it."""
+    return {os.path.relpath(os.path.join(folder, name), root)
+            for folder, _, names in os.walk(root) for name in names}
+
+
+def compare_text(a, b):
+    """Numbers moved, the largest relative move and the line holding it, and
+    the first non-numeric difference (or None) between two texts."""
+    moved, largest, where, other = 0, 0.0, "", None
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    if len(lines_a) != len(lines_b):
+        other = f"{len(lines_a)} lines against {len(lines_b)}"
+    for line_a, line_b in zip(lines_a, lines_b):
+        if line_a == line_b:
+            continue
+        if NUMBER.split(line_a) != NUMBER.split(line_b):
+            other = other or f"{line_a.strip()!r} against {line_b.strip()!r}"
+            continue
+        for x, y in zip(map(float, NUMBER.findall(line_a)), map(float, NUMBER.findall(line_b))):
+            if x != y:
+                moved += 1
+                move = abs(x - y) / max(abs(x), abs(y))
+                if move > largest:
+                    largest, where = move, line_a.strip()
+    return moved, largest, where, other
+
+
+def against(out_dir, other_dir):
+    """Print how the files of two output trees differ."""
+    mine, theirs = files_under(out_dir), files_under(other_dir)
+    differ, largest = 0, 0.0
+    for name in sorted(mine & theirs):
+        with open(os.path.join(out_dir, name), "rb") as fa, \
+                open(os.path.join(other_dir, name), "rb") as fb:
+            a, b = fa.read(), fb.read()
+        if a == b:
+            continue
+        differ += 1
+        moved, move, where, other = compare_text(a.decode("utf-8", "replace"),
+                                                 b.decode("utf-8", "replace"))
+        largest = max(largest, move)
+        print(f"{name}: {moved} numbers moved, largest {move:.3g}"
+              + (f" in {where!r}" if moved else ""))
+        if other:
+            print(f"  non-numeric: {other}")
+    for name in sorted(mine ^ theirs):
+        print(f"{name}: only in {out_dir if name in mine else other_dir}")
+        differ += 1
+    print(f"{len(mine | theirs)} files; {differ} differ; largest relative move {largest:.3g}")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: cli_outputs.py OUT")
-    main(sys.argv[1])
+    if len(sys.argv) == 4 and sys.argv[2] == "--against":
+        against(sys.argv[1], sys.argv[3])
+    elif len(sys.argv) == 2:
+        main(sys.argv[1])
+    else:
+        sys.exit("usage: cli_outputs.py OUT [--against OTHER_OUT]")

@@ -1,5 +1,8 @@
 """Test-side oracles that share no code with the ``rdagg`` modules they check."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -58,6 +61,47 @@ def dense_tsls(y, x, z, controls, w, extra_dof=0, clusters=None):
         "rf_se": hc1(first, e3)[0],
         "controls": b[1:],
     }
+
+
+def exact_wls_hc1(y, X, w, extra_dof=0):
+    """Weighted least squares and its HC1 standard errors in exact rationals.
+
+    Every float converts to a ``Fraction`` without rounding. The normal
+    equations (X'WX) b = X'Wy are solved by Gauss-Jordan elimination, and
+    the residuals e and the sandwich (X'WX)^-1 [c sum_i (w_i e_i)^2 x_i x_i']
+    (X'WX)^-1, c = n / (n - p - extra_dof) with n rows of positive weight,
+    are exact. Only the results round: each coefficient, and each SE as the
+    square root of its variance's nearest float. X must have full column
+    rank. The rationals grow with every product, so keep it small
+    (n <= 40, p <= 4). Returns coefficients and SEs as float arrays.
+    """
+    X = [[Fraction(float(v)) for v in row] for row in np.asarray(X, dtype=float)]
+    y = [Fraction(float(v)) for v in np.asarray(y, dtype=float)]
+    w = [Fraction(float(v)) for v in np.asarray(w, dtype=float)]
+    p = len(X[0])
+    # the inverse of X'WX, by Gauss-Jordan elimination on [X'WX | I]
+    aug = [[sum(wi * x[j] * x[k] for wi, x in zip(w, X)) for k in range(p)]
+           + [Fraction(int(j == k)) for k in range(p)] for j in range(p)]
+    for j in range(p):
+        pivot = next(i for i in range(j, p) if aug[i][j] != 0)
+        aug[j], aug[pivot] = aug[pivot], aug[j]
+        aug[j] = [v / aug[j][j] for v in aug[j]]
+        for i in range(p):
+            if i != j and aug[i][j] != 0:
+                aug[i] = [a - aug[i][j] * b for a, b in zip(aug[i], aug[j])]
+    inverse = [row[p:] for row in aug]
+    xwy = [sum(wi * x[k] * yi for wi, x, yi in zip(w, X, y)) for k in range(p)]
+    b = [sum(inverse[j][k] * xwy[k] for k in range(p)) for j in range(p)]
+    e = [yi - sum(x[k] * b[k] for k in range(p)) for x, yi in zip(X, y)]
+    n_obs = sum(wi > 0 for wi in w)
+    meat = [[sum((wi * ei) ** 2 * x[j] * x[k] for wi, ei, x in zip(w, e, X))
+             for k in range(p)] for j in range(p)]
+    c = Fraction(n_obs, n_obs - p - extra_dof)
+    se = []
+    for j in range(p):
+        row = [sum(inverse[j][m] * meat[m][k] for m in range(p)) for k in range(p)]
+        se.append(math.sqrt(float(c * sum(row[k] * inverse[k][j] for k in range(p)))))
+    return np.array([float(v) for v in b]), np.array(se)
 
 
 def dense_absorb(columns, key_sets, w):

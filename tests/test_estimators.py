@@ -574,6 +574,24 @@ class TestSpillover:
             collapsed_iv(Design.from_records(units, subs, graph),
                          DesignConfig(bandwidth=0.8, fe_dimensions=("g",)))
 
+    def test_collapsed_notes_the_unit_controls_and_weights_it_ignores(self):
+        rng = np.random.default_rng(17)
+        units, subs, graph = self.spillover_bundle(rng)
+        plain = collapsed_iv(Design.from_records(units, subs, graph),
+                             DesignConfig(bandwidth=0.8))
+        units = [replace(u, extra_controls={"share": float(rng.normal())},
+                         analysis_weight=float(rng.uniform(0.5, 2))) for u in units]
+        data = Design.from_records(units, subs, graph)
+        cfg = DesignConfig(bandwidth=0.8, lower_unit_weights=True)
+        got = collapsed_iv(data, cfg)
+        assert got.notes[-2:] == [
+            "extra unit controls are ignored in the collapsed specification",
+            "unit weights are ignored in the collapsed specification"]
+        assert (got.beta, got.robust_se) == (plain.beta, plain.robust_se)
+        # the bilateral fit does apply the weights
+        assert stacked_iv(data, cfg, spillover=True).beta != \
+            stacked_iv(data, replace(cfg, lower_unit_weights=False), spillover=True).beta
+
     def test_two_rows_for_shared_neighbor(self):
         units = [UnitRecord("u1", 1.0), UnitRecord("u2", 4.0), UnitRecord("u3", 2.0)]
         subs = [sub("j", "x", 0.05, 1.0), sub("k", "x", -0.03, 1.0), sub("m", "x", 0.01, 1.0)]

@@ -846,6 +846,33 @@ class TestCli:
         assert 0.0 <= payload["partial_r2"] <= 1.0
         assert "share" in payload["covariates"]
 
+    def test_balance_on_near_collinear_controls(self, tmp_path, capsys):
+        """Two covariates 1e-8 apart, relative: the screen keeps both, so the
+        contrast between them dominates both coefficients, and their SEs,
+        which X'WX (condition number squared, about 1e16) could not give,
+        agree to far better than 1e-6."""
+        rng = np.random.default_rng(12)
+        n = 200
+        a = rng.normal(size=n)
+        b = a * (1 + 1e-8 * rng.normal(size=n))
+        units = ["unit_id,outcome,weight,ctrl_a,ctrl_b"]
+        subs = ["subunit_id,unit_id,running,importance"]
+        for i in range(n):
+            units.append(f"u{i:03d},{rng.normal()!r},{rng.uniform(0.5, 2)!r},"
+                         f"{float(a[i])!r},{float(b[i])!r}")
+            subs += [f"u{i:03d}-s{j},u{i:03d},{rng.uniform(-1, 1)!r},{rng.uniform(0.2, 1)!r}"
+                     for j in range(int(rng.integers(1, 4)))]
+        out = tmp_path / "bal"
+        code = main(["balance", "--units", write(tmp_path, "units.csv", "\n".join(units) + "\n"),
+                     "--subunits", write(tmp_path, "subunits.csv", "\n".join(subs) + "\n"),
+                     "--bandwidth", "0.5", "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        payload = json.loads((out / "balance.json").read_text())
+        se = [payload["covariates"][lab]["robust_se"] for lab in ("a", "b")]
+        assert all(isinstance(v, float) and 0 < v < math.inf for v in se)
+        assert se[0] == pytest.approx(se[1], rel=1e-6)
+        assert math.isfinite(payload["partial_f"])
+
     def test_plot_data_command(self, tmp_path):
         rng = np.random.default_rng(11)
         paths = full_bundle(tmp_path, rng, n=200)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_absorb, dense_tsls
+from oracles import dense_absorb, dense_tsls, exact_wls_hc1
 from rdagg.errors import ConfigurationError, ConvergenceError
 from rdagg.regress import (
     FE_MAX_ITER,
@@ -14,7 +14,6 @@ from rdagg.regress import (
     _partial,
     _screen_columns,
     absorb_fixed_effects,
-    hc1_cov,
     iv_fit,
     residualize,
     wls_fit,
@@ -281,8 +280,7 @@ class TestTsls:
 
             return wrapper
 
-        for name in ("_screen_columns", "hc1_cov"):
-            monkeypatch.setattr(regress, name, counted(name))
+        monkeypatch.setattr(regress, "_screen_columns", counted("_screen_columns"))
         # the screen's own factors do the partialling solve
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq",
@@ -294,6 +292,9 @@ class TestTsls:
         iv_fit(rng.normal(size=n), z + rng.normal(size=n), z, columns(W, ["c", "w1"]),
                np.ones(n))
         assert calls == ["_screen_columns"]
+        # and so do wls_fit's coefficients and covariance
+        wls_fit(make(rng.normal(size=n), W, np.ones(n)))
+        assert calls == ["_screen_columns"] * 2
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6),
@@ -333,7 +334,8 @@ class TestTsls:
         norms = np.sqrt((xw[:, kept] ** 2).sum(axis=0))
         assert (np.abs(Q @ R - xw[:, kept]).max(axis=0) <= 1e-12 * norms).all()
 
-        got_kept, B, resid = _partial(C, on, w)
+        got_kept, B, resid, got_Q, got_R = _partial(C, on, w)
+        assert np.array_equal(got_Q, Q) and np.array_equal(got_R, R)
         # lstsq on unit-norm columns: its SVD is not invariant to column
         # scales, and a 1e-8 column would cost it 1e-8 of accuracy
         scaled = np.linalg.lstsq(xw[:, kept] / norms, C * sw[:, None], rcond=None)[0]
@@ -802,9 +804,51 @@ class TestHc1:
             [fit.robust_se[f"x{j}"] for j in range(p)], np.sqrt(np.diag(V)), rtol=1e-10
         )
 
-    def test_dof_error(self):
-        with pytest.raises(ConfigurationError, match="degrees of freedom"):
-            hc1_cov(np.ones((2, 2)), np.zeros(2), np.ones(2))
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e9])
+    def test_near_collinear_matches_exact_oracle(self, kappa):
+        """Two columns 2/kappa apart under uneven weights and heteroskedastic
+        errors: the screen keeps all three, and the SEs match the exact
+        rational HC1 to 1e-6 while the weighted design's condition number
+        runs up to about 1e9; its square, that of X'WX, is far past the
+        1 / eps of a double."""
+        rng = np.random.default_rng(int(np.log10(kappa)))
+        n = 40
+        x = rng.normal(size=n)
+        X = np.column_stack([np.ones(n), x, x + 2 / kappa * rng.normal(size=n)])
+        w = np.exp(rng.normal(size=n))
+        y = X @ np.array([0.5, 1.0, -1.0]) + (1 + x * x) * rng.normal(size=n)
+        assert kappa / 3 <= np.linalg.cond(X * np.sqrt(w)[:, None]) <= 3 * kappa
+        fit = wls_fit(make(y, X, w))
+        assert fit.dropped_columns == []
+        _, se = exact_wls_hc1(y, X, w)
+        got = [fit.robust_se[f"x{j}"] for j in range(3)]
+        np.testing.assert_allclose(got, se, rtol=1e-6)
+        np.testing.assert_array_equal(np.sqrt(np.diag(fit.robust_cov)), got)
+
+    def test_exact_oracle_with_extra_dof_and_zero_weights(self):
+        rng = np.random.default_rng(22)
+        n, p = 30, 4
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+        w = rng.uniform(0.2, 2.0, size=n)
+        w[:5] = 0.0
+        y = rng.normal(size=n)
+        fit = wls_fit(make(y, X, w), extra_dof=3)
+        b, se = exact_wls_hc1(y, X, w, extra_dof=3)
+        assert fit.dof == n - 5 - p - 3
+        np.testing.assert_allclose([fit.coefficients[f"x{j}"] for j in range(p)], b, rtol=1e-12)
+        np.testing.assert_allclose([fit.robust_se[f"x{j}"] for j in range(p)], se, rtol=1e-12)
+
+    @pytest.mark.parametrize("extra_dof", [0, 2])
+    def test_no_dof_gives_nan_ses_with_a_note(self, extra_dof):
+        rng = np.random.default_rng(23)
+        n = 3 + (extra_dof > 0)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        fit = wls_fit(make(rng.normal(size=n), X, np.ones(n)), extra_dof=extra_dof)
+        assert fit.dof == n - 3 - extra_dof <= 0
+        assert all(np.isfinite(v) for v in fit.coefficients.values())
+        assert all(np.isnan(v) for v in fit.robust_se.values())
+        assert np.isnan(fit.robust_cov).all() and fit.robust_cov.shape == (3, 3)
+        assert fit.notes == [f"no residual degrees of freedom (n={n}, p=3): SEs not available"]
 
 
 def test_fwl_partition_property_random():

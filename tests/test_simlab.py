@@ -316,6 +316,14 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match="read-only"):
             a.units.weight[0] = 2.0
 
+    def test_generate_dgp_leaves_no_id_skeleton_behind(self):
+        spec = DgpSpec(n_units=31, seed=16)
+        generate_design(spec)
+        assert simlab._skeleton.cache_info().currsize == 1
+        units, subunits, _ = generate_dgp(spec)
+        assert simlab._skeleton.cache_info().currsize == 0
+        assert len(units) == 31 and subunits
+
     def test_late_gap_check_lives_next_to_the_oracle(self):
         import rdagg
 
