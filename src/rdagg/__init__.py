@@ -52,7 +52,6 @@ from .regress import (
     FitResult,
     IvFit,
     ReducedForm,
-    RegressionProblem,
     absorb_fixed_effects,
     iv_fit,
     residualize,

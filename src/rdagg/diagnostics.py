@@ -18,7 +18,7 @@ from .design import (BASIS_LABELS, CROSSING, INTERCEPT, Design, DesignConfig, St
                      control_columns, cutoff_indicators, design_exposures, key_codes,
                      local_linear_basis)
 from .errors import ConfigurationError, EstimationError
-from .regress import RegressionProblem, wls_fit
+from .regress import wls_fit
 
 # scipy.stats.norm.ppf(0.975) to the bit, written out so that importing this
 # module does not import scipy (statistics.NormalDist differs in the last digit)
@@ -62,7 +62,10 @@ def balance(
     of the controls-only residual sum of squares explained by adding the
     covariates; the partial F is the robust Wald statistic for their joint
     nullity divided by their count, with a chi-square tail p-value
-    (``classical_f=True`` switches to the RSS-based F with an F tail).
+    (``classical_f=True`` switches to the RSS-based F with an F tail). The
+    tails are ``scipy.special``'s ``chdtrc`` and ``fdtrc``, the functions
+    ``scipy.stats`` evaluates, without its import; a statistic that rounding
+    leaves below zero has tail 1, as there.
     """
     if target not in ("treatment", "instrument"):
         raise ConfigurationError("target must be 'treatment' or 'instrument'")
@@ -87,9 +90,8 @@ def balance(
     ctrl_labels, ctrl = zip(*control_columns(config.control_set, exp.controls),
                             (INTERCEPT, np.ones(n_keep)))
 
-    full = wls_fit(RegressionProblem(y, np.column_stack([cov_mat, *ctrl]),
-                                     [*covariates, *ctrl_labels], w))
-    controls_only = wls_fit(RegressionProblem(y, np.column_stack(ctrl), ctrl_labels, w))
+    full = wls_fit(y, np.column_stack([cov_mat, *ctrl]), [*covariates, *ctrl_labels], w)
+    controls_only = wls_fit(y, np.column_stack(ctrl), ctrl_labels, w)
     rss_restricted = controls_only.weighted_rss
     partial_r2 = (
         (rss_restricted - full.weighted_rss) / rss_restricted if rss_restricted > 0 else 0.0
@@ -104,9 +106,9 @@ def balance(
         partial_f = ((rss_restricted - full.weighted_rss) / k) / (
             full.weighted_rss / full.dof
         )
-        from scipy import stats
+        from scipy.special import fdtrc
 
-        pvalue = float(stats.f.sf(partial_f, k, full.dof))
+        pvalue = float(fdtrc(k, full.dof, max(partial_f, 0.0)))
     else:
         idx = [full.kept_labels.index(lab) for lab in kept_covs]
         b = np.array([full.coefficients[lab] for lab in kept_covs])
@@ -116,9 +118,9 @@ def balance(
         except np.linalg.LinAlgError:
             wald = float(b @ np.linalg.pinv(V) @ b)
         partial_f = wald / k
-        from scipy import stats
+        from scipy.special import chdtrc
 
-        pvalue = float(stats.chi2.sf(wald, k))
+        pvalue = float(chdtrc(k, max(wald, 0.0)))
 
     rows: Dict[str, CovariateRow] = {}
     n_significant = 0
@@ -261,8 +263,7 @@ def rd_plot_data(
             v_mean = float((v[members] * ww).sum() / wsum) if wsum > 0 else float(v[members].mean())
             bins.append(RdPlotBin(side, r_mean, v_mean, wsum, len(members)))
 
-    fit = wls_fit(RegressionProblem(v, np.column_stack([*local_linear_basis(r, z), z]),
-                                    _LINE_LABELS, w))
+    fit = wls_fit(v, np.column_stack([*local_linear_basis(r, z), z]), _LINE_LABELS, w)
     notices += [f"line coefficient '{lab}' not identified: {_DROPPED_LINE[lab]}"
                 for lab in fit.dropped_columns]
     b0, b_r, b_rp, b_z = map(fit.coefficients.get, _LINE_LABELS)

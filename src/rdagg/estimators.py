@@ -55,7 +55,6 @@ from .errors import ConfigurationError, EstimationError
 from .regress import (
     FirstStage,
     ReducedForm,
-    RegressionProblem,
     absorb_fixed_effects,
     iv_fit,
     residualize,
@@ -310,14 +309,8 @@ def sharp_rd(design: Design, outcome: np.ndarray, config: DesignConfig) -> Estim
             f"(got {n_left} below, {n_right} above)"
         )
     weights = design.events.importance[idx] * kernel_weights(r, config)
-    fit = wls_fit(
-        RegressionProblem(
-            response=outcome[idx],
-            regressors=np.column_stack([z, *local_linear_basis(r, z)]),
-            labels=[CROSSING, *BASIS_LABELS],
-            weights=weights,
-        )
-    )
+    fit = wls_fit(outcome[idx], np.column_stack([z, *local_linear_basis(r, z)]),
+                  [CROSSING, *BASIS_LABELS], weights)
     return EstimateResult(
         specification="sharp_rd",
         beta=fit.coefficients.get(CROSSING, float("nan")),

@@ -8,6 +8,15 @@ and produce identical output for identical inputs in identical column order.
 
 Conventions
 -----------
+- Every entry point (``wls_fit``, ``iv_fit``, ``residualize``,
+  ``absorb_fixed_effects``) passes its columns and weights through one
+  gate, ``_gate``, which builds the one float block the fit reads and
+  refuses, with a ConfigurationError: an empty sample; a column that is not
+  one-dimensional, or whose length does not match; a label given twice; a
+  value that is not finite, named by its column and row (unnamed columns
+  are named by position, ``on[:, 1]``); and weights of the wrong length,
+  not finite, negative or all zero. ``wls_fit`` takes the response, the
+  regressor matrix, one label per regressor and the weights.
 - Weights are analytic: the fit minimizes sum_i w_i (y_i - x_i'b)^2, the
   robust score is w_i * e_i * x_i, and the bread is (sum_i w_i x_i x_i')^-1.
   Rescaling all weights by a positive constant changes neither coefficients
@@ -62,16 +71,6 @@ WEAK_F_THRESHOLD = 10.0
 
 
 @dataclass
-class RegressionProblem:
-    """One weighted least-squares problem: response, labeled regressors, weights."""
-
-    response: np.ndarray
-    regressors: np.ndarray
-    labels: Sequence[str]
-    weights: np.ndarray
-
-
-@dataclass
 class FirstStage:
     """Instrument coefficient, its robust SE, and the robust partial F."""
 
@@ -120,66 +119,58 @@ class IvFit:
     notes: list
 
 
-def _as_vector(a, name: str) -> np.ndarray:
-    v = np.asarray(a, dtype=np.float64)
-    if v.ndim != 1:
-        raise ConfigurationError(f"{name} must be one-dimensional, got shape {v.shape}")
-    return v
+def _split(name: str, a) -> tuple:
+    """The names and columns of ``a``: a matrix gives its columns, named
+    ``name[:, j]`` by position, and anything else is one column ``name``."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        return [name], [a]
+    return [f"{name}[:, {j}]" for j in range(a.shape[1])], list(a.T)
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim == 1:
-        m = m[:, None]
-    if m.ndim != 2:
-        raise ConfigurationError(f"{name} must be two-dimensional, got shape {m.shape}")
-    return m
+def _gate(names: Sequence[str], columns: Sequence, weights, roles: int = 0):
+    """The one input check of every fit: the named columns as one float block
+    (one column each, in order) and the weights.
 
-
-def _check_weights(w: np.ndarray, n: int) -> np.ndarray:
-    w = _as_vector(w, "weights")
-    if w.shape[0] != n:
-        raise ConfigurationError(f"weights length {w.shape[0]} does not match sample size {n}")
-    if not np.all(np.isfinite(w)):
-        raise ConfigurationError("weights must be finite")
-    if np.any(w < 0):
-        raise ConfigurationError("weights must be nonnegative")
-    if not np.any(w > 0):
-        raise ConfigurationError("all weights are zero")
-    return w
-
-
-def _check_finite(a: np.ndarray, names: Sequence[str]) -> None:
-    """Refuse a column (or a matrix, with one name per column) that holds a
-    value that is not finite, naming the column and row of the first."""
-    if not np.isfinite(a).all():
-        m = a.reshape(len(a), -1)
-        row, col = np.argwhere(~np.isfinite(m))[0]
-        raise ConfigurationError(
-            f"{names[col]} must be finite, got {float(m[row, col])} in row {row}")
-
-
-def _validate(problem: RegressionProblem):
-    y = _as_vector(problem.response, "response")
-    n = y.shape[0]
-    if n == 0:
-        raise ConfigurationError("empty sample: response has zero length")
-    X = _as_matrix(problem.regressors, "regressors")
-    if X.shape[0] != n:
-        raise ConfigurationError(
-            f"response length {n} does not match regressor rows {X.shape[0]}"
-        )
-    labels = list(problem.labels)
-    if len(labels) != X.shape[1]:
-        raise ConfigurationError(
-            f"{len(labels)} labels for {X.shape[1]} regressor columns"
-        )
+    The first ``roles`` names are those of the columns a fit explains
+    (response, treatment, instrument); the others are labels, which must
+    match the columns in number and be unique. Every column and the weights
+    must be one-dimensional and of one length, at least one row; every
+    value must be finite, and the first that is not is named by its column
+    and row. The weights must be nonnegative, and not all zero.
+    """
+    cols = [np.asarray(col, dtype=np.float64) for col in columns]
+    w = np.asarray(weights, dtype=np.float64)
+    if len(names) != len(cols):
+        raise ConfigurationError(f"{len(names) - roles} labels for {len(cols) - roles} columns")
+    labels = names[roles:]
     if len(set(labels)) != len(labels):
-        raise ConfigurationError("regressor labels must be unique")
-    _check_finite(y, ("response",))
-    _check_finite(X, labels)
-    w = _check_weights(problem.weights, n)
-    return y, X, labels, w
+        repeated = next(lab for j, lab in enumerate(labels) if lab in labels[:j])
+        raise ConfigurationError(f"label {repeated!r} given twice")
+    n = None
+    for name, col in [*zip(names, cols), ("weights", w)]:
+        if col.ndim != 1:
+            raise ConfigurationError(f"{name} must be one-dimensional, got shape {col.shape}")
+        if n is None:
+            n = col.shape[0]
+        elif col.shape[0] != n:
+            raise ConfigurationError(
+                f"{name} length {col.shape[0]} does not match sample size {n}")
+    if n == 0:
+        raise ConfigurationError("empty sample: zero rows")
+    block = np.array(cols).reshape(-1, n)  # one column per row, returned transposed
+    finite = np.isfinite(block)
+    if not finite.all():
+        j, row = np.argwhere(~finite)[0]
+        raise ConfigurationError(
+            f"{names[j]} must be finite, got {float(block[j, row])} in row {row}")
+    if not np.isfinite(w).all():
+        raise ConfigurationError("weights must be finite")
+    if (w < 0).any():
+        raise ConfigurationError("weights must be nonnegative")
+    if not (w > 0).any():
+        raise ConfigurationError("all weights are zero")
+    return block.T, w
 
 
 def _screen_columns(xw: np.ndarray):
@@ -225,7 +216,9 @@ def _partial(columns: np.ndarray, on: np.ndarray, w: np.ndarray):
     """
     sw = np.sqrt(w)
     kept, Q, R = _screen_columns(on * sw[:, None])
-    B = np.linalg.solve(R, Q.T @ (columns * sw[:, None]))
+    # the product in C order whatever the layout of ``columns``: BLAS may
+    # sum over the rows of another layout in another order
+    B = np.linalg.solve(R, Q.T @ np.multiply(columns, sw[:, None], order="C"))
     return kept, B, columns - on[:, kept] @ B, Q, R
 
 
@@ -233,8 +226,11 @@ def _no_dof_note(n_obs: int, p: int) -> str:
     return f"no residual degrees of freedom (n={n_obs}, p={p}): SEs not available"
 
 
-def wls_fit(problem: RegressionProblem, extra_dof: int = 0) -> FitResult:
-    """Weighted least squares with rank screening and HC1 standard errors.
+def wls_fit(response, regressors, labels: Sequence[str], weights,
+            extra_dof: int = 0) -> FitResult:
+    """Weighted least squares of ``response`` on the columns of
+    ``regressors``, one label each, with rank screening and HC1 standard
+    errors.
 
     The covariance comes from the screen's factors of the weighted kept
     columns, Q R = sqrt(W) X. The scores w_i e_i x_i are the rows of S R,
@@ -245,9 +241,10 @@ def wls_fit(problem: RegressionProblem, extra_dof: int = 0) -> FitResult:
     With n - p - extra_dof <= 0 every SE is NaN, with a note.
 
     A response or regressor value that is not finite is refused with a
-    ConfigurationError that names its column."""
-    y, X, labels, w = _validate(problem)
-    kept, B, e, Q, R = _partial(y[:, None], X, w)
+    ConfigurationError that names its column and row."""
+    block, w = _gate(["response", *labels], [response, *_split("regressors", regressors)[1]],
+                     weights, roles=1)
+    kept, B, e, Q, R = _partial(block[:, :1], block[:, 1:], w)
     if not kept:
         raise ConfigurationError("design matrix has no usable columns after rank screening")
     b, residuals = B[:, 0], e[:, 0]
@@ -319,32 +316,18 @@ def iv_fit(
     One code per row gives the same bits as none.
 
     A value of y, x, z or a control that is not finite is refused with a
-    ConfigurationError that names its column. An instrument or a treatment
-    with no variation beyond the controls (its partialled norm at most
-    PIVOT_RTOL times its own) or an exactly zero first stage leaves beta
-    non-finite, with a note. With n - p - extra_dof <= 0 every SE is NaN,
+    ConfigurationError that names its column and row. An instrument or a
+    treatment with no variation beyond the controls (its partialled norm at
+    most PIVOT_RTOL times its own) or an exactly zero first stage leaves
+    beta non-finite, with a note. With n - p - extra_dof <= 0 every SE is NaN,
     with a note. A partial F below ``weak_f_threshold`` flags a weak
     instrument, with a note.
     """
-    y = _as_vector(y, "response")
-    n = y.shape[0]
-    if n == 0:
-        raise ConfigurationError("empty sample: response has zero length")
-    x, z = _as_vector(x, "treatment"), _as_vector(z, "instrument")
     labels = [lab for lab, _ in controls]
-    if len(set(labels)) != len(labels):
-        raise ConfigurationError("control labels must be unique")
-    C = _as_matrix(np.column_stack([col for _, col in controls]) if labels
-                   else np.empty((n, 0)), "controls")
-    if not x.shape[0] == z.shape[0] == C.shape[0] == n:
-        raise ConfigurationError(
-            f"response length {n} does not match treatment, instrument or control rows"
-        )
-    yxz = np.column_stack([y, x, z])
-    _check_finite(yxz, ("response", "treatment", "instrument"))
-    _check_finite(C, labels)
-    w = _check_weights(weights, n)
-    kept, B, partialled, _, _ = _partial(yxz, C, w)
+    block, w = _gate(["response", "treatment", "instrument", *labels],
+                     [y, x, z, *(col for _, col in controls)], weights, roles=3)
+    n, x, z = len(w), block[:, 1], block[:, 2]
+    kept, B, partialled, _, _ = _partial(block[:, :3], block[:, 3:], w)
     yt, xt, zt = partialled.T
     if clusters is None:
         n_obs = int(np.count_nonzero(w > 0))
@@ -414,16 +397,15 @@ def residualize(columns, on, weights) -> np.ndarray:
     """Remove the weighted projection of ``columns`` onto ``on``.
 
     Output columns are weight-orthogonal to every kept column of ``on``.
-    A one-dimensional input comes back one-dimensional.
+    A one-dimensional input comes back one-dimensional. A value that is not
+    finite is refused with a ConfigurationError that names it by position
+    (``on[:, 2]``, say) and row.
     """
-    C = np.asarray(columns, dtype=np.float64)
-    squeeze = C.ndim == 1
-    C = _as_matrix(C, "columns")
-    O = _as_matrix(on, "on")
-    if O.shape[0] != C.shape[0]:
-        raise ConfigurationError("columns and on must have the same number of rows")
-    out = _partial(C, O, _check_weights(weights, C.shape[0]))[2]
-    return out[:, 0] if squeeze else out
+    names, cols = _split("columns", columns)
+    on_names, on_cols = _split("on", on)
+    block, w = _gate(names + on_names, cols + on_cols, weights)
+    out = _partial(block[:, :len(cols)], block[:, len(cols):], w)[2]
+    return out[:, 0] if np.ndim(columns) == 1 else out
 
 
 def _factorize(keys) -> tuple:
@@ -462,21 +444,32 @@ def _flat_index(codes: np.ndarray, k: int) -> np.ndarray:
 
 def _spent_dof(coded) -> int:
     """Parameters spent by the fixed effects ``coded``, one (codes, groups)
-    pair per dimension, as ``absorb_fixed_effects`` counts them; the codes of
-    two dimensions are read one pair per cell, by union-find."""
+    pair per dimension, as ``absorb_fixed_effects`` counts them.
+
+    The codes of two dimensions are read one pair per cell, an edge between
+    two groups, and the components are found by min-label propagation with
+    pointer jumping (Shiloach & Vishkin 1982): each pass gives both ends of
+    every edge, and the groups their labels name, the smaller of the two
+    labels, then replaces every label by its label's label until none
+    moves. A label is always a group of the same component and never
+    grows, so the passes stop, and they stop when the ends of every edge
+    share a label: one per component, the component's least group, which
+    labels itself.
+    """
     if len(coded) != 2:
         return sum(g if d == 0 else max(g - 1, 0) for d, (_, g) in enumerate(coded))
-    (codes1, g1), (codes2, g2) = coded
-    parent = list(range(g1 + g2))
-
-    def root(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]  # path halving
-        return a
-
-    for a, b in zip(codes1.tolist(), (g1 + codes2).tolist()):
-        parent[root(a)] = root(b)
-    return g1 + g2 - sum(parent[v] == v for v in range(g1 + g2))
+    (a, g1), (codes2, g2) = coded
+    b = g1 + codes2
+    label = np.arange(g1 + g2)
+    while True:
+        low = np.minimum(label[a], label[b])
+        hooked = label.copy()
+        np.minimum.at(hooked, np.concatenate([a, b, label[a], label[b]]), np.tile(low, 4))
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return g1 + g2 - int(np.count_nonzero(label == np.arange(g1 + g2)))
+        label = hooked
 
 
 def absorb_fixed_effects(
@@ -517,7 +510,7 @@ def absorb_fixed_effects(
     absorption, a rule that does not depend on the column's scale. Raises
     ConvergenceError (carrying the largest attained ratio) if ``max_iter``
     iterations do not suffice, and ConfigurationError on a non-finite
-    column.
+    value, named by its position in ``columns`` and its row.
 
     The solve runs over cells, not rows. A cell is one combination of keys
     across the dimensions, and every row of a cell has the same dummies, so
@@ -532,11 +525,7 @@ def absorb_fixed_effects(
     PIVOT_RTOL times its norm before absorption, comes back exactly zero,
     so that the rank screen drops it as it drops any collinear column.
     """
-    C = np.asarray(columns, dtype=np.float64)
-    squeeze = C.ndim == 1
-    y = _as_matrix(C, "columns")
-    if not np.all(np.isfinite(y)):
-        raise ConfigurationError("columns to absorb fixed effects from must be finite")
+    y, w = _gate(*_split("columns", columns), weights)
     n, k = y.shape
     coded = [_factorize(keys) for keys in fe_keys]
     if not coded:
@@ -546,12 +535,13 @@ def absorb_fixed_effects(
             raise ConfigurationError(
                 f"fixed-effect key length {codes.size} does not match {n} rows"
             )
-    w = _check_weights(weights, n)
     norms = np.sqrt(w @ (y * y))
     cell, coded = _cells(coded)
     n_cells = coded[0][0].size
     cell_w = np.bincount(cell, weights=w, minlength=n_cells)
-    cell_wy = np.bincount(_flat_index(cell, k), weights=(y * w[:, None]).ravel(),
+    # the weighted rows in C order, the order of _flat_index
+    cell_wy = np.bincount(_flat_index(cell, k),
+                          weights=np.multiply(y, w[:, None], order="C").ravel(),
                           minlength=n_cells * k).reshape(-1, k)
     e = max(range(len(coded)), key=lambda d: coded[d][1])
     eliminated, n_eliminated = coded[e]
@@ -613,6 +603,8 @@ def absorb_fixed_effects(
         rz = rz_next
     fitted = expand(alpha)
     fitted += np.take(means_e(cell_wy - cell_w[:, None] * fitted), eliminated, axis=0)
-    out = y - np.take(fitted, cell, axis=0)
+    out = np.take(fitted, cell, axis=0)
+    np.subtract(y, out, out=out)
+    del y  # the gate's copy: out * out below needs a block of its own
     out[:, np.sqrt(w @ (out * out)) <= PIVOT_RTOL * norms] = 0.0
-    return (out[:, 0] if squeeze else out), _spent_dof(coded)
+    return (out[:, 0] if np.ndim(columns) == 1 else out), _spent_dof(coded)

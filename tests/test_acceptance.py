@@ -28,7 +28,6 @@ from rdagg.diagnostics import (
 )
 from rdagg.estimators import collapsed_iv, equivalence, stacked_iv
 from rdagg.regress import (
-    RegressionProblem,
     absorb_fixed_effects,
     iv_fit,
     residualize,
@@ -115,7 +114,7 @@ def test_criterion_02_regression_core_oracles():
         y = rng.normal(size=n)
         w = rng.uniform(0.1, 3.0, size=n)
         labels = [f"x{j}" for j in range(p)]
-        fit = wls_fit(RegressionProblem(y, X, labels, w))
+        fit = wls_fit(y, X, labels, w)
         oracle = np.linalg.solve((X * w[:, None]).T @ X, (X * w[:, None]).T @ y)
         worst["wls"] = max(
             worst["wls"], max(rel(fit.coefficients[labels[j]], oracle[j]) for j in range(p))
@@ -163,17 +162,13 @@ def test_criterion_02_regression_core_oracles():
         w = rng.uniform(0.5, 2.0, size=n)
         keys = [[str(v) for v in g1], [str(v) for v in g2]]
         absorbed, _ = absorb_fixed_effects(np.column_stack([y, x]), keys, w, tol=1e-13)
-        fit_a = wls_fit(RegressionProblem(absorbed[:, 0], absorbed[:, 1:], ["a", "b"], w))
+        fit_a = wls_fit(absorbed[:, 0], absorbed[:, 1:], ["a", "b"], w)
         dummies = np.column_stack(
             [(g1 == v).astype(float) for v in range(5)]
             + [(g2 == v).astype(float) for v in range(4)]
         )
-        fit_b = wls_fit(
-            RegressionProblem(
-                y, np.column_stack([x, dummies]),
-                ["a", "b"] + [f"d{j}" for j in range(9)], w,
-            )
-        )
+        fit_b = wls_fit(y, np.column_stack([x, dummies]),
+                        ["a", "b"] + [f"d{j}" for j in range(9)], w)
         worst["fe"] = max(
             worst["fe"],
             rel(fit_a.coefficients["a"], fit_b.coefficients["a"]),

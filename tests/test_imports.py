@@ -3,6 +3,8 @@ and the benchmark reaches only names the package has.
 
 scipy is needed only for the balance-test p-values and is imported there;
 importing it at module level would add about a second to every CLI run.
+Those p-values take ``scipy.special`` alone: ``scipy.stats`` would add
+about another second to every ``balance`` run.
 """
 
 import ast
@@ -43,6 +45,30 @@ def test_entry_point_loads_no_scipy(entry):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("classical_f", [False, True])
+def test_balance_loads_no_scipy_stats(classical_f):
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from rdagg import Design, DesignConfig, SubunitRecord, UnitRecord, balance\n"
+        "rng = np.random.default_rng(4)\n"
+        "units = [UnitRecord(f'u{i}', 0.0, extra_controls={'c': float(rng.normal())})\n"
+        "         for i in range(60)]\n"
+        "subunits = [SubunitRecord(f'u{i}-s{j}', f'u{i}', float(rng.uniform(-1, 1)), 1.0)\n"
+        "            for i in range(60) for j in range(3)]\n"
+        "design = Design.from_records(units, subunits)\n"
+        f"report = balance(design, DesignConfig(bandwidth=0.5), classical_f={classical_f})\n"
+        "assert 0.0 <= report.partial_f_pvalue <= 1.0, report\n"
+        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "True False"
 
 
 def test_estimators_load_no_masked_arrays():
@@ -99,7 +125,7 @@ def test_public_names():
         "CounterfactualPath", "Design", "DesignConfig", "DgpSpec", "DgpTruth",
         "EquivalenceReport", "EstimateResult", "EstimationError", "FirstStage", "FitResult",
         "InputBundle", "IntegrityError", "IvFit", "McSummary", "OracleEstimand", "RdPlotData",
-        "RdaError", "ReducedForm", "RegressionProblem", "SchemaError", "SpilloverGraph",
+        "RdaError", "ReducedForm", "SchemaError", "SpilloverGraph",
         "SubunitRecord", "UnitRecord", "VarianceDecomposition", "absorb_fixed_effects",
         "balance", "bootstrap_median_ci", "collapsed_iv", "counterfactual_path",
         "design_exposures", "design_stack", "equivalence", "estimand_oracle",

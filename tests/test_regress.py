@@ -1,5 +1,7 @@
 """Regression engine against independent brute-force oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +12,6 @@ from rdagg.errors import ConfigurationError, ConvergenceError
 from rdagg.regress import (
     FE_MAX_ITER,
     FE_TOL,
-    RegressionProblem,
     _partial,
     _screen_columns,
     absorb_fixed_effects,
@@ -35,8 +36,8 @@ def random_problem(rng, n=50, p=4):
 
 
 def make(y, X, w, labels=None):
-    labels = labels or [f"x{j}" for j in range(X.shape[1])]
-    return RegressionProblem(y, X, labels, w)
+    """The arguments of ``wls_fit``, with X's columns labelled x0, x1, ... by default."""
+    return y, X, labels or [f"x{j}" for j in range(X.shape[1])], w
 
 
 def columns(X, labels):
@@ -97,14 +98,14 @@ def nested_panel(rng, n=400, n_states=10, block=4, local_share=0.9):
 
 class TestWls:
     def test_intercept_only_is_weighted_mean(self):
-        fit = wls_fit(make(np.array([1.0, 2.0, 3.0]), np.ones((3, 1)), np.ones(3)))
+        fit = wls_fit(*make(np.array([1.0, 2.0, 3.0]), np.ones((3, 1)), np.ones(3)))
         assert fit.coefficients["x0"] == pytest.approx(2.0, abs=1e-14)
 
     def test_exact_line(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         y = 2.0 * x
         X = np.column_stack([np.ones(4), x])
-        fit = wls_fit(make(y, X, np.ones(4), labels=["const", "x"]))
+        fit = wls_fit(*make(y, X, np.ones(4), labels=["const", "x"]))
         assert fit.coefficients["x"] == pytest.approx(2.0, abs=1e-12)
         assert fit.coefficients["const"] == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(fit.residuals)) < 1e-12
@@ -114,7 +115,7 @@ class TestWls:
         rng = np.random.default_rng(0)
         for _ in range(20):
             y, X, w = random_problem(rng)
-            fit = wls_fit(make(y, X, w))
+            fit = wls_fit(*make(y, X, w))
             expected = normal_equations(y, X, w)
             got = np.array([fit.coefficients[f"x{j}"] for j in range(4)])
             np.testing.assert_allclose(got, expected, rtol=1e-10)
@@ -122,7 +123,7 @@ class TestWls:
     def test_residuals_weight_orthogonal(self):
         rng = np.random.default_rng(1)
         y, X, w = random_problem(rng)
-        fit = wls_fit(make(y, X, w))
+        fit = wls_fit(*make(y, X, w))
         for j in range(X.shape[1]):
             scale = np.linalg.norm(X[:, j])
             assert abs(np.sum(w * fit.residuals * X[:, j])) <= 1e-8 * scale
@@ -131,15 +132,15 @@ class TestWls:
         rng = np.random.default_rng(2)
         x = rng.normal(size=30)
         X = np.column_stack([np.ones(30), x, 2 * x])
-        fit = wls_fit(make(rng.normal(size=30), X, np.ones(30), labels=["c", "x", "x2"]))
+        fit = wls_fit(*make(rng.normal(size=30), X, np.ones(30), labels=["c", "x", "x2"]))
         assert fit.dropped_columns == ["x2"]
         assert np.isnan(fit.coefficients["x2"])
 
     def test_weight_scale_invariance(self):
         rng = np.random.default_rng(3)
         y, X, w = random_problem(rng)
-        a = wls_fit(make(y, X, w))
-        b = wls_fit(make(y, X, 17.5 * w))
+        a = wls_fit(*make(y, X, w))
+        b = wls_fit(*make(y, X, 17.5 * w))
         for lab in a.coefficients:
             assert a.coefficients[lab] == pytest.approx(b.coefficients[lab], rel=1e-10)
             assert a.robust_se[lab] == pytest.approx(b.robust_se[lab], rel=1e-10)
@@ -148,19 +149,19 @@ class TestWls:
         rng = np.random.default_rng(4)
         y, X, w = random_problem(rng, n=60)
         w[:10] = 0.0
-        full = wls_fit(make(y, X, w))
-        trimmed = wls_fit(make(y[10:], X[10:], w[10:]))
+        full = wls_fit(*make(y, X, w))
+        trimmed = wls_fit(*make(y[10:], X[10:], w[10:]))
         for lab in full.coefficients:
             assert full.coefficients[lab] == pytest.approx(trimmed.coefficients[lab], rel=1e-10)
         assert full.n_obs == trimmed.n_obs == 50
 
     def test_errors_are_distinct(self):
         with pytest.raises(ConfigurationError, match="empty sample"):
-            wls_fit(make(np.array([]), np.empty((0, 1)), np.array([])))
+            wls_fit(*make(np.array([]), np.empty((0, 1)), np.array([])))
         with pytest.raises(ConfigurationError, match="all weights are zero"):
-            wls_fit(make(np.array([1.0, 2.0]), np.ones((2, 1)), np.zeros(2)))
+            wls_fit(*make(np.array([1.0, 2.0]), np.ones((2, 1)), np.zeros(2)))
         with pytest.raises(ConfigurationError, match="does not match"):
-            wls_fit(make(np.array([1.0, 2.0, 3.0]), np.ones((2, 1)), np.ones(2)))
+            wls_fit(*make(np.array([1.0, 2.0, 3.0]), np.ones((2, 1)), np.ones(2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_response_or_regressor_refused(self, bad):
@@ -168,10 +169,10 @@ class TestWls:
         y[7] = bad
         with pytest.raises(ConfigurationError,
                            match=rf"^response must be finite, got {bad} in row 7$"):
-            wls_fit(make(y, X, w))
+            wls_fit(*make(y, X, w))
         y[7], X[4, 2] = 0.0, bad
         with pytest.raises(ConfigurationError, match=rf"^x2 must be finite, got {bad} in row 4$"):
-            wls_fit(make(y, X, w))
+            wls_fit(*make(y, X, w))
 
 
 class TestTsls:
@@ -184,7 +185,7 @@ class TestTsls:
         X = np.column_stack([x, W])
         w = rng.uniform(0.5, 2.0, size=n)
         labels = ["x", "const", "w1"]
-        ols = wls_fit(make(y, X, w, labels=labels))
+        ols = wls_fit(*make(y, X, w, labels=labels))
         iv = iv_fit(y, x, x, columns(W, labels[1:]), w)
         assert iv.beta == pytest.approx(ols.coefficients["x"], abs=1e-12)
 
@@ -293,7 +294,7 @@ class TestTsls:
                np.ones(n))
         assert calls == ["_screen_columns"]
         # and so do wls_fit's coefficients and covariance
-        wls_fit(make(rng.normal(size=n), W, np.ones(n)))
+        wls_fit(*make(rng.normal(size=n), W, np.ones(n)))
         assert calls == ["_screen_columns"] * 2
 
     @settings(max_examples=300, deadline=None)
@@ -494,7 +495,7 @@ class TestResidualize:
             y = rng.normal(size=n)
             w = rng.uniform(0.1, 2.0, size=n)
             joint = wls_fit(
-                make(y, np.column_stack([x, W]), w, labels=["x", "c", "a", "b", "d"])
+                *make(y, np.column_stack([x, W]), w, labels=["x", "c", "a", "b", "d"])
             )
             x_p = residualize(x, W, w)
             y_p = residualize(y, W, w)
@@ -562,14 +563,14 @@ class TestAbsorb:
         w = rng.uniform(0.5, 2.0, size=n)
         keys = [[str(v) for v in g1], [str(v) for v in g2]]
         absorbed, _ = absorb_fixed_effects(np.column_stack([y, x]), keys, w)
-        fit_a = wls_fit(make(absorbed[:, 0], absorbed[:, 1:], w, labels=["x1", "x2"]))
+        fit_a = wls_fit(*make(absorbed[:, 0], absorbed[:, 1:], w, labels=["x1", "x2"]))
         dummies = np.column_stack(
             [(g1 == v).astype(float) for v in range(6)]
             + [(g2 == v).astype(float) for v in range(5)]
         )
         X_full = np.column_stack([x, dummies])
         labels = ["x1", "x2"] + [f"d{j}" for j in range(dummies.shape[1])]
-        fit_b = wls_fit(make(y, X_full, w, labels=labels))
+        fit_b = wls_fit(*make(y, X_full, w, labels=labels))
         assert fit_a.coefficients["x1"] == pytest.approx(fit_b.coefficients["x1"], rel=1e-8)
         assert fit_a.coefficients["x2"] == pytest.approx(fit_b.coefficients["x2"], rel=1e-8)
 
@@ -598,6 +599,24 @@ class TestAbsorb:
     def test_dof_counts_disconnected_components(self):
         # {a, b, x, y} and {c, z} are separate components: 6 groups - 2.
         assert self.dof([["a", "a", "b", "c"], ["x", "y", "x", "z"]]) == 4
+
+    def test_dof_counts_one_long_chain(self):
+        # a0-b0-a1-b1-...-a499-b499: 1,000 groups in one path, one component,
+        # with groups coded in a shuffled order and rows shuffled; cutting
+        # the path once makes two
+        rng = np.random.default_rng(27)
+        g = 500
+        first = np.concatenate([np.arange(g), np.arange(1, g)])
+        second = np.concatenate([np.arange(g), np.arange(g - 1)])
+        names1, names2 = rng.permutation(g), rng.permutation(g)
+        order = rng.permutation(first.size)
+        keys = [[f"a{names1[v]}" for v in first[order]], [f"b{names2[v]}" for v in second[order]]]
+        n = len(order)
+        spanned = np.ones(n)  # absorbed at once: the test counts, it does not solve
+        assert absorb_fixed_effects(spanned, keys, np.ones(n))[1] == 2 * g - 1
+        cut = order != g  # drops the cell (a1, b0)
+        cut_keys = [list(np.array(k)[cut]) for k in keys]
+        assert absorb_fixed_effects(spanned[cut], cut_keys, np.ones(n - 1))[1] == 2 * g - 2
         rng = np.random.default_rng(24)
         for n_blocks in (1, 2, 3, 5):
             n = 80
@@ -783,7 +802,7 @@ class TestHc1:
         n = 20_000
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = X @ np.array([1.0, 2.0]) + rng.normal(size=n)
-        fit = wls_fit(make(y, X, np.ones(n), labels=["c", "x"]))
+        fit = wls_fit(*make(y, X, np.ones(n), labels=["c", "x"]))
         sigma2 = fit.weighted_rss / fit.dof
         classical = np.sqrt(sigma2 * np.linalg.inv(X.T @ X)[1, 1])
         assert fit.robust_se["x"] == pytest.approx(classical, rel=0.05)
@@ -794,7 +813,7 @@ class TestHc1:
         X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
         w = rng.uniform(0.2, 2.0, size=n)
         y = rng.normal(size=n)
-        fit = wls_fit(make(y, X, w))
+        fit = wls_fit(*make(y, X, w))
         b = normal_equations(y, X, w)
         e = y - X @ b
         A = (X * w[:, None]).T @ X
@@ -818,7 +837,7 @@ class TestHc1:
         w = np.exp(rng.normal(size=n))
         y = X @ np.array([0.5, 1.0, -1.0]) + (1 + x * x) * rng.normal(size=n)
         assert kappa / 3 <= np.linalg.cond(X * np.sqrt(w)[:, None]) <= 3 * kappa
-        fit = wls_fit(make(y, X, w))
+        fit = wls_fit(*make(y, X, w))
         assert fit.dropped_columns == []
         _, se = exact_wls_hc1(y, X, w)
         got = [fit.robust_se[f"x{j}"] for j in range(3)]
@@ -832,7 +851,7 @@ class TestHc1:
         w = rng.uniform(0.2, 2.0, size=n)
         w[:5] = 0.0
         y = rng.normal(size=n)
-        fit = wls_fit(make(y, X, w), extra_dof=3)
+        fit = wls_fit(*make(y, X, w), extra_dof=3)
         b, se = exact_wls_hc1(y, X, w, extra_dof=3)
         assert fit.dof == n - 5 - p - 3
         np.testing.assert_allclose([fit.coefficients[f"x{j}"] for j in range(p)], b, rtol=1e-12)
@@ -843,7 +862,7 @@ class TestHc1:
         rng = np.random.default_rng(23)
         n = 3 + (extra_dof > 0)
         X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
-        fit = wls_fit(make(rng.normal(size=n), X, np.ones(n)), extra_dof=extra_dof)
+        fit = wls_fit(*make(rng.normal(size=n), X, np.ones(n)), extra_dof=extra_dof)
         assert fit.dof == n - 3 - extra_dof <= 0
         assert all(np.isfinite(v) for v in fit.coefficients.values())
         assert all(np.isnan(v) for v in fit.robust_se.values())
@@ -861,7 +880,7 @@ def test_fwl_partition_property_random():
         w = rng.uniform(0.1, 3.0, size=n)
         target = int(rng.integers(0, p))
         labels = [f"x{j}" for j in range(p)]
-        joint = wls_fit(make(y, X, w, labels=labels))
+        joint = wls_fit(*make(y, X, w, labels=labels))
         others = [j for j in range(p) if j != target]
         x_p = residualize(X[:, target], X[:, others], w)
         y_p = residualize(y, X[:, others], w)
@@ -872,7 +891,63 @@ def test_fwl_partition_property_random():
 def test_determinism_bitwise():
     rng = np.random.default_rng(21)
     y, X, w = random_problem(rng)
-    a = wls_fit(make(y, X, w))
-    b = wls_fit(make(y.copy(), X.copy(), w.copy()))
+    a = wls_fit(*make(y, X, w))
+    b = wls_fit(*make(y.copy(), X.copy(), w.copy()))
     assert a.coefficients == b.coefficients
     assert a.robust_se == b.robust_se
+
+
+# Every entry point on the columns a, b, c and weights w, and the name its
+# input gate gives column c.
+GATED = {
+    "wls_fit": (lambda a, b, c, w: wls_fit(a, np.column_stack([b, c]), ["b", "c"], w), "c"),
+    "iv_fit": (lambda a, b, c, w: iv_fit(a, b, c, [("one", np.ones(a.size))], w), "instrument"),
+    "residualize": (lambda a, b, c, w: residualize(a, np.column_stack([b, c]), w), "on[:, 1]"),
+    "absorb_fixed_effects": (
+        lambda a, b, c, w: absorb_fixed_effects(np.column_stack([a, b, c]),
+                                                [np.arange(a.size) % 3], w),
+        "columns[:, 2]"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GATED))
+class TestGate:
+    """wls_fit, iv_fit, residualize and absorb_fixed_effects refuse the same
+    inputs with the same messages."""
+
+    @staticmethod
+    def columns():
+        return np.random.default_rng(28).normal(size=(3, 12))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_named_by_column_and_row(self, entry, bad):
+        fit, name = GATED[entry]
+        a, b, c = self.columns()
+        fit(a, b, c, np.ones(12))  # the clean columns pass
+        c[5] = bad
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{re.escape(name)} must be finite, got {bad} in row 5$"):
+            fit(a, b, c, np.ones(12))
+
+    @pytest.mark.parametrize("weights, message", [
+        (np.ones(13), "^weights length 13 does not match sample size 12$"),
+        (np.zeros(12), "^all weights are zero$"),
+        (np.r_[-1.0, np.ones(11)], "^weights must be nonnegative$"),
+        (np.r_[np.nan, np.ones(11)], "^weights must be finite$"),
+    ])
+    def test_bad_weights_refused(self, entry, weights, message):
+        with pytest.raises(ConfigurationError, match=message):
+            GATED[entry][0](*self.columns(), weights)
+
+
+def test_labels_given_twice_refused():
+    a, b, c = np.random.default_rng(29).normal(size=(3, 12))
+    with pytest.raises(ConfigurationError, match=r"^label 'b' given twice$"):
+        wls_fit(a, np.column_stack([b, c]), ["b", "b"], np.ones(12))
+    with pytest.raises(ConfigurationError, match=r"^label 'one' given twice$"):
+        iv_fit(a, b, c, [("one", np.ones(12)), ("one", c)], np.ones(12))
+    with pytest.raises(ConfigurationError, match=r"^3 labels for 2 columns$"):
+        wls_fit(a, np.column_stack([b, c]), ["b", "c", "d"], np.ones(12))
+    # a label may repeat the name of a fitted column: names are only for messages
+    fit = iv_fit(a, b, c, [("one", np.ones(12)), ("treatment", a + c)], np.ones(12))
+    assert set(fit.control_coefficients) == {"one", "treatment"}
