@@ -18,11 +18,7 @@ from .design import (BASIS_LABELS, CROSSING, INTERCEPT, Design, DesignConfig, St
                      control_columns, cutoff_indicators, design_exposures, key_codes,
                      local_linear_basis)
 from .errors import ConfigurationError, EstimationError
-from .regress import wls_fit
-
-# scipy.stats.norm.ppf(0.975) to the bit, written out so that importing this
-# module does not import scipy (statistics.NormalDist differs in the last digit)
-Z_CRITICAL_5PCT = 1.959963984540054
+from .regress import Z_CRITICAL_5PCT, wls_fit
 
 
 @dataclass

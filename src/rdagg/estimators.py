@@ -23,6 +23,10 @@ Every fit reads the one local-linear basis q(r, z) that ``design`` declares:
 (``design.control_columns``), and the stacked fits, the verifier's lower
 path and ``sharp_rd`` for q(r, z) on their rows
 (``design.local_linear_basis``). No estimator writes the basis out itself.
+
+Every ``EstimateResult`` carries one ``Inference`` block: the SE type
+(``"hc1"``, or ``"cluster-hc1"`` for the collapsed fit, whose scores are
+summed by event), the cluster count, and the 95% Wald interval.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .design import (
 )
 from .errors import ConfigurationError, EstimationError
 from .regress import (
+    Z_CRITICAL_5PCT,
     FirstStage,
     ReducedForm,
     absorb_fixed_effects,
@@ -60,6 +65,27 @@ from .regress import (
     residualize,
     wls_fit,
 )
+
+@dataclass
+class Inference:
+    """How a result's SE was computed, and its 95% Wald interval.
+
+    ``se_type`` is ``"hc1"`` when every row is its own cluster and
+    ``"cluster-hc1"`` when the scores are summed by cluster, over
+    ``n_clusters`` clusters (None for rows). ``wald_ci`` is beta -/+
+    Z_CRITICAL_5PCT times the SE, NaN where either is.
+    """
+
+    se_type: str
+    n_clusters: Optional[int]
+    wald_ci: Tuple[float, float]
+
+
+def _inference(beta: float, se: float, n_clusters: Optional[int]) -> Inference:
+    half = Z_CRITICAL_5PCT * se
+    return Inference("hc1" if n_clusters is None else "cluster-hc1", n_clusters,
+                     (beta - half, beta + half))
+
 
 @dataclass
 class EstimateResult:
@@ -71,6 +97,7 @@ class EstimateResult:
     first_stage: Optional[FirstStage]
     reduced_form: Optional[ReducedForm]
     control_coefficients: Dict[str, float]
+    inference: Inference
     weak_instrument: bool = False
     notes: List[str] = field(default_factory=list)
 
@@ -159,6 +186,7 @@ def _iv_estimate(y: np.ndarray, x: np.ndarray, z: np.ndarray,
         first_stage=fit.first_stage,
         reduced_form=fit.reduced_form,
         control_coefficients=fit.control_coefficients,
+        inference=_inference(fit.beta, fit.robust_se, fit.n_clusters),
         weak_instrument=fit.weak_instrument,
         notes=list(extra_notes or []) + fit.notes,
     )
@@ -311,10 +339,12 @@ def sharp_rd(design: Design, outcome: np.ndarray, config: DesignConfig) -> Estim
     weights = design.events.importance[idx] * kernel_weights(r, config)
     fit = wls_fit(outcome[idx], np.column_stack([z, *local_linear_basis(r, z)]),
                   [CROSSING, *BASIS_LABELS], weights)
+    beta = fit.coefficients.get(CROSSING, float("nan"))
+    se = fit.robust_se.get(CROSSING, float("nan"))
     return EstimateResult(
         specification="sharp_rd",
-        beta=fit.coefficients.get(CROSSING, float("nan")),
-        robust_se=fit.robust_se.get(CROSSING, float("nan")),
+        beta=beta,
+        robust_se=se,
         n_units=len(idx),
         n_stacked_rows=len(idx),
         first_stage=None,
@@ -322,6 +352,7 @@ def sharp_rd(design: Design, outcome: np.ndarray, config: DesignConfig) -> Estim
         control_coefficients={
             lab: val for lab, val in fit.coefficients.items() if lab != CROSSING
         },
+        inference=_inference(beta, se, None),
         notes=fit.notes,
     )
 

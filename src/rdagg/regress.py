@@ -38,9 +38,14 @@ Conventions
   ``iv_fit`` screens the controls once, partials outcome, treatment and
   instrument out of the kept ones with one solve, and reads every IV number
   off the partialled columns in closed form (Frisch-Waugh-Lovell).
-- Given cluster codes, ``iv_fit`` sums the robust scores by cluster and
-  counts clusters in place of rows, so its HC1 is that of the regression
-  on cluster sums; without codes every row is its own cluster.
+- ``iv_fit`` puts the robust scores of the first stage, the reduced form
+  and beta in one (3, n) block, sums it by cluster once when given cluster
+  codes, and reads all three SEs, the partial F and ``IvFit.score_cov``,
+  the joint covariance of the first-stage and reduced-form coefficients,
+  off it. With codes it counts clusters in place of rows, so its HC1 is
+  that of the regression on cluster sums, and reports their number as
+  ``IvFit.n_clusters``; without codes every row is its own cluster and
+  ``n_clusters`` is None.
 - Fixed effects are absorbed before the fit. The dimension with the most
   groups is eliminated exactly, since its weighted group means take one
   pass (Abowd, Creecy & Kramarz 2002), and one Jacobi-preconditioned
@@ -58,7 +63,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +73,9 @@ PIVOT_RTOL = 1e-10
 FE_TOL = 1e-10
 FE_MAX_ITER = 10_000
 WEAK_F_THRESHOLD = 10.0
+# scipy.stats.norm.ppf(0.975) to the bit, written out so that importing this
+# module does not import scipy (statistics.NormalDist differs in the last digit)
+Z_CRITICAL_5PCT = 1.959963984540054
 
 
 @dataclass
@@ -106,7 +114,10 @@ class IvFit:
     """One just-identified IV fit with a single endogenous column.
 
     ``control_coefficients`` holds every control label, NaN for a dropped
-    control; ``notes`` explain every non-finite number.
+    control; ``notes`` explain every non-finite number. ``score_cov`` is the
+    2 x 2 robust covariance of the first-stage and reduced-form
+    coefficients, in that order; ``n_clusters`` counts the clusters of
+    positive weight, None without clusters.
     """
 
     beta: float
@@ -117,6 +128,8 @@ class IvFit:
     dropped_columns: list
     weak_instrument: bool
     notes: list
+    score_cov: np.ndarray
+    n_clusters: Optional[int]
 
 
 def _split(name: str, a) -> tuple:
@@ -301,27 +314,32 @@ def iv_fit(
     controls and HC1 factor c = n / (n - p - extra_dof), Frisch-Waugh-Lovell
     gives in closed form:
 
-    - beta = <z~, y~> / <z~, x~> with robust SE
-      sqrt(c sum_i (w_i e_i z~_i)^2) / |<z~, x~>|, e = y~ - beta x~, which is
-      the treatment entry of the second-stage HC1 sandwich;
-    - the first-stage coefficient <z~, x~> / <z~, z~>, its HC1 SE and the
-      partial F (coefficient / SE)^2;
-    - the reduced-form coefficient <z~, y~> / <z~, z~> and its HC1 SE;
+    - beta = <z~, y~> / <z~, x~>;
+    - the first-stage coefficient pi = <z~, x~> / <z~, z~>;
+    - the reduced-form coefficient rho = <z~, y~> / <z~, z~>;
     - the control coefficients B_y - beta B_x from the partialling solve.
 
-    With ``clusters``, one nonnegative integer code per row, every robust SE
-    sums the scores w_i z~_i e_i of each cluster (one ``np.bincount``)
-    before squaring, and n counts the G clusters of positive weight, so
-    c = G / (G - p - extra_dof), the HC1 of the regression on cluster sums.
-    One code per row gives the same bits as none.
+    The robust scores of all three coefficients are the rows of one (3, n)
+    block w z~ (e_pi, e_rho, e_beta), with e_pi = x~ - pi z~, e_rho = y~ -
+    rho z~ and e_beta = y~ - beta x~. Each SE reads one row S_k of that block:
+    sqrt(c |S_k|^2) over <z~, z~> for pi and rho and over |<z~, x~>| for
+    beta, the HC1 entries of the three regressions. The partial F is
+    (pi / SE)^2, and ``score_cov``, the covariance of (pi, rho), is
+    c S_2 S_2' / <z~, z~>^2 on the block's first two rows.
+
+    With ``clusters``, one nonnegative integer code per row, the block is
+    summed by cluster first, all three rows in one ``np.bincount``, and n
+    counts the G clusters of positive weight, so c = G / (G - p -
+    extra_dof), the HC1 of the regression on cluster sums; ``n_clusters``
+    is G. One code per row gives the same bits as none.
 
     A value of y, x, z or a control that is not finite is refused with a
     ConfigurationError that names its column and row. An instrument or a
     treatment with no variation beyond the controls (its partialled norm at
     most PIVOT_RTOL times its own) or an exactly zero first stage leaves
-    beta non-finite, with a note. With n - p - extra_dof <= 0 every SE is NaN,
-    with a note. A partial F below ``weak_f_threshold`` flags a weak
-    instrument, with a note.
+    beta non-finite, with a note. With n - p - extra_dof <= 0 every SE and
+    ``score_cov`` are NaN, with a note. A partial F below
+    ``weak_f_threshold`` flags a weak instrument, with a note.
     """
     labels = [lab for lab, _ in controls]
     block, w = _gate(["response", "treatment", "instrument", *labels],
@@ -338,21 +356,13 @@ def iv_fit(
         n_obs = int(np.count_nonzero(np.bincount(codes, weights=w) > 0))
     p = 1 + len(kept)
     dof = n_obs - p - int(extra_dof)
+    nan = float("nan")
+    c = n_obs / dof if dof > 0 else nan
     wz = w * zt
     szz, szx, szy = float(wz @ zt), float(wz @ xt), float(wz @ yt)
-    nan = float("nan")
-
-    def robust_se(residuals: np.ndarray, denominator: float) -> float:
-        # HC1 entry of a coefficient whose FWL weights are w z~ / denominator
-        if dof <= 0:
-            return nan
-        scores = wz * residuals
-        if clusters is not None:
-            scores = np.bincount(codes, weights=scores)
-        return float(np.sqrt(n_obs / dof * np.sum(scores ** 2)) / abs(denominator))
-
     notes: list = []
     beta = se = nan
+    score_cov = np.full((2, 2), nan)
     if np.sqrt(szz) <= PIVOT_RTOL * np.sqrt(w @ (z * z)):
         first_stage, reduced_form = FirstStage(nan, nan, nan), ReducedForm(nan, nan)
         notes.append(
@@ -361,21 +371,30 @@ def iv_fit(
         )
     else:
         pi, rf = szx / szz, szy / szz
-        pi_se = robust_se(xt - pi * zt, szz)
+        flat = np.sqrt(w @ (xt * xt)) <= PIVOT_RTOL * np.sqrt(w @ (x * x))
+        if not flat and szx != 0.0:
+            beta = szy / szx
+        # the scores w z~ e of the first stage, the reduced form and beta, one
+        # row each; by cluster, row r's cluster g is bin g + G r of one bincount
+        scores = np.array([xt - pi * zt, yt - rf * zt, yt - beta * xt])
+        scores *= wz
+        if clusters is not None:
+            scores = np.bincount((codes + (codes.max() + 1) * np.arange(3)[:, None]).ravel(),
+                                 weights=scores.ravel()).reshape(3, -1)
+        pi_se, rf_se, se = map(float, np.sqrt(c * np.sum(scores ** 2, axis=1))
+                               / [szz, szz, abs(szx)])
+        score_cov = c * (scores[:2] @ scores[:2].T) / szz ** 2
         first_stage = FirstStage(pi, pi_se, (pi / pi_se) ** 2 if pi_se > 0 else nan)
-        reduced_form = ReducedForm(rf, robust_se(yt - rf * zt, szz))
+        reduced_form = ReducedForm(rf, rf_se)
         if first_stage.partial_f < weak_f_threshold:
             notes.append(
                 f"weak instrument: first-stage partial F {first_stage.partial_f:.3g} "
                 f"below {weak_f_threshold:g}"
             )
-        if np.sqrt(w @ (xt * xt)) <= PIVOT_RTOL * np.sqrt(w @ (x * x)):
+        if flat:
             notes.append("treatment has no variation beyond the controls: estimate non-finite")
         elif szx == 0.0:
             notes.append("zero first stage: estimate non-finite")
-        else:
-            beta = szy / szx
-            se = robust_se(yt - beta * xt, szx)
     if dof <= 0:
         notes.append(_no_dof_note(n_obs, p))
     coefficients = dict.fromkeys(labels, nan)
@@ -390,6 +409,8 @@ def iv_fit(
         dropped_columns=[lab for j, lab in enumerate(labels) if j not in kept],
         weak_instrument=bool(first_stage.partial_f < weak_f_threshold),
         notes=notes,
+        score_cov=score_cov,
+        n_clusters=None if clusters is None else n_obs,
     )
 
 
@@ -543,6 +564,7 @@ def absorb_fixed_effects(
     cell_wy = np.bincount(_flat_index(cell, k),
                           weights=np.multiply(y, w[:, None], order="C").ravel(),
                           minlength=n_cells * k).reshape(-1, k)
+    del y  # the gate's copy: the solve reads cell sums, and the end the input
     e = max(range(len(coded)), key=lambda d: coded[d][1])
     eliminated, n_eliminated = coded[e]
     flat_e = _flat_index(eliminated, k)
@@ -604,7 +626,6 @@ def absorb_fixed_effects(
     fitted = expand(alpha)
     fitted += np.take(means_e(cell_wy - cell_w[:, None] * fitted), eliminated, axis=0)
     out = np.take(fitted, cell, axis=0)
-    np.subtract(y, out, out=out)
-    del y  # the gate's copy: out * out below needs a block of its own
+    np.subtract(np.asarray(columns, dtype=np.float64).reshape(n, k), out, out=out)
     out[:, np.sqrt(w @ (out * out)) <= PIVOT_RTOL * norms] = 0.0
     return (out[:, 0] if np.ndim(columns) == 1 else out), _spent_dof(coded)

@@ -27,15 +27,21 @@ on two threads, and one whose counts a ``j_range`` config file draws.
 
 With ``--against OTHER_OUT`` the script runs nothing: it walks both output
 trees and prints, for each file that differs, how many numbers moved, the
-largest relative move of any number with the line that holds it, and the
-first non-numeric difference; then the files found in one tree only. A
-number is a decimal literal not joined to a letter or digit, compared as a
-float, so ``1.0`` and ``1.00`` are no move; the relative move of a and b is |a - b| / max(|a|, |b|).
+largest relative move of any number with the place that holds it, and the
+first non-numeric difference; then the files found in one tree only. The
+relative move of a and b is |a - b| / max(|a|, |b|). A ``.json`` file is
+compared as a parsed object, key path by key path (``first_stage.partial_f``,
+``wald_ci[0]``), so a key that one tree adds moves nothing after it; the
+keys that only one tree has are named, leaf by leaf, as ``result.json:
+only in OUT: inference.wald_ci``. Any other file is compared line by line,
+where a number is a decimal literal not joined to a letter or digit,
+compared as a float, so ``1.0`` and ``1.00`` are no move.
 
 The file name has no ``test_`` prefix, so pytest does not collect it.
 """
 
 import io
+import json
 import os
 import re
 import sys
@@ -248,8 +254,55 @@ def compare_text(a, b):
     return moved, largest, where, other
 
 
+def leaves(value, path):
+    """The key paths of every leaf of a parsed JSON value."""
+    if isinstance(value, dict) and value:
+        return [leaf for key in sorted(value) for leaf in leaves(value[key], f"{path}.{key}")]
+    return [path]
+
+
+def compare_json(a, b):
+    """``compare_text`` for two parsed JSON values, by key path: numbers
+    moved, the largest relative move and the path holding it, the first
+    non-numeric difference, and the leaf paths that only ``a`` or only
+    ``b`` has, as two lists."""
+    moved, largest, where, other = 0, 0.0, "", None
+    only = ([], [])
+
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    def walk(x, y, path):
+        nonlocal moved, largest, where, other
+        if isinstance(x, dict) and isinstance(y, dict):
+            for key in sorted(x.keys() | y.keys()):
+                sub = f"{path}.{key}" if path else key
+                if key in x and key in y:
+                    walk(x[key], y[key], sub)
+                else:
+                    only[key in y].extend(leaves(x[key] if key in x else y[key], sub))
+        elif isinstance(x, list) and isinstance(y, list):
+            if len(x) != len(y):
+                other = other or f"{path}: {len(x)} items against {len(y)}"
+            for i, (u, v) in enumerate(zip(x, y)):
+                walk(u, v, f"{path}[{i}]")
+        elif number(x) and number(y):
+            if x != y:
+                moved += 1
+                move = abs(x - y) / max(abs(x), abs(y))
+                if move > largest:
+                    largest, where = move, path
+        elif x != y or type(x) is not type(y):
+            other = other or f"{path}: {x!r} against {y!r}"
+
+    walk(a, b, "")
+    return moved, largest, where, other, only
+
+
 def against(out_dir, other_dir):
-    """Print how the files of two output trees differ."""
+    """Print how the files of two output trees differ: ``.json`` files as
+    parsed objects, key path by key path, and every other file line by
+    line."""
     mine, theirs = files_under(out_dir), files_under(other_dir)
     differ, largest = 0, 0.0
     for name in sorted(mine & theirs):
@@ -259,13 +312,21 @@ def against(out_dir, other_dir):
         if a == b:
             continue
         differ += 1
-        moved, move, where, other = compare_text(a.decode("utf-8", "replace"),
-                                                 b.decode("utf-8", "replace"))
+        if name.endswith(".json"):
+            moved, move, where, other, only = compare_json(json.loads(a), json.loads(b))
+        else:
+            moved, move, where, other = compare_text(a.decode("utf-8", "replace"),
+                                                     b.decode("utf-8", "replace"))
+            only = ([], [])
         largest = max(largest, move)
-        print(f"{name}: {moved} numbers moved, largest {move:.3g}"
-              + (f" in {where!r}" if moved else ""))
+        if moved or not (other or any(only)):
+            print(f"{name}: {moved} numbers moved, largest {move:.3g}"
+                  + (f" in {where!r}" if moved else ""))
         if other:
-            print(f"  non-numeric: {other}")
+            print(f"{name}: non-numeric: {other}")
+        for root, paths in zip((out_dir, other_dir), only):
+            if paths:
+                print(f"{name}: only in {root}: {', '.join(paths)}")
     for name in sorted(mine ^ theirs):
         print(f"{name}: only in {out_dir if name in mine else other_dir}")
         differ += 1

@@ -14,7 +14,13 @@ def dense_tsls(y, x, z, controls, w, extra_dof=0, clusters=None):
     n / (n - k - extra_dof), where n counts rows of positive weight and k
     the columns of the design. ``controls`` is an (n, k) matrix. Returns
     beta and its SE, the first-stage coefficient, SE and partial F, the
-    reduced-form coefficient and SE, and the control coefficients.
+    reduced-form coefficient and SE, the 2 x 2 covariance of the first-stage
+    and reduced-form coefficients, and the control coefficients.
+
+    The first stage and the reduced form share their design, so they are
+    one stacked system: its scores are the two regressions' score columns
+    side by side, its bread is block-diagonal, and its sandwich holds both
+    regressions' covariances and the covariance between them.
 
     With ``clusters``, one label per row, the meat sums the score rows of
     each cluster first, through the dense (rows x clusters) indicator
@@ -32,25 +38,28 @@ def dense_tsls(y, x, z, controls, w, extra_dof=0, clusters=None):
         b = np.linalg.lstsq(X * sw[:, None], target * sw, rcond=None)[0]
         return b, target - X @ b
 
-    def hc1(X, e):
+    def hc1(X, *residuals):
+        # the stacked sandwich of one regression on X per residual column
+        k = X.shape[1] * len(residuals)
         dof = n_obs - X.shape[1] - extra_dof
         if dof <= 0:
-            return np.full(X.shape[1], np.nan)
-        bread = (X * w[:, None]).T @ X
-        score = X * (w * e)[:, None]
+            return np.full((k, k), np.nan)
+        bread = np.kron(np.eye(len(residuals)), (X * w[:, None]).T @ X)
+        score = np.column_stack([X * (w * e)[:, None] for e in residuals])
         if clusters is not None:
             score = member.T @ score
         meat = score.T @ score * (n_obs / dof)
         half = np.linalg.solve(bread, meat)
-        return np.sqrt(np.diag(np.linalg.solve(bread, half.T)))
+        return np.linalg.solve(bread, half.T)
 
     first = np.column_stack([z, C])
     pi, e1 = fit(x, first)
     second = np.column_stack([x - e1, C])
     b, _ = fit(y, second)
-    se = hc1(second, y - np.column_stack([x, C]) @ b)
+    se = np.sqrt(np.diag(hc1(second, y - np.column_stack([x, C]) @ b)))
     rf, e3 = fit(y, first)
-    pi_se = hc1(first, e1)[0]
+    joint = hc1(first, e1, e3)[::first.shape[1], ::first.shape[1]]
+    pi_se, rf_se = np.sqrt(np.diag(joint))
     return {
         "beta": b[0],
         "robust_se": se[0],
@@ -58,7 +67,8 @@ def dense_tsls(y, x, z, controls, w, extra_dof=0, clusters=None):
         "fs_se": pi_se,
         "fs_partial_f": (pi[0] / pi_se) ** 2,
         "rf_coefficient": rf[0],
-        "rf_se": hc1(first, e3)[0],
+        "rf_se": rf_se,
+        "score_cov": joint,
         "controls": b[1:],
     }
 

@@ -15,7 +15,6 @@ from rdagg.design import (
     design_exposures,
 )
 from rdagg.diagnostics import (
-    Z_CRITICAL_5PCT,
     balance,
     counterfactual_path,
     rd_plot_data,
@@ -23,6 +22,7 @@ from rdagg.diagnostics import (
 )
 from rdagg.errors import ConfigurationError, EstimationError, IntegrityError
 from rdagg.estimators import upper_iv
+from rdagg.regress import Z_CRITICAL_5PCT
 
 
 def sub(sid, uid, r, s=1.0):

@@ -17,6 +17,7 @@ from rdagg.design import (
     design_stack,
 )
 from rdagg.errors import ConfigurationError, EstimationError
+from rdagg.regress import Z_CRITICAL_5PCT
 from rdagg.estimators import collapsed_iv, equivalence, sharp_rd, stacked_iv, upper_iv
 from rdagg import design, estimators
 from rdagg.simlab import (DgpSpec, estimand_oracle, generate_design, generate_dgp,
@@ -236,6 +237,15 @@ class TestSharedStack:
         assert stacked_iv(design, self.CFG, stack=stack) == stacked_iv(design, self.CFG)
 
 
+def assert_inference(result, se_type, n_clusters):
+    """The inference block names the SE and its clusters, and its Wald ends
+    are beta -/+ z SE to the bit."""
+    half = Z_CRITICAL_5PCT * result.robust_se
+    assert result.inference.se_type == se_type
+    assert result.inference.n_clusters == n_clusters
+    assert result.inference.wald_ci == (result.beta - half, result.beta + half)
+
+
 class TestReduction:
     """One subunit per unit with unit importance collapses to conventional designs."""
 
@@ -260,6 +270,8 @@ class TestReduction:
         sharp = sharp_rd(data, outcomes, cfg)
         assert up.beta == pytest.approx(low.beta, rel=1e-12)
         assert low.beta == pytest.approx(sharp.beta, rel=1e-12)
+        for result in (up, low, sharp):
+            assert_inference(result, "hc1", None)
 
     def test_equivalence_report_zero_gap(self):
         rng = np.random.default_rng(8)
@@ -566,6 +578,8 @@ class TestSpillover:
             assert col.reduced_form.coefficient == bil.reduced_form.coefficient
             assert col.control_coefficients == bil.control_coefficients
             assert col.robust_se != bil.robust_se
+            assert_inference(bil, "hc1", None)
+            assert_inference(col, "cluster-hc1", col.n_units)
 
     def test_collapsed_refuses_fixed_effects(self):
         units, subs, graph = self.spillover_bundle(np.random.default_rng(17))

@@ -99,6 +99,13 @@ def test_absorb_first_parameter_is_columns():
     assert params[0] == "columns"
 
 
+def test_iv_estimate_tenth_parameter_is_n_stacked_rows():
+    """The benchmark's tracer reads argument 9 of ``_iv_estimate`` for its
+    exact counter ``estimators.stacked_rows``."""
+    params = list(inspect.signature(rdagg.estimators._iv_estimate).parameters)
+    assert params[9] == "n_stacked_rows"
+
+
 @pytest.mark.parametrize("module, source", [
     ("diagnostics", "estimators"), ("diagnostics", "design"), ("cli", "io"),
     ("simlab", "estimators"),

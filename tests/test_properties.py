@@ -1,6 +1,6 @@
-"""Property tests: estimates do not depend on input row order, id labels, the
-units a control is measured in, or a common rescaling of the analysis
-weights; bundles survive a write/load round trip, the CSV reader builds
+"""Property tests: estimates and their inference blocks do not depend on
+input row order, id labels, the units a control is measured in, or a
+common rescaling of the analysis weights; bundles survive a write/load round trip, the CSV reader builds
 the same design as the record API, the plain split of a CSV text reads it
 as csv.reader does, the unit exposures and the stack are the bits of the
 reference that masks each column, and the units' aggregated controls are
@@ -34,7 +34,7 @@ from rdagg.design import (
     local_linear_basis,
     parse_filter,
 )
-from rdagg.estimators import stacked_iv, upper_iv
+from rdagg.estimators import collapsed_iv, stacked_iv, upper_iv
 from rdagg.cli import main
 from rdagg.io import (
     InputBundle,
@@ -92,20 +92,26 @@ def relabel(units, subunits, edges, unit_perm, sub_perm):
 
 
 def fits(units, subunits, edges, config):
+    """Beta, SE and the inference block of the upper, lower and bilateral
+    fits, and of the collapsed fit when there are no fixed effects."""
     data = Design.from_records(units, subunits, SpilloverGraph(tuple(edges)))
-    results = (
+    results = [
         upper_iv(data, config),
         stacked_iv(data, config),
         stacked_iv(data, config, spillover=True),
-    )
+    ]
+    if not config.fe_dimensions:
+        results.append(collapsed_iv(data, config))
     assume(all(r.first_stage.partial_f > MIN_PARTIAL_F for r in results))
-    return [(r.beta, r.robust_se) for r in results]
+    return [(r.beta, r.robust_se, r.inference) for r in results]
 
 
 def assert_same(got, want):
-    for (beta, se), (beta0, se0) in zip(got, want):
+    for (beta, se, inference), (beta0, se0, inference0) in zip(got, want, strict=True):
         assert beta == pytest.approx(beta0, rel=REL)
         assert se == pytest.approx(se0, rel=REL)
+        assert replace(inference, wald_ci=None) == replace(inference0, wald_ci=None)
+        assert inference.wald_ci == pytest.approx(inference0.wald_ci, rel=REL)
 
 
 @settings(max_examples=25, deadline=None)
@@ -146,7 +152,8 @@ def test_invariant_to_a_common_rescaling_of_analysis_weights(seed, fe, scale):
         want = [upper_iv(data, config), stacked_iv(data, config)]
         assume(all(r.first_stage.partial_f > MIN_PARTIAL_F for r in want))
         got = [upper_iv(scaled, config), stacked_iv(scaled, config)]
-        assert_same([(r.beta, r.robust_se) for r in got], [(r.beta, r.robust_se) for r in want])
+        assert_same([(r.beta, r.robust_se, r.inference) for r in got],
+                    [(r.beta, r.robust_se, r.inference) for r in want])
 
 
 # ',' and '"' must be quoted in the CSV files

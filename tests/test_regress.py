@@ -1,6 +1,7 @@
 """Regression engine against independent brute-force oracles."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -389,7 +390,7 @@ class TestTsls:
                 assert np.isnan(fit.beta) and np.isnan(fit.robust_se)
                 fs = fit.first_stage
                 assert np.isnan(fs.coefficient) and np.isnan(fs.robust_se)
-                assert np.isnan(fs.partial_f)
+                assert np.isnan(fs.partial_f) and np.isnan(fit.score_cov).all()
                 assert any("vanished" in note or "non-finite" in note for note in fit.notes)
                 seen.add(kind)
                 continue
@@ -413,6 +414,12 @@ class TestTsls:
                 assert rel(got[key], want[key]) <= 1e-10, (i, kind, key)
             for j, value in zip(kept, want["controls"]):
                 assert rel(fit.control_coefficients[labels[j]], value) <= 1e-10, (i, kind)
+            cov = want["score_cov"]
+            if kind == "no_dof":
+                assert np.isnan(fit.score_cov).all() and np.isnan(cov).all()
+            else:
+                assert np.abs(fit.score_cov - cov).max() <= 1e-10 * np.abs(cov).max(), (i, kind)
+            assert fit.n_clusters is None
             seen.add(kind)
         assert seen == set(kinds)
 
@@ -448,6 +455,9 @@ class TestTsls:
             }
             for key, value in got.items():
                 assert rel(value, want[key]) <= 1e-10, (i, key)
+            cov = want["score_cov"]
+            assert np.abs(fit.score_cov - cov).max() <= 1e-10 * np.abs(cov).max(), i
+            assert fit.n_clusters == np.unique(clusters[w > 0]).size
 
     def test_one_row_per_cluster_gives_the_same_bits_as_none(self):
         rng = np.random.default_rng(42)
@@ -459,7 +469,10 @@ class TestTsls:
         w[::7] = 0.0
         plain = iv_fit(y, x, z, columns(C, ["c0", "c1"]), w, 2)
         clustered = iv_fit(y, x, z, columns(C, ["c0", "c1"]), w, 2, clusters=np.arange(n))
-        assert clustered == plain
+        assert (plain.n_clusters, clustered.n_clusters) == (None, np.count_nonzero(w))
+        assert clustered.score_cov.tobytes() == plain.score_cov.tobytes()
+        unset = {"score_cov": None, "n_clusters": None}
+        assert replace(clustered, **unset) == replace(plain, **unset)
 
     @pytest.mark.parametrize("codes", [
         lambda n: np.arange(n - 1), lambda n: np.arange(n) - 1,
