@@ -66,6 +66,5 @@ from .simlab import (
     estimand_oracle,
     generate_design,
     generate_dgp,
-    late_gap_check,
     run_monte_carlo,
 )

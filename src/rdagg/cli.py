@@ -264,7 +264,8 @@ def _run(args) -> int:
         with open(out_csv, "w", encoding="utf-8") as fh:
             fh.write(summary.to_csv())
         manifest_cfg = {"dgp": asdict(spec), "h_grid": h_grid, "estimators": estimators,
-                        "reps": args.reps, "boot": args.boot}
+                        "reps": args.reps, "boot": args.boot, "truth": summary.truth,
+                        "truth_se": summary.truth_se}
         failures = [{"estimator": c.estimator, "h": c.h, "reasons": c.fail_reasons}
                     for c in summary.cells if c.n_fail]
         write_manifest(args.out, cmd, [args.config] if args.config else [],

@@ -23,7 +23,11 @@ design itself, so a sweep builds no records.
 A Monte Carlo replication builds one design and goes bandwidth by
 bandwidth: it builds the stack at h once and hands it to the three
 estimators, whose configs differ only in the control set, which the sample
-does not read.
+does not read. A sweep scores every estimate against the truth of its
+population: 0 for the pure-confound kinds, and ``estimand_oracle``'s value
+of the spec with its seed set to ``POPULATION_SEED`` under heterogeneous
+effects. That oracle value is kept for the next sweep of the same
+population, so a run over many data seeds draws it once.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 from .design import (Design, DesignConfig, Events, Stack, SubunitRecord, UnitRecord, Units,
                      design_stack)
 from .errors import ConfigurationError, EstimationError, RdaError
-from .estimators import stacked_iv, upper_iv
+from .estimators import EstimateResult, stacked_iv, upper_iv
 
 IMPORTANCE_SCHEMES = ("equal", "dirichlet_random", "unit_sum_one")
 OUTCOME_KINDS = (
@@ -54,6 +58,9 @@ MC_ESTIMATORS = ("upper", "lower", "benchmark")
 
 # 0.25, 0.35, ..., 1.25
 DEFAULT_H_GRID = tuple(k / 100 for k in range(25, 126, 10))
+
+# The seed of the large draw that stands for a spec's population in its oracle.
+POPULATION_SEED = 0
 
 # Shape of the localized confound in the heterogeneous-effects generator.
 HET_KINK_SCALE = 4.0
@@ -244,14 +251,14 @@ def mc_design_config(h: float, control_set: str) -> DesignConfig:
                         tie_policy="keep", control_set=control_set)
 
 
-def _run_estimator(name: str, design: Design, h: float, stack: Stack) -> float:
-    """One estimator's beta at ``h``, on the stack the sweep built there;
+def _run_estimator(name: str, design: Design, h: float, stack: Stack) -> EstimateResult:
+    """One estimator's fit at ``h``, on the stack the sweep built there;
     ``name`` is one of MC_ESTIMATORS."""
     if name == "upper":
-        return upper_iv(design, mc_design_config(h, "all_three_rda"), stack=stack).beta
+        return upper_iv(design, mc_design_config(h, "all_three_rda"), stack=stack)
     if name == "benchmark":
-        return upper_iv(design, mc_design_config(h, "total_weight_only"), stack=stack).beta
-    return stacked_iv(design, mc_design_config(h, "all_three_rda"), stack=stack).beta
+        return upper_iv(design, mc_design_config(h, "total_weight_only"), stack=stack)
+    return stacked_iv(design, mc_design_config(h, "all_three_rda"), stack=stack)
 
 
 def bootstrap_median_ci(
@@ -280,9 +287,15 @@ def _bootstrap_sd_se(values: np.ndarray, n_boot: int, seed: int) -> float:
 
 @dataclass
 class McCell:
-    """One (estimator, bandwidth) cell of a sweep. ``fail_reasons`` counts
-    the failed replications by cause: the exception class name, or
-    ``non-finite estimate`` for a NaN that the fit returned with a note."""
+    """One (estimator, bandwidth) cell of a sweep, scored against the
+    summary's ``truth`` over the replications with a finite estimate.
+    ``mean_bias_se`` is ``sd`` over the square root of ``n_ok``;
+    ``coverage`` is the share of those replications whose Wald interval, as
+    the fit returned it, holds the truth (a non-finite end is a miss);
+    ``se_sd_ratio`` is the median of their robust SEs over ``sd``.
+    ``fail_reasons`` counts the failed replications by cause: the exception
+    class name, or ``non-finite estimate`` for a NaN that the fit returned
+    with a note."""
 
     estimator: str
     h: float
@@ -293,14 +306,24 @@ class McCell:
     sd_boot_se: float
     n_ok: int
     n_fail: int
+    mean_bias: float
+    mean_bias_se: float
+    coverage: float
+    se_sd_ratio: float
     fail_reasons: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
 class McSummary:
+    """A sweep's cells, its finite estimates by (estimator, bandwidth), and
+    the truth they are scored against with that truth's own SE (0 for a
+    known effect)."""
+
     cells: List[McCell]
     n_replications: int
     estimates: Dict[Tuple[str, float], np.ndarray]
+    truth: float
+    truth_se: float
     dataset_digests: List[str] = field(default_factory=list)
     high_failure: bool = False
 
@@ -311,13 +334,24 @@ class McSummary:
         raise KeyError((estimator, h))
 
     def to_csv(self) -> str:
-        lines = ["estimator,h,median_bias,ci_lo,ci_hi,sd,n_ok,n_fail"]
+        lines = ["estimator,h,median_bias,ci_lo,ci_hi,sd,n_ok,n_fail,"
+                 "mean_bias,mean_bias_se,coverage,se_sd_ratio"]
         for c in self.cells:
             lines.append(
                 f"{c.estimator},{c.h!r},{c.median_bias!r},{c.ci_lo!r},{c.ci_hi!r},"
-                f"{c.sd!r},{c.n_ok},{c.n_fail}"
+                f"{c.sd!r},{c.n_ok},{c.n_fail},{c.mean_bias!r},{c.mean_bias_se!r},"
+                f"{c.coverage!r},{c.se_sd_ratio!r}"
             )
         return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=1)
+def _population_truth(population: DgpSpec) -> Tuple[float, float]:
+    """``estimand_oracle``'s value and SE for a heterogeneous-effects
+    population. One entry is kept, so a run of sweeps over the data seeds
+    of one population draws the oracle once."""
+    oracle = estimand_oracle(population)
+    return oracle.beta0, oracle.se
 
 
 def run_monte_carlo(
@@ -336,34 +370,41 @@ def run_monte_carlo(
     Each replication draws one dataset and every (estimator, bandwidth) pair
     is evaluated on that same dataset. The work goes in this order: per
     replication, one ``generate_design``; per bandwidth, one
-    ``design_stack``; per estimator, one fit on that stack. An estimation
-    failure (a package error, a singular linear system or a non-finite
-    estimate) is recorded, not fatal, and each cell counts its failures by
-    cause; a stack that cannot be built fails every estimator at its
-    bandwidth with its cause. Any other exception propagates. The summary
-    flags runs where more than 1% of cells failed. An estimator name not in
-    MC_ESTIMATORS or a bandwidth that is not positive is a
-    ConfigurationError before the first replication. The true effect must
-    be known (zero for the built-in confound outcomes), so
-    heterogeneous-effects specs go through late_gap_check instead.
+    ``design_stack``; per estimator, one fit on that stack, of which the
+    replication keeps the beta, the robust SE and the Wald interval. An
+    estimation failure (a package error, a singular linear system or a
+    non-finite estimate) is recorded, not fatal, and each cell counts its
+    failures by cause; a stack that cannot be built fails every estimator
+    at its bandwidth with its cause. Any other exception propagates. The
+    summary flags runs where more than 1% of cells failed. Fewer than two
+    replications or bootstrap draws, a ``level`` outside (0, 1), fewer than
+    one thread, an estimator name not in MC_ESTIMATORS or a bandwidth that
+    is not positive is a ConfigurationError before the first replication.
+
+    The truth is 0 for the pure-confound outcome kinds. Under heterogeneous
+    effects it is the cutoff-slice estimand of the population, the spec
+    with its seed set to POPULATION_SEED, from ``estimand_oracle``; the
+    summary carries its SE as ``truth_se``.
     """
-    if n_replications < 2:
-        raise ConfigurationError("n_replications must be at least 2")
-    if spec.outcome_kind == "heterogeneous_effects":
-        raise ConfigurationError(
-            "run_monte_carlo needs a known true effect; use late_gap_check for "
-            "heterogeneous-effects specs"
-        )
-    spec = replace(spec, seed=seed)
-    true_beta = 0.0  # every other generator is a pure confound
     estimators = list(estimators)
     h_grid = [float(h) for h in h_grid]
     unknown = [name for name in estimators if name not in MC_ESTIMATORS]
-    if unknown:
-        raise ConfigurationError(f"unknown estimators {unknown} (choose from {MC_ESTIMATORS})")
     bad = [h for h in h_grid if not h > 0]
-    if bad:
-        raise ConfigurationError(f"bandwidths must be positive, got {bad}")
+    problems = [message for failed, message in (
+        (n_replications < 2, "n_replications must be at least 2"),
+        (n_bootstrap < 2, f"n_bootstrap must be at least 2, got {n_bootstrap}"),
+        (not 0 < level < 1, f"level must lie in (0, 1), got {level}"),
+        (threads < 1, f"threads must be at least 1, got {threads}"),
+        (unknown, f"unknown estimators {unknown} (choose from {MC_ESTIMATORS})"),
+        (bad, f"bandwidths must be positive, got {bad}"),
+    ) if failed]
+    if problems:
+        raise ConfigurationError("; ".join(problems))
+    truth, truth_se = 0.0, 0.0  # every other generator is a pure confound
+    if spec.outcome_kind == "heterogeneous_effects":
+        truth, truth_se = _population_truth(replace(spec, seed=POPULATION_SEED))
+    spec = replace(spec, seed=seed)
+    nan = float("nan")
 
     def one_replication(rep: int):
         design, _ = generate_design(spec, rep)
@@ -373,15 +414,16 @@ def run_monte_carlo(
             try:
                 stack = design_stack(design, mc_design_config(h, "all_three_rda"))
             except (RdaError, np.linalg.LinAlgError) as exc:
-                out.update({(name, h): (float("nan"), type(exc).__name__) for name in estimators})
+                out.update({(name, h): ((nan,) * 4, type(exc).__name__) for name in estimators})
                 continue
             for name in estimators:
                 try:
-                    beta = _run_estimator(name, design, h, stack)
-                    reason = None if np.isfinite(beta) else "non-finite estimate"
+                    fit = _run_estimator(name, design, h, stack)
+                    draw = (fit.beta, fit.robust_se, *fit.inference.wald_ci)
+                    reason = None if np.isfinite(fit.beta) else "non-finite estimate"
                 except (RdaError, np.linalg.LinAlgError) as exc:
-                    beta, reason = float("nan"), type(exc).__name__
-                out[(name, h)] = beta, reason
+                    draw, reason = (nan,) * 4, type(exc).__name__
+                out[(name, h)] = draw, reason
         return out, dataset_digest(design) if keep_digests else ""
 
     if threads > 1:
@@ -395,32 +437,37 @@ def run_monte_carlo(
 
     cells: List[McCell] = []
     estimates: Dict[Tuple[str, float], np.ndarray] = {}
-    nan = float("nan")
     for cell_index, (name, h) in enumerate(product(estimators, h_grid)):
         pairs = [results[rep][(name, h)] for rep in range(n_replications)]
-        vals = np.array([beta for beta, _ in pairs])
-        finite = estimates[(name, h)] = vals[np.isfinite(vals)]
-        biases, lo, hi = finite - true_beta, nan, nan
-        if finite.size:
-            lo, hi = bootstrap_median_ci(
-                biases, n_bootstrap, level, seed=_derived_seed(seed, 1, cell_index)
-            )
+        beta, se, lo, hi = np.array([draw for draw, _ in pairs]).T
+        ok = np.isfinite(beta)
+        finite = estimates[(name, h)] = beta[ok]
+        biases, n_ok = finite - truth, int(finite.size)
+        ci = (bootstrap_median_ci(biases, n_bootstrap, level,
+                                  seed=_derived_seed(seed, 1, cell_index)) if n_ok else (nan, nan))
+        sd = float(finite.std(ddof=1)) if n_ok > 1 else nan
         cells.append(McCell(
             estimator=name,
             h=h,
-            median_bias=float(np.median(biases)) if finite.size else nan,
-            ci_lo=lo,
-            ci_hi=hi,
-            sd=float(finite.std(ddof=1)) if finite.size > 1 else nan,
+            median_bias=float(np.median(biases)) if n_ok else nan,
+            ci_lo=ci[0],
+            ci_hi=ci[1],
+            sd=sd,
             sd_boot_se=_bootstrap_sd_se(finite, n_bootstrap, _derived_seed(seed, 2, cell_index)),
-            n_ok=int(finite.size),
-            n_fail=n_replications - int(finite.size),
+            n_ok=n_ok,
+            n_fail=n_replications - n_ok,
+            mean_bias=float(finite.mean() - truth) if n_ok else nan,
+            mean_bias_se=float(sd / np.sqrt(n_ok)) if n_ok else nan,
+            coverage=float(np.mean((lo[ok] <= truth) & (truth <= hi[ok]))) if n_ok else nan,
+            se_sd_ratio=float(np.median(se[ok]) / sd) if n_ok else nan,
             fail_reasons=dict(sorted(Counter(reason for _, reason in pairs if reason).items())),
         ))
     return McSummary(
         cells=cells,
         n_replications=n_replications,
         estimates=estimates,
+        truth=truth,
+        truth_se=truth_se,
         dataset_digests=list(digests) if keep_digests else [],
         high_failure=sum(c.n_fail for c in cells) > 0.01 * len(cells) * n_replications,
     )
@@ -473,50 +520,3 @@ def estimand_oracle(
     cov_ab = float(np.cov(num, den, ddof=1)[0, 1]) if m > 1 else 0.0
     var_ratio = (var_a / b**2 + a**2 * var_b / b**4 - 2 * a * cov_ab / b**3) / m
     return OracleEstimand(beta0=beta0, se=float(np.sqrt(max(var_ratio, 0.0))), n_slice=m)
-
-
-@dataclass
-class LateGapRow:
-    bandwidth: float
-    beta_upper: float
-    sim_se_upper: float
-    beta_lower: float
-    sim_se_lower: float
-    beta0: float
-    oracle_se: float
-    gap_upper: float
-    gap_lower: float
-
-
-def late_gap_check(
-    spec: DgpSpec,
-    h_grid: Sequence[float],
-    n_replications: int = 12,
-    seed: int = 0,
-    oracle: Optional[OracleEstimand] = None,
-) -> List[LateGapRow]:
-    """Compare both estimators against the cutoff-slice estimand per bandwidth.
-
-    For each bandwidth, averages the upper- and lower-level estimates over
-    replicated draws from ``spec`` (common datasets across bandwidths) and
-    reports the gaps to the oracle value of the limiting estimand. Used to
-    confirm that gaps shrink as the bandwidth shrinks. Both estimators read
-    one ``design_stack`` per design and bandwidth.
-    """
-    if oracle is None:
-        oracle = estimand_oracle(spec, seed=seed)
-    designs = [generate_design(spec, rep)[0] for rep in range(n_replications)]
-    rows: List[LateGapRow] = []
-    for h in h_grid:
-        cfg = mc_design_config(h, "all_three_rda")
-        stacks = [design_stack(design, cfg) for design in designs]
-        moments = []
-        for fit in (upper_iv, stacked_iv):
-            b = np.array([fit(design, cfg, stack=stack).beta
-                          for design, stack in zip(designs, stacks)])
-            sim_se = float(b.std(ddof=1) / np.sqrt(len(b))) if len(b) > 1 else float("nan")
-            moments += [float(b.mean()), sim_se]
-        bu, se_u, bl, se_l = moments
-        rows.append(LateGapRow(float(h), bu, se_u, bl, se_l, oracle.beta0, oracle.se,
-                               abs(bu - oracle.beta0), abs(bl - oracle.beta0)))
-    return rows

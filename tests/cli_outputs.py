@@ -23,7 +23,8 @@ commands that read a keyed numeric table, ``var-decomp`` and
 ``counterfactual``, run in OUT/cases/tables/<case> on tables written to
 OUT/inputs/tables, some of them malformed. ``simulate`` runs in
 OUT/cases/simulate/<case>: a small sweep with fixed event counts, the same
-on two threads, and one whose counts a ``j_range`` config file draws.
+on two threads, one whose counts a ``j_range`` config file draws, and one
+with heterogeneous effects, scored against the oracle's estimand.
 
 With ``--against OTHER_OUT`` the script runs nothing: it walks both output
 trees and prints, for each file that differs, how many numbers moved, the
@@ -173,6 +174,7 @@ def simulate_cases():
         "fixed": sweep,
         "fixed-threads": sweep + ["--threads", "2"],
         "j-range": sweep + ["--config", config, "--importance", "dirichlet_random"],
+        "heterogeneous": sweep + ["--outcome", "heterogeneous_effects"],
     }
 
 

@@ -20,8 +20,8 @@ from rdagg.errors import ConfigurationError, EstimationError
 from rdagg.regress import Z_CRITICAL_5PCT
 from rdagg.estimators import collapsed_iv, equivalence, sharp_rd, stacked_iv, upper_iv
 from rdagg import design, estimators
-from rdagg.simlab import (DgpSpec, estimand_oracle, generate_design, generate_dgp,
-                          late_gap_check, mc_design_config)
+from rdagg.simlab import (DgpSpec, generate_design, generate_dgp, mc_design_config,
+                          run_monte_carlo)
 
 
 def sub(sid, uid, r, s=1.0, **kw):
@@ -625,34 +625,38 @@ class TestSpillover:
 
 
 class TestLateGap:
+    """A heterogeneous-effects sweep scores its estimates against the
+    oracle's cutoff-slice estimand, and a failed replication would drop out
+    of a mean, so each check first asserts that none failed."""
+
     def test_homogeneous_effects_recovered(self):
         spec = DgpSpec(
             n_units=800, outcome_kind="heterogeneous_effects",
             effect_mean=2.0, effect_sd=0.0, seed=3,
         )
-        oracle = estimand_oracle(spec, n_units=100_000)
-        assert oracle.beta0 == pytest.approx(2.0, abs=3 * max(oracle.se, 1e-12) + 1e-9)
-        rows = late_gap_check(spec, h_grid=(0.1,), n_replications=6, seed=3, oracle=oracle)
-        row = rows[0]
-        assert row.gap_upper < 3 * (row.sim_se_upper + oracle.se) + 5e-3
-        assert row.gap_lower < 3 * (row.sim_se_lower + oracle.se) + 5e-3
+        out = run_monte_carlo(spec, estimators=("upper", "lower"), h_grid=(0.1,),
+                              n_replications=6, seed=3)
+        assert out.truth == pytest.approx(2.0, abs=3 * max(out.truth_se, 1e-12) + 1e-9)
+        for cell in out.cells:
+            assert cell.n_fail == 0
+            assert abs(cell.mean_bias) < 3 * (cell.mean_bias_se + out.truth_se) + 5e-3
 
     def test_gap_shrinks_with_bandwidth(self):
         spec = DgpSpec(
             n_units=2000, outcome_kind="heterogeneous_effects",
             effect_mean=2.0, effect_sd=0.1, seed=4,
         )
-        rows = late_gap_check(spec, h_grid=(0.05, 0.5), n_replications=10, seed=4)
-        by_h = {row.bandwidth: row for row in rows}
-        assert by_h[0.05].gap_upper < by_h[0.5].gap_upper
-        assert by_h[0.05].gap_lower < by_h[0.5].gap_lower
+        out = run_monte_carlo(spec, estimators=("upper", "lower"), h_grid=(0.05, 0.5),
+                              n_replications=10, seed=4)
+        assert all(cell.n_fail == 0 for cell in out.cells)
+        for name in ("upper", "lower"):
+            assert abs(out.cell(name, 0.05).mean_bias) < abs(out.cell(name, 0.5).mean_bias)
 
     def test_builds_each_sample_once(self, monkeypatch):
         """One edge index per (design, bandwidth) serves both estimators,
-        and each row's means are bit for bit those of fits that build their
-        own samples."""
+        and each estimate is bit for bit that of a fit that builds its own
+        sample."""
         spec = DgpSpec(n_units=60, outcome_kind="heterogeneous_effects", effect_sd=0.1, seed=5)
-        oracle = estimand_oracle(spec, n_units=20_000)
         calls = []
         edge_index = design._edge_index
 
@@ -661,11 +665,12 @@ class TestLateGap:
             return edge_index(*args, **kwargs)
 
         monkeypatch.setattr(design, "_edge_index", counted)
-        rows = late_gap_check(spec, h_grid=(0.3, 0.6, 0.9), n_replications=4, oracle=oracle)
+        out = run_monte_carlo(spec, estimators=("upper", "lower"), h_grid=(0.3, 0.6, 0.9),
+                              n_replications=4, n_bootstrap=20, seed=5)
         assert len(calls) == 4 * 3
         monkeypatch.undo()
         designs = [generate_design(spec, rep)[0] for rep in range(4)]
-        for row in rows:
-            cfg = mc_design_config(row.bandwidth, "all_three_rda")
-            for fit, mean in ((upper_iv, row.beta_upper), (stacked_iv, row.beta_lower)):
-                assert float(np.array([fit(d, cfg).beta for d in designs]).mean()) == mean
+        for (name, h), estimates in out.estimates.items():
+            fit = upper_iv if name == "upper" else stacked_iv
+            cfg = mc_design_config(h, "all_three_rda")
+            assert estimates.tobytes() == np.array([fit(d, cfg).beta for d in designs]).tobytes()

@@ -137,7 +137,7 @@ def test_public_names():
         "balance", "bootstrap_median_ci", "collapsed_iv", "counterfactual_path",
         "design_exposures", "design_stack", "equivalence", "estimand_oracle",
         "estimate_spillover_bilateral", "estimate_spillover_upper", "generate_design",
-        "generate_dgp", "iv_fit", "late_gap_check", "load_bundle", "load_design",
+        "generate_dgp", "iv_fit", "load_bundle", "load_design",
         "parse_filter", "rd_plot_data", "residualize", "run_monte_carlo", "sharp_rd",
         "stacked_iv", "upper_iv", "variance_decomposition", "wls_fit", "write_bundle",
     ]

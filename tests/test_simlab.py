@@ -3,6 +3,7 @@
 import itertools
 import json
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -173,6 +174,15 @@ class TestRunMonteCarlo:
         (dict(estimators=("upper", "bogus")), r"unknown estimators \['bogus'\]"),
         (dict(h_grid=(0.5, 0.0, -1.0)), r"bandwidths must be positive, got \[0.0, -1.0\]"),
         (dict(h_grid=(float("nan"),)), "bandwidths must be positive"),
+        (dict(n_bootstrap=0), "n_bootstrap must be at least 2, got 0"),
+        (dict(n_bootstrap=1), "n_bootstrap must be at least 2, got 1"),
+        (dict(level=1.5), r"level must lie in \(0, 1\), got 1.5"),
+        (dict(level=0.0), "level must lie in"),
+        (dict(level=float("nan")), "level must lie in"),
+        # refused before the pool is made, so no thread starts
+        (dict(threads=0), "threads must be at least 1, got 0"),
+        (dict(n_replications=1, threads=0),
+         "n_replications must be at least 2; threads must be at least 1"),
     ])
     def test_bad_estimator_or_bandwidth_refused_before_the_sweep(self, monkeypatch, kw,
                                                                  message):
@@ -181,12 +191,13 @@ class TestRunMonteCarlo:
 
         monkeypatch.setattr(simlab, "generate_design", no_replication)
         with pytest.raises(ConfigurationError, match=message):
-            run_monte_carlo(DgpSpec(n_units=10), n_replications=2, **kw)
+            run_monte_carlo(DgpSpec(n_units=10), **{"n_replications": 2, **kw})
 
     def test_cli_refuses_bad_estimator_or_bandwidth(self, tmp_path, capsys):
         simulate = ["simulate", "--n-units", "20", "--reps", "2", "--boot", "10"]
-        for flags in (["--estimators", "upper,bogus"], ["--h-grid", "0.5,-0.1"]):
-            out = tmp_path / flags[0].lstrip("-")
+        for k, flags in enumerate((["--estimators", "upper,bogus"], ["--h-grid", "0.5,-0.1"],
+                                   ["--boot", "0"], ["--boot", "1"], ["--threads", "0"])):
+            out = tmp_path / f"case{k}"
             assert main(simulate + flags + ["--out", str(out)]) == 1
             error = json.loads(capsys.readouterr().err)
             assert error["type"] == "ConfigurationError"
@@ -196,10 +207,66 @@ class TestRunMonteCarlo:
         assert exc.value.code == 2
         assert "--h-grid: could not convert string to float: 'abc'" in capsys.readouterr().err
 
-    def test_heterogeneous_kind_redirected(self):
-        with pytest.raises(ConfigurationError, match="late_gap_check"):
-            run_monte_carlo(DgpSpec(n_units=10, outcome_kind="heterogeneous_effects"),
-                            n_replications=2)
+    def test_truth_comes_from_one_oracle_call_per_population(self, monkeypatch):
+        """The confound kinds score against 0 and never call the oracle; two
+        data seeds of one heterogeneous population share one oracle call,
+        on the spec with its seed set to POPULATION_SEED."""
+        calls = []
+        oracle = simlab.estimand_oracle
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec)
+            return oracle(spec, *args, **kwargs)
+
+        monkeypatch.setattr(simlab, "estimand_oracle", counted)
+        kw = dict(estimators=("upper",), h_grid=(0.5,), n_replications=2, n_bootstrap=20)
+        for kind in ("linear", "symmetric_quadratic", "kinked_quadratic", "single_subunit"):
+            out = run_monte_carlo(DgpSpec(n_units=40, outcome_kind=kind), **kw)
+            assert (out.truth, out.truth_se) == (0.0, 0.0)
+        assert calls == []
+        simlab._population_truth.cache_clear()
+        spec = DgpSpec(n_units=40, outcome_kind="heterogeneous_effects", effect_sd=0.2)
+        first, second = [run_monte_carlo(spec, seed=seed, **kw) for seed in (1, 2)]
+        population = replace(spec, seed=simlab.POPULATION_SEED)
+        assert calls == [population]
+        assert first.to_csv() != second.to_csv()  # two data seeds, one truth
+        got = oracle(population)
+        assert (first.truth, first.truth_se) == (second.truth, second.truth_se) \
+            == (got.beta0, got.se)
+
+    def test_coverage_and_mean_bias_are_hand_counts(self, monkeypatch):
+        """Each cell's mean bias, its SE, the Wald coverage of the truth and
+        the SE-to-SD ratio, recounted from fits that build their own
+        samples; an interval with a NaN end is a miss."""
+        spec = DgpSpec(n_units=80, outcome_kind="heterogeneous_effects", effect_sd=0.3,
+                       noise_sd=0.3, seed=17)
+        out = run_monte_carlo(spec, h_grid=(0.3, 1.2), n_replications=8, n_bootstrap=20,
+                              seed=17)
+        designs = [generate_design(spec, rep)[0] for rep in range(8)]
+        coverages = []
+        for cell in out.cells:
+            fits = [simlab._run_estimator(cell.estimator, d, cell.h, None) for d in designs]
+            beta = np.array([fit.beta for fit in fits])
+            assert beta.tobytes() == out.estimates[(cell.estimator, cell.h)].tobytes()
+            covered = [fit.inference.wald_ci[0] <= out.truth <= fit.inference.wald_ci[1]
+                       for fit in fits]
+            assert cell.coverage == sum(covered) / len(fits)
+            assert cell.mean_bias == beta.mean() - out.truth
+            assert cell.mean_bias_se == beta.std(ddof=1) / np.sqrt(len(fits))
+            assert cell.se_sd_ratio == np.median([fit.robust_se for fit in fits]) / cell.sd
+            coverages.append(cell.coverage)
+        assert min(coverages) < 1.0 and max(coverages) > 0.0
+
+        nan = float("nan")
+        fits = iter([SimpleNamespace(beta=beta, robust_se=1.0,
+                                     inference=SimpleNamespace(wald_ci=wald_ci))
+                     for beta, wald_ci in ((0.1, (nan, 1.0)), (-0.1, (-1.0, nan)),
+                                           (0.2, (-1.0, 1.0)))])
+        monkeypatch.setattr(simlab, "upper_iv", lambda *args, **kwargs: next(fits))
+        cell = run_monte_carlo(DgpSpec(n_units=40, seed=18), estimators=("upper",),
+                               h_grid=(0.5,), n_replications=3, n_bootstrap=20,
+                               seed=18).cell("upper", 0.5)
+        assert (cell.n_ok, cell.coverage) == (3, 1 / 3)
 
     def test_estimation_errors_counted_and_bugs_propagate(self, monkeypatch, tmp_path):
         spec = DgpSpec(n_units=40, seed=12)
@@ -223,7 +290,9 @@ class TestRunMonteCarlo:
         # one replication in three of each cause, in turn
         causes = itertools.cycle([
             EstimationError("empty sample"),
-            SimpleNamespace(beta=float("nan")),  # iv_fit's NaN with a note
+            # iv_fit's NaN with a note
+            SimpleNamespace(beta=float("nan"), robust_se=float("nan"),
+                            inference=SimpleNamespace(wald_ci=(float("nan"), float("nan")))),
             np.linalg.LinAlgError("singular matrix"),
         ])
 
@@ -324,17 +393,13 @@ class TestRunMonteCarlo:
         assert simlab._skeleton.cache_info().currsize == 0
         assert len(units) == 31 and subunits
 
-    def test_late_gap_check_lives_next_to_the_oracle(self):
-        import rdagg
-
-        assert rdagg.late_gap_check is simlab.late_gap_check
-
     def test_csv_columns(self):
         spec = DgpSpec(n_units=40, seed=11)
         out = run_monte_carlo(spec, estimators=("upper",), h_grid=(0.5,),
                               n_replications=2, n_bootstrap=20, seed=11)
         header = out.to_csv().splitlines()[0]
-        assert header == "estimator,h,median_bias,ci_lo,ci_hi,sd,n_ok,n_fail"
+        assert header == ("estimator,h,median_bias,ci_lo,ci_hi,sd,n_ok,n_fail,"
+                          "mean_bias,mean_bias_se,coverage,se_sd_ratio")
 
 
 class TestOracle:
