@@ -13,8 +13,10 @@ holds one dataset as numpy arrays, built once:
   label (NaN where an event lacks the attribute) and the rank of the
   subunit id;
 - optionally the edges of a spillover graph, as unit rows and event indices.
-  They come in as an ``Edges`` table, two id columns with one entry per
-  edge, which ``Design.assemble`` resolves as it resolves the events.
+  They come in as an ``Edges`` table: for each side, its distinct ids and
+  one code per edge. ``Design.assemble`` looks up each distinct id once and
+  gathers the codes. A ``SpilloverGraph`` codes its edges once, and
+  ``Design.to_records`` hands its graph the design's own coding.
 
 A design has three constructors: ``io.load_design`` (CSV columns),
 ``simlab.generate_design`` (the generator's own arrays) and
@@ -56,9 +58,11 @@ only on the inputs.
 
 from __future__ import annotations
 
+import gc
 import operator
 from dataclasses import dataclass, field, fields, replace
-from itertools import compress, repeat
+from functools import cached_property
+from itertools import compress, count, repeat
 from math import isfinite
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -207,7 +211,10 @@ class DesignConfig:
     absorption, and ConvergenceError is raised if ``fe_max_iter``
     conjugate-gradient iterations do not get every column there. The
     iterations run over cells, the distinct combinations of fixed-effect
-    keys, not over rows.
+    keys, not over rows. Each fit codes its cells once, on the units, from
+    ``Design.fe_codes``; a stacked fit renumbers the cells of its rows by
+    count. The conjugate gradients are preconditioned by the exact
+    diagonal of the Schur complement they solve.
     """
 
     bandwidth: float = 0.1
@@ -255,10 +262,27 @@ class SpilloverGraph:
     """Bipartite links from outcome units to intervention subunits.
 
     A subunit may appear in many units' edge sets; each edge inherits the
-    subunit's importance weight.
+    subunit's importance weight. ``edges`` is stored as a tuple of
+    (unit id, subunit id) pairs, whatever sequence of pairs is given, so a
+    graph is hashable, equals the graph of the same pairs in any container,
+    and does not change when the caller's sequence does. ``coded`` is its
+    ``Edges`` table, built once on first use; ``Design.to_records`` gives
+    the graph its design's own coding, so a design rebuilt from those
+    records looks up each id once.
     """
 
     edges: Tuple[Tuple[str, str], ...]
+
+    def __post_init__(self):
+        edges = tuple(map(tuple, self.edges))
+        if set(map(len, edges)) - {2}:
+            raise ConfigurationError("spillover graph edges must be (unit id, subunit id) pairs")
+        object.__setattr__(self, "edges", edges)
+
+    @cached_property
+    def coded(self) -> "Edges":
+        """The edges as an ``Edges`` table (``Edges.code``)."""
+        return Edges.code([unit for unit, _ in self.edges], [sub for _, sub in self.edges])
 
 
 class _Table:
@@ -313,12 +337,27 @@ class Events(_Table):
 
 
 @dataclass(frozen=True, eq=False)
-class Edges(_Table):
-    """Spillover graph columns, one entry per edge: edge k links the unit
-    ``unit_ids[k]`` to the subunit ``subunit_ids[k]``."""
+class Edges:
+    """Spillover graph columns, each side coded: edge k links the unit
+    ``unit_ids[unit[k]]`` to the subunit ``subunit_ids[subunit[k]]``. Each
+    side holds its distinct ids, which may include ids no edge names, and
+    one integer code per edge, so ``Design.assemble`` looks up each id once
+    and gathers the codes. ``Edges.code`` builds the table from two id
+    columns with one entry per edge."""
 
     unit_ids: Sequence[str]
+    unit: np.ndarray
     subunit_ids: Sequence[str]
+    subunit: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.unit)
+
+    @classmethod
+    def code(cls, unit_ids: Sequence[str], subunit_ids: Sequence[str]) -> "Edges":
+        """The edges linking ``unit_ids[k]`` to ``subunit_ids[k]``, each side's
+        distinct ids in order of first appearance."""
+        return cls(*_distinct(unit_ids), *_distinct(subunit_ids))
 
 
 def _floats(values) -> np.ndarray:
@@ -352,6 +391,18 @@ def _index(ids: List[str], kind: str) -> dict:
 def _lookup(index: dict, keys: Sequence[str]) -> np.ndarray:
     """The position of each key in ``index``; -1 where it has none."""
     return np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+
+
+def _distinct(ids: Sequence[str]) -> Tuple[list, np.ndarray]:
+    """The distinct ``ids`` in order of first appearance, and the position of
+    each id among them, in one pass over the ids: each id maps to the
+    position where it first appears, and those positions, which increase,
+    are ranked."""
+    first: dict = {}
+    at = np.fromiter(map(first.setdefault, ids, count()), dtype=np.intp, count=len(ids))
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[np.fromiter(first.values(), dtype=np.intp, count=len(first))] = np.arange(len(first))
+    return list(first), rank[at]
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,11 +445,12 @@ class Design:
         rank[sorted(range(len(events)), key=events.ids.__getitem__)] = np.arange(len(events))
         edge_unit = edge_event = None
         if edges is not None:
-            edge_unit, edge_event = (_lookup(rows, edges.unit_ids),
-                                     _lookup(index, edges.subunit_ids))
+            edge_unit = _lookup(rows, edges.unit_ids)[edges.unit]
+            edge_event = _lookup(index, edges.subunit_ids)[edges.subunit]
             if (edge_unit < 0).any() or (edge_event < 0).any():
-                missing = {*compress(edges.unit_ids, edge_unit < 0),
-                           *compress(edges.subunit_ids, edge_event < 0)}
+                missing = {*map(edges.unit_ids.__getitem__, edges.unit[edge_unit < 0].tolist()),
+                           *map(edges.subunit_ids.__getitem__,
+                                edges.subunit[edge_event < 0].tolist())}
                 raise IntegrityError(f"edges referencing missing endpoints: {_few(missing)}")
             # a repeated edge would count its event twice in the unit's sums
             pairs = np.sort(edge_unit * len(events) + edge_event)
@@ -445,8 +497,7 @@ class Design:
                 attributes={a: _floats(s.attributes.get(a, np.nan) for s in subunits)
                             for a in attributes},
             ),
-            None if graph is None else Edges([unit for unit, _ in graph.edges],
-                                             [sub for _, sub in graph.edges]),
+            None if graph is None else graph.coded,
         )
 
     def subset(self, units: np.ndarray, events: np.ndarray,
@@ -480,25 +531,39 @@ class Design:
         u, e = self.units, self.events
         controls = [(c, col.tolist()) for c, col in u.controls.items()]
         attributes = [(a, col.tolist()) for a, col in e.attributes.items()]
-        units = [
-            UnitRecord(uid, outcome,
-                       extra_controls={c: col[i] for c, col in controls if col[i] == col[i]},
-                       fe_keys={d: keys[i] for d, keys in u.fe.items() if keys[i] is not None},
-                       analysis_weight=weight,
-                       treatment_override=None if override != override else override)
-            for i, (uid, outcome, weight, override) in enumerate(zip(
-                u.ids, u.outcome.tolist(), u.weight.tolist(), u.override.tolist()))
-        ]
-        subunits = [
-            SubunitRecord(sid, uid, r, s, win_flag=None if flag != flag else bool(flag),
-                          attributes={a: col[j] for a, col in attributes if col[j] == col[j]})
-            for j, (sid, uid, r, s, flag) in enumerate(zip(
-                e.ids, e.unit_ids, e.running.tolist(), e.importance.tolist(),
-                e.win_flag.tolist()))
-        ]
-        graph = None if self.edge_unit is None else SpilloverGraph(tuple(
-            (u.ids[i], e.ids[j]) for i, j in zip(self.edge_unit.tolist(),
-                                                 self.edge_event.tolist())))
+        # The records are acyclic, but the cyclic collector would rescan them
+        # again and again while they pile up: a quarter of the time here.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            units = [
+                UnitRecord(uid, outcome,
+                           extra_controls={c: col[i] for c, col in controls if col[i] == col[i]},
+                           fe_keys={d: keys[i] for d, keys in u.fe.items()
+                                    if keys[i] is not None},
+                           analysis_weight=weight,
+                           treatment_override=None if override != override else override)
+                for i, (uid, outcome, weight, override) in enumerate(zip(
+                    u.ids, u.outcome.tolist(), u.weight.tolist(), u.override.tolist()))
+            ]
+            subunits = [
+                SubunitRecord(sid, uid, r, s, win_flag=None if flag != flag else bool(flag),
+                              attributes={a: col[j] for a, col in attributes if col[j] == col[j]})
+                for j, (sid, uid, r, s, flag) in enumerate(zip(
+                    e.ids, e.unit_ids, e.running.tolist(), e.importance.tolist(),
+                    e.win_flag.tolist()))
+            ]
+            graph = None
+            if self.edge_unit is not None:
+                graph = SpilloverGraph(tuple(zip(
+                    map(u.ids.__getitem__, self.edge_unit.tolist()),
+                    map(e.ids.__getitem__, self.edge_event.tolist()))))
+                # the coding this design holds, in place of coding the pairs again
+                object.__setattr__(graph, "coded",
+                                   Edges(u.ids, self.edge_unit, e.ids, self.edge_event))
+        finally:
+            if collecting:
+                gc.enable()
         return units, subunits, graph
 
 
@@ -676,7 +741,10 @@ def design_stack(design: Design, config: DesignConfig, spillover: bool = False) 
     e = _edge_index(design, config, spillover)
     exp = _exposures(design, e)
     keep = e.close_edge
-    keep = keep[np.lexsort((design.event_rank[e.event[keep]], e.unit_row[keep]))]
+    # (unit row, subunit rank) as one int64 key, unique since no edge repeats
+    order = e.unit_row[keep].astype(np.int64) * len(design.events) \
+        + design.event_rank[e.event[keep]]
+    keep = keep[np.argsort(order)]
     unit_row, event = e.unit_row[keep], e.event[keep]
     r = design.events.running[event]
     return Stack(exp.unit_ids, unit_row, event, r, e.instrument[event],

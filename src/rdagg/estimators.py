@@ -60,7 +60,8 @@ from .regress import (
     Z_CRITICAL_5PCT,
     FirstStage,
     ReducedForm,
-    absorb_fixed_effects,
+    absorb_cells,
+    fe_cells,
     iv_fit,
     residualize,
     wls_fit,
@@ -135,29 +136,34 @@ def _extra_columns(design: Design) -> List[Tuple[str, np.ndarray]]:
     return columns
 
 
-def _fe_codes(design: Design, dims: Sequence[str]) -> List[np.ndarray]:
-    """Fixed-effect code arrays of ``dims``; every unit must have every key."""
-    out = []
+def _fe_cells(design: Design, dims: Sequence[str],
+              rows: Optional[np.ndarray] = None) -> Optional[tuple]:
+    """The fixed-effect cells of a fit on the units, or on the stacked rows
+    ``rows`` (``regress.fe_cells``), coded from ``Design.fe_codes``; None
+    without dimensions. Every unit must have every key."""
+    if not dims:
+        return None
+    codes = []
     for dim in dims:
-        codes = design.fe_codes.get(dim, np.full(len(design.units), -1))
-        missing = np.flatnonzero(codes < 0)
+        codes.append(design.fe_codes.get(dim, np.full(len(design.units), -1)))
+        missing = np.flatnonzero(codes[-1] < 0)
         if missing.size:
             raise ConfigurationError(
                 f"unit '{design.units.ids[missing[0]]}' is missing fe key '{dim}'"
             )
-        out.append(codes)
-    return out
+    return fe_cells(codes, rows)
 
 
 def _absorb(y: np.ndarray, x: np.ndarray, z: np.ndarray,
             control_cols: List[Tuple[str, np.ndarray]], weights: np.ndarray,
-            fe_key_lists: List[np.ndarray], config: DesignConfig):
-    """y, x, z and the controls with the fixed effects, if any, absorbed
-    from all of them as one block, and the degrees of freedom they spend."""
-    if not fe_key_lists:
+            cells: Optional[tuple], config: DesignConfig):
+    """y, x, z and the controls with the fixed effects of ``cells``, if any,
+    absorbed from all of them as one block, and the degrees of freedom they
+    spend."""
+    if cells is None:
         return y, x, z, control_cols, 0
-    block, dof = absorb_fixed_effects(
-        np.column_stack([y, x, z] + [col for _, col in control_cols]), fe_key_lists, weights,
+    block, dof = absorb_cells(
+        np.column_stack([y, x, z] + [col for _, col in control_cols]), cells, weights,
         tol=config.fe_tol, max_iter=config.fe_max_iter,
     )
     controls = [(lab, block[:, 3 + j]) for j, (lab, _) in enumerate(control_cols)]
@@ -166,7 +172,7 @@ def _absorb(y: np.ndarray, x: np.ndarray, z: np.ndarray,
 
 def _iv_estimate(y: np.ndarray, x: np.ndarray, z: np.ndarray,
                  control_cols: List[Tuple[str, np.ndarray]], weights: np.ndarray,
-                 fe_key_lists: List[np.ndarray], config: DesignConfig, specification: str,
+                 cells: Optional[tuple], config: DesignConfig, specification: str,
                  n_units: int, n_stacked_rows: int,
                  extra_notes: Optional[List[str]] = None,
                  clusters: Optional[np.ndarray] = None) -> EstimateResult:
@@ -175,7 +181,7 @@ def _iv_estimate(y: np.ndarray, x: np.ndarray, z: np.ndarray,
     Fixed effects, when present, are absorbed from every column and counted
     as extra dropped degrees of freedom.
     """
-    *columns, extra_dof = _absorb(y, x, z, control_cols, weights, fe_key_lists, config)
+    *columns, extra_dof = _absorb(y, x, z, control_cols, weights, cells, config)
     fit = iv_fit(*columns, weights, extra_dof, config.weak_f_threshold, clusters)
     return EstimateResult(
         specification=specification,
@@ -193,10 +199,10 @@ def _iv_estimate(y: np.ndarray, x: np.ndarray, z: np.ndarray,
 
 
 def _upper_columns(design: Design, exp: UnitExposures, config: DesignConfig):
-    """Outcome, weights, controls and fixed-effect codes of the unit-level IV."""
+    """Outcome, weights, controls and fixed-effect cells of the unit-level IV."""
     cols = control_columns(config.control_set, exp.controls) + _extra_columns(design)
-    fe = _fe_codes(design, config.fe_dimensions)
-    if not fe and config.include_intercept:
+    fe = _fe_cells(design, config.fe_dimensions)
+    if fe is None and config.include_intercept:
         cols.append((INTERCEPT, np.ones(len(design.units))))
     return design.units.outcome, design.units.weight, cols, fe
 
@@ -254,9 +260,9 @@ def stacked_iv(design: Design, config: DesignConfig, spillover: bool = False,
     weights = stack.importance * stack.kernel
     if config.lower_unit_weights:
         weights = weights * design.units.weight[rows]
-    fe = [codes[rows] for codes in _fe_codes(design, config.fe_dimensions)]
+    fe = _fe_cells(design, config.fe_dimensions, rows)
     cols = [*zip(BASIS_LABELS, local_linear_basis(stack.running, stack.instrument))]
-    if fe:
+    if fe is not None:
         del cols[0]  # the fixed effects absorb the intercept
     cols += [(lab, col[rows]) for lab, col in _extra_columns(design)]
     return _iv_estimate(
@@ -298,7 +304,7 @@ def equivalence(design: Design, config: DesignConfig,
     beta_b = _iv_estimate(
         y_res[rows], x_res[rows], stack.instrument,
         [*zip(BASIS_LABELS, local_linear_basis(stack.running, stack.instrument))],
-        stack.importance * w[rows], [], config, "lower-equivalent",
+        stack.importance * w[rows], None, config, "lower-equivalent",
         n_units=int(np.count_nonzero(np.bincount(rows))), n_stacked_rows=len(rows),
     ).beta
     absolute = abs(beta_a - beta_b)
@@ -388,7 +394,7 @@ def collapsed_iv(design: Design, config: DesignConfig) -> EstimateResult:
     return _iv_estimate(
         stack.outcome, stack.treatment, stack.instrument,
         [*zip(BASIS_LABELS, local_linear_basis(stack.running, stack.instrument))],
-        stack.importance * stack.kernel, [], config, "spillover-collapsed",
+        stack.importance * stack.kernel, None, config, "spillover-collapsed",
         n_units=n_events, n_stacked_rows=n_events, extra_notes=notes, clusters=stack.event,
     )
 

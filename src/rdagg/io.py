@@ -19,7 +19,8 @@ arrays; ``load_bundle`` is ``load_design`` plus record materialization.
 numeric columns by name), such as the CLI's micro records and series.
 ``load_units``, ``load_subunits`` and ``load_edges`` return the column
 tables ``Units``, ``Events`` and ``Edges``; the last holds the two
-endpoint columns of edges.csv in file order, one entry per row.
+endpoint columns of edges.csv coded (``Edges.code``): each column's
+distinct ids, and one code per row in file order.
 Each file is read whole and decoded by ``decode_utf8``; a byte that does
 not decode is a schema error that names its line and offset. A plain file
 (no '"', carriage return or NUL, every line with the header's number of
@@ -357,7 +358,7 @@ def load_edges(path: str) -> Edges:
     blank = [i for i in (_first(columns[i_unit], ""), _first(columns[i_sub], "")) if i is not None]
     if blank:
         raise SchemaError(f"{path}:{lines[min(blank)]}: empty edge endpoint")
-    return Edges(columns[i_unit], columns[i_sub])
+    return Edges.code(columns[i_unit], columns[i_sub])
 
 
 def load_numbers(path: str, key: str, numbers: Sequence[str]) -> tuple:

@@ -48,16 +48,22 @@ Conventions
   ``n_clusters`` is None.
 - Fixed effects are absorbed before the fit. The dimension with the most
   groups is eliminated exactly, since its weighted group means take one
-  pass (Abowd, Creecy & Kramarz 2002), and one Jacobi-preconditioned
-  conjugate-gradient solve of the Schur complement finds the other
-  dimensions' effects for all columns at once; with one dimension nothing
-  is left to solve. It stops when every column's largest weighted group
-  mean of the residual is at most ``tol`` times the column's weighted RMS,
-  so the rule does not depend on the units of a column. The solve runs over
-  cells (distinct combinations of keys across the dimensions) from their
-  weight sums and weighted column sums, which is all the equations read of
-  the rows. The same group codes and cells give the degrees of freedom the
-  effects spend, which the absorption returns with the columns.
+  pass (Abowd, Creecy & Kramarz 2002), and one conjugate-gradient solve of
+  the Schur complement finds the other dimensions' effects for all columns
+  at once, preconditioned by the exact diagonal of that complement
+  (Jacobi); with one dimension nothing is left to solve. It stops when
+  every column's largest weighted group mean of the residual is at most
+  ``tol`` times the column's weighted RMS, so the rule does not depend on
+  the units of a column. The solve runs over cells (distinct combinations
+  of keys across the dimensions) from their weight sums and weighted
+  column sums, which is all the equations read of the rows. The same group
+  codes and cells give the degrees of freedom the effects spend, which the
+  absorption returns with the columns.
+- The solve has two entry points. ``absorb_fixed_effects`` takes key
+  sequences and codes them into cells by sorting. ``absorb_cells`` takes
+  cells already coded by ``fe_cells``. The estimators code the cells once
+  per fit, on the units, from ``Design.fe_codes``. A stacked fit reads its
+  rows' cells and renumbers the ones present by count, with no sort.
 """
 
 from __future__ import annotations
@@ -458,9 +464,58 @@ def _cells(coded) -> tuple:
     return cell, [(codes[first], n_groups) for codes, n_groups in coded]
 
 
+def fe_cells(codes: Sequence[np.ndarray], rows: Optional[np.ndarray] = None) -> tuple:
+    """The cells of fixed effects given as dense codes, and every
+    dimension's (codes, groups) on the cells, as ``absorb_cells`` takes them.
+
+    ``codes`` holds one integer array per dimension whose codes run over
+    0, ..., G - 1, each present, such as ``Design.fe_codes`` on the units;
+    the cells are those ``_cells`` numbers. With ``rows``, an index array,
+    the result is that of the codes at ``rows``: every cell is read at
+    ``rows``, and the cells and each dimension's groups that remain are
+    renumbered in order by the running count of those present, one
+    ``np.bincount`` each. That is the numbering ``_cells`` gives
+    ``_factorize`` of the codes at ``rows``, without sorting the rows.
+    """
+    cell, coded = _cells([(c, int(np.max(c, initial=-1)) + 1) for c in codes])
+    if rows is None:
+        return cell, coded
+    cell = cell[rows]
+    present = np.bincount(cell, minlength=coded[0][0].size) > 0
+    renumbered = []
+    for group, n_groups in coded:
+        group = group[present]
+        used = np.bincount(group, minlength=n_groups) > 0
+        renumbered.append(((np.cumsum(used) - 1)[group], int(np.count_nonzero(used))))
+    return (np.cumsum(present) - 1)[cell], renumbered
+
+
 def _flat_index(codes: np.ndarray, k: int) -> np.ndarray:
     """``code * k + column`` for every entry of an (len(codes), k) block."""
     return (codes[:, None] * k + np.arange(k)).ravel()
+
+
+def _schur_diagonal(groups: np.ndarray, eliminated: np.ndarray, cell_w: np.ndarray,
+                    wsum_e: np.ndarray, n_groups: int) -> np.ndarray:
+    """The diagonal of the Schur complement D_r'W(I - P_e)D_r over cells.
+
+    ``groups`` holds the remaining dimensions' groups of every cell, one row
+    per dimension, numbered across the dimensions (``n_groups`` in all);
+    ``eliminated`` the eliminated group of every cell, ``cell_w`` the cell
+    weights and ``wsum_e`` the eliminated groups' weights, any positive
+    value for an empty one. With s the weight a group shares with an
+    eliminated group of weight W, summed over every cell of the pair (in
+    three or more dimensions a pair may hold many cells), a group's entry
+    is the sum of s (1 - s / W) over its pairs: its weight less the part the
+    eliminated dimension explains. No term is negative, and the sum is
+    exactly 0 for an empty group and for one whose cells fill their
+    eliminated groups, which the eliminated dimension spans.
+    """
+    n_eliminated = wsum_e.size
+    pairs, pair = np.unique((groups * n_eliminated + eliminated).ravel(), return_inverse=True)
+    shared = np.bincount(pair, weights=np.tile(cell_w, len(groups)))
+    return np.bincount(pairs // n_eliminated, minlength=n_groups,
+                       weights=shared * (1.0 - shared / wsum_e[pairs % n_eliminated]))
 
 
 def _spent_dof(coded) -> int:
@@ -520,14 +575,20 @@ def absorb_fixed_effects(
     of y - D_r a, one ``np.bincount``. What remains is the Schur complement
     D_r'W(I - P_e)D_r a = D_r'W(I - P_e)y, where P_e takes each row to its
     weighted group mean in e. It is solved for every column at once by
-    conjugate gradients with a Jacobi preconditioner (1 / group weight sum
-    in D_r, 0 for an empty group; Correia 2017, reghdfe; Gaure 2013, lfe),
-    and the columns come back as (I - P_e)(y - D_r a). With one dimension
-    nothing remains, and this is the exact pass: subtract each row's
-    weighted group mean. The residual's group means in e are zero by
-    construction, and its group means in the other dimensions are the
-    preconditioned Schur residual. A column has converged when the largest
-    of them is at most ``tol`` times the column's weighted RMS before
+    conjugate gradients with a Jacobi preconditioner (compare Correia 2017,
+    reghdfe; Gaure 2013, lfe): one over the exact diagonal of the Schur
+    complement, 0 where that diagonal is 0. Group g's diagonal entry is
+    the sum, over the eliminated groups h it shares cells with, of
+    s_gh (1 - s_gh / W_h), where s_gh is the weight of the cells in both g
+    and h and W_h the weight of h. That is g's weight less the part the
+    eliminated dimension explains, and it is 0 for an empty group and for
+    one whose cells fill their eliminated groups. The columns come back as
+    (I - P_e)(y - D_r a). With one dimension nothing remains, and this is
+    the exact pass: subtract each row's weighted group mean. The residual's
+    group means in e are zero by construction, and its group means in the
+    other dimensions are the Schur residual over each group's weight. A
+    column has converged when the largest of them is at most ``tol`` times
+    the column's weighted RMS before
     absorption, a rule that does not depend on the column's scale. Raises
     ConvergenceError (carrying the largest attained ratio) if ``max_iter``
     iterations do not suffice, and ConfigurationError on a non-finite
@@ -536,7 +597,10 @@ def absorb_fixed_effects(
     The solve runs over cells, not rows. A cell is one combination of keys
     across the dimensions, and every row of a cell has the same dummies, so
     the equations depend on the rows only through each cell's weight sum
-    and weighted column sums, and rows come back once. Group sums are
+    and weighted column sums, and rows come back once. Here the keys are
+    coded with one ``np.unique`` per dimension and one per further
+    dimension; ``absorb_cells`` runs the same solve on cells already coded
+    (``fe_cells``). Group sums are
     ``np.bincount`` calls over the index ``code * k + column``, adding each
     group's terms in row (or cell) order; D a is ``np.take`` of the group
     values. Rows of zero weight are not identified: they get the effects
@@ -547,17 +611,40 @@ def absorb_fixed_effects(
     so that the rank screen drops it as it drops any collinear column.
     """
     y, w = _gate(*_split("columns", columns), weights)
-    n, k = y.shape
     coded = [_factorize(keys) for keys in fe_keys]
     if not coded:
         raise ConfigurationError("no fixed-effect dimensions to absorb")
     for codes, _ in coded:
-        if codes.size != n:
-            raise ConfigurationError(
-                f"fixed-effect key length {codes.size} does not match {n} rows"
-            )
+        _check_length(codes, w)
+    return _absorb(columns, y, w, *_cells(coded), tol, max_iter)
+
+
+def absorb_cells(columns, cells: tuple, weights, tol: float = FE_TOL,
+                 max_iter: int = FE_MAX_ITER) -> Tuple[np.ndarray, int]:
+    """``absorb_fixed_effects`` on fixed effects already coded: ``cells`` is
+    the cell of every row and each dimension's (codes, groups) on the
+    cells, as ``fe_cells`` returns them. The solve, the stopping rule, the
+    degrees of freedom and the errors are those of ``absorb_fixed_effects``
+    on keys with those cells."""
+    y, w = _gate(*_split("columns", columns), weights)
+    cell, coded = cells
+    _check_length(cell, w)
+    return _absorb(columns, y, w, cell, coded, tol, max_iter)
+
+
+def _check_length(codes: np.ndarray, w: np.ndarray) -> None:
+    if codes.size != w.size:
+        raise ConfigurationError(
+            f"fixed-effect key length {codes.size} does not match {w.size} rows")
+
+
+def _absorb(columns, y: np.ndarray, w: np.ndarray, cell: np.ndarray, coded: list,
+            tol: float, max_iter: int) -> Tuple[np.ndarray, int]:
+    """The solve of ``absorb_fixed_effects`` on the gated block ``y`` of
+    ``columns`` and weights ``w``, the cell of every row and each
+    dimension's (codes, groups) on the cells."""
+    n, k = y.shape
     norms = np.sqrt(w @ (y * y))
-    cell, coded = _cells(coded)
     n_cells = coded[0][0].size
     cell_w = np.bincount(cell, weights=w, minlength=n_cells)
     # the weighted rows in C order, the order of _flat_index
@@ -595,15 +682,19 @@ def absorb_fixed_effects(
         # D_r a: each cell's group values summed over the remaining dimensions
         return np.take(a, groups, axis=0).sum(axis=0)
 
-    dinv = np.divide(1.0, wsum, out=np.zeros(wsum.size), where=wsum > 0)[:, None]
+    diag = _schur_diagonal(groups, eliminated, cell_w, wsum_e[:, 0], offsets[-1])
+    # a zero diagonal leaves nothing to solve for its group (see _schur_diagonal)
+    precond = np.divide(1.0, diag, out=np.zeros(diag.size), where=diag > 0)[:, None]
+    # the residual's weighted group means are the Schur residual over these
+    winv = np.divide(1.0, wsum, out=np.zeros(wsum.size), where=wsum > 0)[:, None]
     rms = norms / np.sqrt(w.sum())
     alpha = np.zeros((wsum.size, k))
     resid = schur_sums(cell_wy)
-    means = dinv * resid
-    direction = means.copy()
-    rz = np.einsum("gj,gj->j", resid, means)
+    z = precond * resid
+    direction = z.copy()
+    rz = np.einsum("gj,gj->j", resid, z)
     for iteration in range(max_iter + 1):
-        worst = np.abs(means).max(axis=0, initial=0.0)
+        worst = np.abs(winv * resid).max(axis=0, initial=0.0)
         active = worst > tol * rms
         if not active.any():
             break
@@ -619,9 +710,9 @@ def absorb_fixed_effects(
                          out=np.zeros(k), where=active)
         alpha += step * direction
         resid -= step * image
-        means = dinv * resid
-        rz_next = np.einsum("gj,gj->j", resid, means)
-        direction = means + np.divide(rz_next, rz, out=np.zeros(k), where=active) * direction
+        z = precond * resid
+        rz_next = np.einsum("gj,gj->j", resid, z)
+        direction = z + np.divide(rz_next, rz, out=np.zeros(k), where=active) * direction
         rz = rz_next
     fitted = expand(alpha)
     fitted += np.take(means_e(cell_wy - cell_w[:, None] * fitted), eliminated, axis=0)

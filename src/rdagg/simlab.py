@@ -264,10 +264,16 @@ def _run_estimator(name: str, design: Design, h: float, stack: Stack) -> Estimat
 def bootstrap_median_ci(
     values, n_boot: int = 300, level: float = 0.95, seed: int = 0
 ) -> Tuple[float, float]:
-    """Percentile bootstrap interval for the sample median."""
+    """Percentile bootstrap interval for the sample median. An empty sample,
+    fewer than two draws or a ``level`` outside (0, 1) is a
+    ConfigurationError."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ConfigurationError("bootstrap_median_ci requires a nonempty sample")
+    if n_boot < 2:
+        raise ConfigurationError(f"n_boot must be at least 2, got {n_boot}")
+    if not 0 < level < 1:
+        raise ConfigurationError(f"level must lie in (0, 1), got {level}")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, v.size, size=(n_boot, v.size))
     medians = np.median(v[idx], axis=1)

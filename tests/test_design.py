@@ -406,6 +406,46 @@ class TestRecordBridge:
         assert design.edge_unit.size == 0 and design.edge_event.size == 0
         assert design.to_records()[2] == SpilloverGraph(())
 
+    def test_graph_holds_a_tuple_of_pairs(self):
+        """Whatever sequence of pairs a graph is given, it holds a tuple of
+        2-tuples: it equals and hashes as the graph of that tuple, and a
+        later change to the caller's list reaches neither the graph nor
+        the endpoint coding it keeps."""
+        pairs = [["u1", "a"], ["u2", "b"]]
+        graph = SpilloverGraph(pairs)
+        same = SpilloverGraph((("u1", "a"), ("u2", "b")))
+        assert graph.edges == same.edges and graph == same and hash(graph) == hash(same)
+        assert len({graph, same}) == 1
+        units, subs = [unit("u1"), unit("u2")], [sub("a", "u1", 0.1), sub("b", "u2", -0.1)]
+        before = Design.from_records(units, subs, graph)  # codes the endpoints
+        pairs[0][0] = "u2"
+        pairs.append(["u1", "b"])
+        after = Design.from_records(units, subs, graph)
+        assert graph == same
+        assert before.edge_unit.tolist() == after.edge_unit.tolist() == [0, 1]
+        assert before.edge_event.tolist() == after.edge_event.tolist() == [0, 1]
+
+    def test_graph_refuses_an_edge_that_is_not_a_pair(self):
+        with pytest.raises(ConfigurationError, match="pairs"):
+            SpilloverGraph([("u1", "a", "b")])
+
+    def test_rebuilt_design_reads_the_coding_of_its_records(self):
+        """The graph of to_records carries its design's coding, every unit
+        id included; a rebuild resolves through it, and refuses only an
+        endpoint that an edge names."""
+        units = [unit("u1"), unit("u2"), unit("u3")]
+        subs = [sub("a", "u1", 0.1), sub("b", "u2", -0.1)]
+        graph = SpilloverGraph((("u2", "a"), ("u1", "b"), ("u1", "a")))
+        units, subs, carried = Design.from_records(units, subs, graph).to_records()
+        assert carried == graph and carried.coded.unit_ids == ["u1", "u2", "u3"]
+        rebuilt = Design.from_records(units, subs, carried)
+        assert rebuilt.edge_unit.tolist() == [1, 0, 0]
+        assert rebuilt.edge_event.tolist() == [0, 1, 0]
+        Design.from_records([u for u in units if u.unit_id != "u3"], subs, carried)
+        with pytest.raises(IntegrityError,
+                           match=r"^edges referencing missing endpoints: \['u2'\]$"):
+            Design.from_records([u for u in units if u.unit_id != "u2"], subs, carried)
+
     def test_take_leaves_no_reference_cycle(self):
         # A recursive closure once held itself and the index array in a
         # cycle, so every take kept its rows alive until a collection.

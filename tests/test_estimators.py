@@ -443,13 +443,13 @@ class TestTwoWayFixedEffects:
         """Both paths of the verifier read one absorbed unit block."""
         units, subs, _ = two_way_panel(np.random.default_rng(44))
         widths = []
-        absorb = estimators.absorb_fixed_effects
+        absorb = estimators.absorb_cells
 
         def counted(columns, *args, **kwargs):
             widths.append(np.shape(columns)[1])
             return absorb(columns, *args, **kwargs)
 
-        monkeypatch.setattr(estimators, "absorb_fixed_effects", counted)
+        monkeypatch.setattr(estimators, "absorb_cells", counted)
         rep = equivalence(Design.from_records(units, subs), self.cfg)
         # outcome, treatment, instrument, three aggregated controls and c0
         assert rep.passed and widths == [7]

@@ -3,10 +3,12 @@ input row order, id labels, the units a control is measured in, or a
 common rescaling of the analysis weights; bundles survive a write/load round trip, the CSV reader builds
 the same design as the record API, the plain split of a CSV text reads it
 as csv.reader does, the unit exposures and the stack are the bits of the
-reference that masks each column, and the units' aggregated controls are
-the unit sums of the stack's weighted local-linear basis."""
+reference that masks each column, the units' aggregated controls are the
+unit sums of the stack's weighted local-linear basis, and the fixed-effect
+cells a fit codes are those the sorting coder gives its rows."""
 
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from rdagg.design import (
     local_linear_basis,
     parse_filter,
 )
+from rdagg import estimators
 from rdagg.estimators import collapsed_iv, stacked_iv, upper_iv
 from rdagg.cli import main
 from rdagg.io import (
@@ -45,6 +48,7 @@ from rdagg.io import (
     load_design,
     write_bundle,
 )
+from rdagg.regress import _cells, _factorize
 
 REL = 1e-10
 # A first stage near zero divides rounding noise into beta: at partial F
@@ -270,8 +274,8 @@ def test_csv_reader_builds_the_record_design(tmp_path_factory, bundle, data):
     edges = None
     if got.edge_unit is not None:
         keep = np.flatnonzero(units[got.edge_unit] & events[got.edge_event]).tolist()
-        edges = Edges([got.units.ids[got.edge_unit[k]] for k in keep],
-                      [got.events.ids[got.edge_event[k]] for k in keep])
+        edges = Edges.code([got.units.ids[got.edge_unit[k]] for k in keep],
+                           [got.events.ids[got.edge_event[k]] for k in keep])
     assert_same_design(capped, Design.assemble(got.units.take(np.flatnonzero(units)),
                                                got.events.take(np.flatnonzero(events)), edges))
 
@@ -436,3 +440,53 @@ def test_crlf_bundle_and_its_lf_twin_read_and_estimate_alike(tmp_path):
         results.append((out / "result.json").read_bytes())
     assert_same_design(*designs)
     assert results[0] == results[1]
+
+
+class _Handed(Exception):
+    """Raised by the stand-in solve once it has the cells a fit hands it."""
+
+
+def handed_cells(fit, *args, **kwargs):
+    """The cells that ``fit`` hands to the fixed-effect solve."""
+    seen = []
+
+    def solve(columns, cells, *rest, **options):
+        seen.append(cells)
+        raise _Handed
+
+    with mock.patch.object(estimators, "absorb_cells", solve), pytest.raises(_Handed):
+        fit(*args, **kwargs)
+    return seen[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_dims=st.integers(1, 3),
+       bandwidth=st.sampled_from([0.2, 0.7, 3.0]), spillover=st.booleans())
+def test_fit_cells_are_the_sorted_coding_of_their_rows(seed, n_dims, bandwidth, spillover):
+    """The cells and per-dimension codes a fit hands to the solve, coded
+    once on the units and, for a stacked fit, renumbered by count on its
+    rows, equal to the bit those of ``_factorize`` and ``_cells`` on the
+    unit codes at the fit's rows: on the units for the upper fit, on the
+    stack's unit rows for the stacked one."""
+    units, subunits, edges = make_bundle(seed, fe=False)
+    rng = np.random.default_rng(seed)
+    # keys out of sorted order, and about three units per key, so that cells
+    # and groups repeat and some drop out of a stack
+    sizes = rng.integers(1, 13, n_dims)
+    units = [replace(u, fe_keys={f"d{d}": f"k{(7 * int(rng.integers(0, g))) % 13:02d}"
+                                 for d, g in enumerate(sizes)}) for u in units]
+    design = Design.from_records(units, subunits, SpilloverGraph(tuple(edges)))
+    config = DesignConfig(bandwidth=bandwidth, fe_dimensions=tuple(sorted(design.fe_codes)))
+    codes = [design.fe_codes[d] for d in config.fe_dimensions]
+    stack = design_stack(design, config, spillover)
+    assume(stack.unit_row.size)
+    for fit, args, rows in ((upper_iv, (design, config, spillover), None),
+                            (stacked_iv, (design, config, spillover), stack.unit_row)):
+        cell, coded = handed_cells(fit, *args)
+        want_cell, want_coded = _cells([_factorize(c if rows is None else c[rows])
+                                         for c in codes])
+        assert cell.dtype == want_cell.dtype and np.array_equal(cell, want_cell)
+        assert len(coded) == len(want_coded)
+        for (got, groups), (want, want_groups) in zip(coded, want_coded):
+            assert groups == want_groups
+            assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -13,7 +13,10 @@ from rdagg.errors import ConfigurationError, ConvergenceError
 from rdagg.regress import (
     FE_MAX_ITER,
     FE_TOL,
+    _cells,
+    _factorize,
     _partial,
+    _schur_diagonal,
     _screen_columns,
     absorb_fixed_effects,
     iv_fit,
@@ -807,6 +810,90 @@ def test_cell_solve_matches_dense_oracle(case):
     assert halves_dof == dof
     assert np.abs(halves[::2] - got).max() <= 1e-10 * scale
     assert np.abs(halves[1::2] - got).max() <= 1e-10 * scale
+
+
+def schur_diagonals(codes, w):
+    """The preconditioner's diagonal on the cells of ``codes``, set up as the
+    solve sets it up, and the diagonal of the dense Schur complement
+    D_r'W(I - P_e)D_r on those cells."""
+    cell, coded = _cells([_factorize(c) for c in codes])
+    n_cells = coded[0][0].size
+    cell_w = np.bincount(cell, weights=w, minlength=n_cells)
+    e = max(range(len(coded)), key=lambda d: coded[d][1])
+    eliminated, n_e = coded[e]
+    rest = coded[:e] + coded[e + 1:]
+    offsets = np.cumsum([0] + [g for _, g in rest])
+    groups = np.array([c + o for (c, _), o in zip(rest, offsets)]).reshape(len(rest), n_cells)
+    wsum_e = np.bincount(eliminated, weights=cell_w, minlength=n_e)
+    got = _schur_diagonal(groups, eliminated, cell_w, np.where(wsum_e > 0, wsum_e, 1.0),
+                          offsets[-1])
+    D_r = np.zeros((n_cells, offsets[-1]))
+    for row in groups:
+        D_r[np.arange(n_cells), row] = 1.0
+    D_e = (eliminated[:, None] == np.arange(n_e)).astype(float)
+    means_e = np.divide(1.0, wsum_e, out=np.zeros(n_e), where=wsum_e > 0)
+    P_e = D_e @ (means_e[:, None] * D_e.T * cell_w)  # weighted group means in e
+    return got, np.diag(D_r.T @ (cell_w[:, None] * (D_r - P_e @ D_r)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=absorb_cases())
+def test_schur_diagonal_matches_dense_oracle(case):
+    """The Jacobi preconditioner is the exact diagonal of the Schur
+    complement the conjugate gradients solve, zero-weight cells and groups
+    included."""
+    _, codes, w, _ = case
+    got, expected = schur_diagonals(codes, w)
+    assert (got >= 0).all()
+    assert np.abs(got - expected).max() <= 1e-12 * w.sum()
+
+
+def test_three_dimension_pairs_are_summed_before_squaring():
+    """In three dimensions a pair of a remaining and an eliminated group may
+    hold several cells: here every (state, industry) pair holds one cell
+    per year. The pair's weight enters the diagonal whole; squaring cell by
+    cell would overstate what the industries explain."""
+    rng = np.random.default_rng(42)
+    n = 240
+    state = rng.integers(0, 4, n)
+    industry = state * 3 + rng.integers(0, 3, n)  # 12 industries, eliminated
+    moved = rng.random(n) < 0.2
+    industry[moved] = rng.integers(0, 12, moved.sum())
+    year = np.arange(n) % 2
+    codes = [state, industry, year]
+    w = rng.uniform(0.5, 2.0, n)
+    got, expected = schur_diagonals(codes, w)
+    assert np.abs(got - expected).max() <= 1e-12 * w.sum()
+    cell, coded = _cells([_factorize(c) for c in codes])
+    pairs = coded[0][0] * 12 + coded[1][0]
+    assert np.unique(pairs).size < pairs.size  # pairs that hold several cells
+    x = rng.normal(size=(n, 3)) + rng.normal(size=(4, 3))[state] \
+        + rng.normal(size=(12, 3))[industry]
+    absorbed, _ = absorb_fixed_effects(x, codes, w, tol=1e-13)
+    reference = dense_absorb(x, codes, w)
+    assert np.abs(absorbed - reference).max() <= 1e-10 * np.abs(reference).max()
+
+
+def test_group_the_eliminated_dimension_spans_matches_dense_oracle():
+    """State 0's rows sit in industries 0 and 1 alone, so each of its cells
+    fills its industry: the industries, eliminated, span state 0 and its
+    Schur diagonal is exactly 0. The preconditioner leaves that group out
+    instead of dividing by zero, and the solve matches the dense oracle of
+    ``test_cell_solve_matches_dense_oracle``, with no NaN."""
+    rng = np.random.default_rng(43)
+    state = np.r_[np.zeros(12, dtype=int), np.arange(60) % 2 + 1]
+    industry = np.r_[np.arange(12) % 2, rng.integers(2, 10, 60)]
+    codes = [state, industry]
+    w = rng.uniform(0.5, 2.0, state.size)
+    got, expected = schur_diagonals(codes, w)
+    assert got[0] == 0.0 and (got[1:] > 0).all()
+    assert np.abs(got - expected).max() <= 1e-12 * w.sum()
+    x = rng.normal(size=(state.size, 3)) + rng.normal(size=(3, 3))[state]
+    absorbed, dof = absorb_fixed_effects(x, codes, w, tol=1e-13)
+    assert np.isfinite(absorbed).all()
+    reference = dense_absorb(x, codes, w)
+    assert np.abs(absorbed - reference).max() <= 1e-10 * np.abs(reference).max()
+    assert dof == 3 + 10 - 2  # two components: {state 0, industries 0-1} and the rest
 
 
 class TestHc1:

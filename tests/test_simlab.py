@@ -135,6 +135,20 @@ class TestBootstrap:
         with pytest.raises(ConfigurationError):
             bootstrap_median_ci([])
 
+    @pytest.mark.parametrize("n_boot", [1, 0, -3])
+    def test_fewer_than_two_draws_rejected(self, n_boot):
+        # 0 raised numpy's IndexError, 1 returned a one-draw interval
+        with pytest.raises(ConfigurationError,
+                           match=rf"^n_boot must be at least 2, got {n_boot}$"):
+            bootstrap_median_ci([1.0, 2.0, 3.0], n_boot=n_boot)
+
+    @pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.2, float("nan")])
+    def test_level_outside_the_unit_interval_rejected(self, level):
+        # 1.5 raised numpy's ValueError
+        with pytest.raises(ConfigurationError,
+                           match=rf"^level must lie in \(0, 1\), got {level}$"):
+            bootstrap_median_ci([1.0, 2.0, 3.0], level=level)
+
 
 class TestRunMonteCarlo:
     def test_degenerate_two_replications(self):
