@@ -19,7 +19,10 @@ earlier ``BENCH_*.json`` files: each side's median and quartiles
 (``statistics.quantiles(method='inclusive')``), the change's relative move,
 the pairs the change won (a tie counts for neither side), whether the
 medians differ by more than the parent's interquartile range, whether the
-change stays within the metric's bound, and every pair by seed. The claim
+change stays within the metric's bound, and every pair by seed. The two
+parts of ``setup_s``, the cold import and the program's set-up (each the
+median of a run's repeats, from the run's record under
+``.perfbench/results``), are reported the same way, without a bound. The claim
 ``W:M:F`` is met when metric M on workload W improves by at least the
 fraction F in the median, the change wins at least nine in ten pairs and
 the medians differ by more than the parent's interquartile range.
@@ -30,6 +33,8 @@ reference numbers. With ``--trace-seed``, the claim's workload runs once
 traced (``--trace 1``) per tree, the change first, and the per-layer
 metrics of both runs are recorded. ``--information`` adds a JSON file of
 notes measured elsewhere under the key ``information``.
+
+Each workload's raw run summaries are kept in DIR as ``runs-<workload>.json``.
 
 The file name has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -75,7 +80,8 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
     env = [line.split("environment", 1)[1] for line in lines if line.strip().startswith(
         "environment")]
     summary["environment"] = json.loads(env[0]) if env else {}
-    summary["exit"] = proc.returncode
+    record = tree / ".perfbench" / "results" / f"{workload}-{seed}-trace{trace}.json"
+    summary["setup"] = json.loads(record.read_text())["setup"]
     return summary
 
 
@@ -92,12 +98,13 @@ def compare(pairs: dict, better: str, bound: float) -> dict:
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in pairs.values())
     ties = sum(p == c for p, c in pairs.values())
-    move = change["median"] / parent["median"] - 1.0
+    # a part that is always zero (no program set-up) has no relative move
+    move = change["median"] / parent["median"] - 1.0 if parent["median"] else None
     return {
         "better": better, "bound": bound, "parent": parent, "change": change,
         "change_vs_parent": move, "change_wins": wins, "ties": ties,
         "gap_exceeds_parent_iqr": abs(change["median"] - parent["median"]) > parent["iqr"],
-        "within_bound": sign * move <= bound,
+        "within_bound": None if bound is None or move is None else sign * move <= bound,
         "per_seed": {str(seed): pair for seed, pair in pairs.items()},
     }
 
@@ -164,6 +171,7 @@ def main(argv=None) -> int:
                 envs[side] = runs[seed][side]["environment"]
                 values = {k: v["value"] for k, v in runs[seed][side]["metrics"].items()}
                 print(f"{name} seed {seed} {side}: {json.dumps(values)}", flush=True)
+        (work / f"runs-{name}.json").write_text(json.dumps(runs))
         workloads[name] = {
             "seeds": args.seeds, "pairs": len(args.seeds),
             "parent_first": [s for s in args.seeds if s % 2],
@@ -176,6 +184,12 @@ def main(argv=None) -> int:
                                            for s in ("parent", "change")]
                                     for seed in args.seeds}, m["better"], m["bound"])
                 for m in bench["end_to_end"]},
+            # setup_s is the median cold import plus the median program set-up
+            "setup_parts": {
+                part: compare({seed: [statistics.median(runs[seed][s]["setup"][part])
+                                      for s in ("parent", "change")]
+                               for seed in args.seeds}, "lower", None)
+                for part in ("import_s", "program_s")},
         }
 
     record = {

@@ -465,8 +465,8 @@ def handed_cells(fit, *args, **kwargs):
 def test_fit_cells_are_the_sorted_coding_of_their_rows(seed, n_dims, bandwidth, spillover):
     """The cells and per-dimension codes a fit hands to the solve, coded
     once on the units and, for a stacked fit, renumbered by count on its
-    rows, equal to the bit those of ``_factorize`` and ``_cells`` on the
-    unit codes at the fit's rows: on the units for the upper fit, on the
+    rows, equal bit for bit those that ``_factorize`` and ``_cells`` give
+    the unit codes at the fit's rows: the units for the upper fit, the
     stack's unit rows for the stacked one."""
     units, subunits, edges = make_bundle(seed, fe=False)
     rng = np.random.default_rng(seed)
