@@ -62,14 +62,14 @@ import gc
 import operator
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 from math import isfinite
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError, IntegrityError
-from .regress import FE_MAX_ITER, FE_TOL, WEAK_F_THRESHOLD
+from .regress import FE_MAX_ITER, FE_TOL, WEAK_F_THRESHOLD, key_codes
 
 KERNELS = ("uniform", "triangular")
 CUTOFF_RULES = ("geq", "strict_gt")
@@ -356,26 +356,27 @@ class Edges:
     @classmethod
     def code(cls, unit_ids: Sequence[str], subunit_ids: Sequence[str]) -> "Edges":
         """The edges linking ``unit_ids[k]`` to ``subunit_ids[k]``, each side's
-        distinct ids in order of first appearance."""
-        return cls(*_distinct(unit_ids), *_distinct(subunit_ids))
+        distinct ids in order of first appearance (``key_codes``), then None.
+        A None endpoint takes None's code, not ``key_codes``' -1, so that
+        ``Design.assemble`` refuses it as an id that names no unit or
+        subunit."""
+        sides = []
+        for ids in (unit_ids, subunit_ids):
+            codes, distinct = key_codes(ids)
+            codes[codes < 0] = len(distinct)
+            distinct.append(None)
+            sides += [distinct, codes]
+        return cls(*sides)
 
 
 def _floats(values) -> np.ndarray:
     return np.fromiter(values, dtype=np.float64)
 
 
-def key_codes(keys: list) -> Tuple[np.ndarray, list]:
-    """Integer codes of ``keys`` in order of first appearance (-1 for None),
-    and the distinct keys in that order."""
-    index: dict = {}
-    codes = np.array([-1 if k is None else index.setdefault(k, len(index)) for k in keys],
-                     dtype=np.intp)
-    return codes, list(index)
-
-
 def _few(ids) -> str:
-    """At most five of ``ids``, sorted, as an error message lists them."""
-    return repr(sorted(ids)[:5])
+    """At most five of ``ids``, sorted by their text, as an error message
+    lists them; a None among them sorts as "None"."""
+    return repr(sorted(ids, key=str)[:5])
 
 
 def _index(ids: List[str], kind: str) -> dict:
@@ -391,18 +392,6 @@ def _index(ids: List[str], kind: str) -> dict:
 def _lookup(index: dict, keys: Sequence[str]) -> np.ndarray:
     """The position of each key in ``index``; -1 where it has none."""
     return np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
-
-
-def _distinct(ids: Sequence[str]) -> Tuple[list, np.ndarray]:
-    """The distinct ``ids`` in order of first appearance, and the position of
-    each id among them, in one pass over the ids: each id maps to the
-    position where it first appears, and those positions, which increase,
-    are ranked."""
-    first: dict = {}
-    at = np.fromiter(map(first.setdefault, ids, count()), dtype=np.intp, count=len(ids))
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[np.fromiter(first.values(), dtype=np.intp, count=len(first))] = np.arange(len(first))
-    return list(first), rank[at]
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,8 +419,8 @@ class Design:
         This is the integrity gate of every constructor. It raises
         IntegrityError on duplicate unit ids, on duplicate subunit ids, on
         edges to an unknown unit or subunit and on an edge given twice;
-        each message lists at most five sorted ids or (unit, subunit)
-        pairs, so it does not depend on row order. An event whose unit id
+        each message lists at most five ids or (unit, subunit) pairs,
+        sorted by their text, so it does not depend on row order. An event whose unit id
         names no unit is kept (graph designs and sharp RD have such events);
         ``require_owners`` refuses it where every event must belong to a
         unit."""

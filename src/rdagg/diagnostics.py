@@ -10,15 +10,15 @@ pairs, report objects) for external tooling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .design import (BASIS_LABELS, CROSSING, INTERCEPT, Design, DesignConfig, Stack,
-                     control_columns, cutoff_indicators, design_exposures, key_codes,
-                     local_linear_basis)
+                     control_columns, cutoff_indicators, design_exposures, local_linear_basis)
 from .errors import ConfigurationError, EstimationError
-from .regress import Z_CRITICAL_5PCT, wls_fit
+from .regress import Z_CRITICAL_5PCT, key_codes, wls_fit
 
 
 @dataclass
@@ -274,6 +274,16 @@ def rd_plot_data(
     )
 
 
+def _finite(name: str, values: Sequence[float]) -> np.ndarray:
+    """``values`` as floats; a ConfigurationError names the first one that
+    is not finite by its position."""
+    v = np.array([float(x) for x in values])
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ConfigurationError(f"{name} must be finite, got {v[bad[0]]} in row {bad[0]}")
+    return v
+
+
 @dataclass
 class VarianceDecomposition:
     total: float
@@ -287,13 +297,14 @@ def variance_decomposition(records: Sequence[Tuple]) -> VarianceDecomposition:
     ``records`` holds (cell_key, value, weight) triples. Within is the
     weighted mean of within-cell variances, between the weighted variance of
     cell means; the two add up to the total exactly (population weighting,
-    no small-sample correction).
+    no small-sample correction). A value or weight that is not finite is
+    refused with a ConfigurationError that names its row.
     """
     if not records:
         raise ConfigurationError("variance_decomposition requires at least one record")
     cells = [str(c) for c, _, _ in records]
-    v = np.array([float(x) for _, x, _ in records])
-    w = np.array([float(x) for _, _, x in records])
+    v = _finite("value", [x for _, x, _ in records])
+    w = _finite("weight", [x for _, _, x in records])
     if np.any(w < 0):
         raise ConfigurationError("weights must be nonnegative")
     total_w = float(w.sum())
@@ -338,10 +349,14 @@ def counterfactual_path(
     Interval endpoints re-run the identity at the interval endpoints of beta.
     The headline share is one minus the counterfactual change divided by the
     actual change over the full series; a zero actual change leaves it
-    undefined (reported as None with a note).
+    undefined (reported as None with a note). A series entry, beta or an
+    interval end that is not finite is refused with a ConfigurationError.
     """
-    a = np.array([float(x) for x in actual])
-    s = np.array([float(x) for x in shortfall])
+    a = _finite("actual", actual)
+    s = _finite("shortfall", shortfall)
+    if not all(map(isfinite, (beta, *beta_ci))):
+        raise ConfigurationError(f"beta and its interval ends must be finite, "
+                                 f"got {beta} and {tuple(beta_ci)}")
     if a.shape != s.shape:
         raise ConfigurationError("actual and shortfall series must have equal length")
     if a.size == 0:

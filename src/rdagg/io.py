@@ -388,8 +388,11 @@ def load_design(units_path: str, subunits_path: str, edges_path: Optional[str] =
     are a ``Design.subset`` of the checked design, so no id is looked up
     twice. Subunits whose unit id names no unit (which an edges file allows)
     count toward no unit and stay. Dropped ids land in the report, which
-    also counts the edges from kept units to dropped subunits.
+    also counts the edges from kept units to dropped subunits. A NaN
+    ``weight_cap``, which no total exceeds, is refused.
     """
+    if weight_cap is not None and weight_cap != weight_cap:
+        raise ConfigurationError("weight_cap must not be NaN")
     units, events = load_units(units_path), load_subunits(subunits_path)
     edges = None if edges_path is None else load_edges(edges_path)
     design = Design.assemble(units, events, edges)

@@ -59,16 +59,19 @@ Conventions
   column sums, which is all the equations read of the rows. The same group
   codes and cells give the degrees of freedom the effects spend, which the
   absorption returns with the columns.
-- The solve has two entry points. ``absorb_fixed_effects`` takes key
-  sequences and codes them into cells by sorting. ``absorb_cells`` takes
-  cells already coded by ``fe_cells``. The estimators code the cells once
-  per fit, on the units, from ``Design.fe_codes``. A stacked fit reads its
+- Ids and keys have one coder, ``key_codes``: codes in order of first
+  appearance, in one pass. ``fe_cells`` makes cells of such codes and
+  ``absorb_cells`` solves on them. The estimators code the cells once per
+  fit, on the units, from ``Design.fe_codes``; a stacked fit reads its
   rows' cells and renumbers the ones present by count, with no sort.
+  ``absorb_fixed_effects`` codes each key sequence with ``key_codes`` and
+  takes the same path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -435,33 +438,17 @@ def residualize(columns, on, weights) -> np.ndarray:
     return out[:, 0] if np.ndim(columns) == 1 else out
 
 
-def _factorize(keys) -> tuple:
-    """Integer group codes of one key array, and the number of groups."""
-    keys = np.asarray(keys)
-    if keys.ndim != 1:
-        raise ConfigurationError(
-            f"fixed-effect keys must be one-dimensional, got shape {keys.shape}"
-        )
-    groups, codes = np.unique(keys, return_inverse=True)
-    return codes.astype(np.intp, copy=False), groups.size
-
-
-def _cells(coded) -> tuple:
-    """The cell of every row, and every dimension's (codes, groups) on the
-    cells.
-
-    A cell is one combination of group codes across all dimensions; cells
-    are numbered in the sorted order of their codes, so with one dimension
-    the cells are its groups. Each chained code is below (cells so far) *
-    (groups of the next dimension), at most n * g, so it cannot overflow.
-    """
-    (cell, n_cells), *rest = coded
-    if not rest:
-        return cell, [(np.arange(n_cells), n_cells)]
-    for codes, n_groups in rest:
-        _, first, cell = np.unique(cell * n_groups + codes, return_index=True,
-                                   return_inverse=True)
-    return cell, [(codes[first], n_groups) for codes, n_groups in coded]
+def key_codes(keys) -> Tuple[np.ndarray, list]:
+    """Integer codes of ``keys`` in order of first appearance (-1 for None),
+    and the distinct keys in that order, in one pass over the keys: each key
+    maps to the position where it first appears, None to -1, and those
+    positions, which increase, are ranked. Keys are told apart as a dict
+    tells them apart, so ``1`` and ``"1"`` are two keys."""
+    first: dict = {None: -1}
+    at = np.fromiter(map(first.setdefault, keys, count()), dtype=np.intp, count=len(keys))
+    # a key first appears where its position is its own; -1 stays -1
+    rank = np.append(np.cumsum(at == np.arange(len(keys))) - 1, -1)
+    return rank[at], list(first)[1:]
 
 
 def fe_cells(codes: Sequence[np.ndarray], rows: Optional[np.ndarray] = None) -> tuple:
@@ -469,15 +456,23 @@ def fe_cells(codes: Sequence[np.ndarray], rows: Optional[np.ndarray] = None) -> 
     dimension's (codes, groups) on the cells, as ``absorb_cells`` takes them.
 
     ``codes`` holds one integer array per dimension whose codes run over
-    0, ..., G - 1, each present, such as ``Design.fe_codes`` on the units;
-    the cells are those ``_cells`` numbers. With ``rows``, an index array,
-    the result is that of the codes at ``rows``: every cell is read at
-    ``rows``, and the cells and each dimension's groups that remain are
-    renumbered in order by the running count of those present, one
-    ``np.bincount`` each. That is the numbering ``_cells`` gives
-    ``_factorize`` of the codes at ``rows``, without sorting the rows.
+    0, ..., G - 1, each present, such as ``key_codes`` gives. A cell is one
+    combination of codes across the dimensions; cells are numbered in the
+    sorted order of their codes, so with one dimension the cells are its
+    groups. Each chained code is below (cells so far) * (groups of the next
+    dimension), at most n * g, so it cannot overflow. With ``rows``, an
+    index array, the result is that of the codes at ``rows``: every cell is
+    read at ``rows``, and the cells and each dimension's groups that remain
+    are renumbered in order by the running count of those present, one
+    ``np.bincount`` each, which is the sorted numbering without sorting the
+    rows.
     """
-    cell, coded = _cells([(c, int(np.max(c, initial=-1)) + 1) for c in codes])
+    coded = [(c, int(np.max(c, initial=-1)) + 1) for c in codes]
+    (cell, n_cells), *rest = coded
+    first = None  # the first row of every cell, unless the cells are the groups
+    for c, n_groups in rest:
+        _, first, cell = np.unique(cell * n_groups + c, return_index=True, return_inverse=True)
+    coded = [(np.arange(n_cells) if first is None else c[first], g) for c, g in coded]
     if rows is None:
         return cell, coded
     cell = cell[rows]
@@ -559,6 +554,9 @@ def absorb_fixed_effects(
 
     ``fe_keys`` holds one key sequence per dimension, each as long as
     ``columns``; composite keys are joined beforehand (e.g. "CA|1980").
+    Keys are told apart as dict keys are, so ``1`` and ``"1"`` are two
+    groups. A missing key, None or a float NaN, is refused with a
+    ConfigurationError that names its dimension and row.
     Returns the absorbed columns and the parameters the fixed effects spend,
     counted from the same group codes and cells the solve uses: the group
     count for one dimension, the rank G1 + G2 - C of the dummies for two,
@@ -597,10 +595,9 @@ def absorb_fixed_effects(
     The solve runs over cells, not rows. A cell is one combination of keys
     across the dimensions, and every row of a cell has the same dummies, so
     the equations depend on the rows only through each cell's weight sum
-    and weighted column sums, and rows come back once. Here the keys are
-    coded with one ``np.unique`` per dimension and one per further
-    dimension; ``absorb_cells`` runs the same solve on cells already coded
-    (``fe_cells``). Group sums are
+    and weighted column sums, and rows come back once. The keys are coded
+    by ``key_codes``, their cells by ``fe_cells``, and the solve is
+    ``absorb_cells``, the path the estimators take. Group sums are
     ``np.bincount`` calls over the index ``code * k + column``, adding each
     group's terms in row (or cell) order; D a is ``np.take`` of the group
     values. Rows of zero weight are not identified: they get the effects
@@ -610,13 +607,25 @@ def absorb_fixed_effects(
     PIVOT_RTOL times its norm before absorption, comes back exactly zero,
     so that the rank screen drops it as it drops any collinear column.
     """
-    y, w = _gate(*_split("columns", columns), weights)
-    coded = [_factorize(keys) for keys in fe_keys]
-    if not coded:
+    codes = []
+    for d, keys in enumerate(fe_keys):
+        if np.ndim(keys) != 1:
+            raise ConfigurationError(
+                f"fixed-effect keys must be one-dimensional, got shape {np.shape(keys)}")
+        # Python scalars hash faster than numpy's
+        dim, distinct = key_codes(keys.tolist() if isinstance(keys, np.ndarray) else keys)
+        # None is coded -1, and NaN is the key unequal to itself
+        missing = np.flatnonzero(np.isin(dim, [-1] + [c for c, k in enumerate(distinct) if k != k]))
+        if missing.size:
+            raise ConfigurationError(
+                f"fixed-effect dimension {d} has a missing key in row {missing[0]}")
+        if codes and dim.size != codes[0].size:
+            raise ConfigurationError(f"fixed-effect dimension {d} has {dim.size} keys, "
+                                     f"dimension 0 has {codes[0].size}")
+        codes.append(dim)
+    if not codes:
         raise ConfigurationError("no fixed-effect dimensions to absorb")
-    for codes, _ in coded:
-        _check_length(codes, w)
-    return _absorb(columns, y, w, *_cells(coded), tol, max_iter)
+    return absorb_cells(columns, fe_cells(codes), weights, tol, max_iter)
 
 
 def absorb_cells(columns, cells: tuple, weights, tol: float = FE_TOL,
@@ -628,14 +637,10 @@ def absorb_cells(columns, cells: tuple, weights, tol: float = FE_TOL,
     on keys with those cells."""
     y, w = _gate(*_split("columns", columns), weights)
     cell, coded = cells
-    _check_length(cell, w)
-    return _absorb(columns, y, w, cell, coded, tol, max_iter)
-
-
-def _check_length(codes: np.ndarray, w: np.ndarray) -> None:
-    if codes.size != w.size:
+    if cell.size != w.size:
         raise ConfigurationError(
-            f"fixed-effect key length {codes.size} does not match {w.size} rows")
+            f"fixed-effect key length {cell.size} does not match {w.size} rows")
+    return _absorb(columns, y, w, cell, coded, tol, max_iter)
 
 
 def _absorb(columns, y: np.ndarray, w: np.ndarray, cell: np.ndarray, coded: list,

@@ -32,7 +32,6 @@ population, so a run over many data seeds draws it once.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -239,6 +238,8 @@ def dataset_digest(design: Design) -> str:
     """Content hash of a design's ids and numeric columns, for
     common-random-number checks. Digests are comparable only between
     datasets hashed by the same version of the package."""
+    import hashlib  # here, so that importing the package does not load OpenSSL
+
     u, e = design.units, design.events
     content = (u.ids, e.ids, e.unit_ids, u.outcome.tolist(), u.weight.tolist(),
                e.running.tolist(), e.importance.tolist())

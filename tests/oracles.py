@@ -133,6 +133,20 @@ def dense_absorb(columns, key_sets, w):
     return C - D @ b
 
 
+def sorted_cells(key_sets):
+    """The cell of every row and each dimension's (codes, groups) on the
+    cells, numbered in sorted order: groups in the order of their keys
+    (``np.unique`` per dimension) and cells in the order of their tuples of
+    group codes (``np.unique`` over the rows). With one dimension the cells
+    are its groups."""
+    coded = [np.unique(np.asarray(keys), return_inverse=True)[1].ravel() for keys in key_sets]
+    n_groups = [int(c.max(initial=-1)) + 1 for c in coded]
+    if len(coded) == 1:
+        return coded[0], [(np.arange(n_groups[0]), n_groups[0])]
+    tuples, cell = np.unique(np.column_stack(coded), axis=0, return_inverse=True)
+    return cell.ravel(), [(tuples[:, d], g) for d, g in enumerate(n_groups)]
+
+
 def reference_exposures(design, index):
     """Unit treatment, instrument and (n, 3) controls from the edge index
     ``index``, with the close edges masked out of each gathered column in

@@ -1,6 +1,7 @@
 """Close sets, instruments, aggregated controls, stacks, and spillover graphs."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -445,6 +446,20 @@ class TestRecordBridge:
         with pytest.raises(IntegrityError,
                            match=r"^edges referencing missing endpoints: \['u2'\]$"):
             Design.from_records([u for u in units if u.unit_id != "u2"], subs, carried)
+
+    @pytest.mark.parametrize("edges, missing", [
+        ((("u1", "a"), (None, "b")), "[None]"),
+        ((("u1", "a"), ("nope", "b"), (None, "b")), "[None, 'nope']"),
+        ((("u1", None), ("u1", "zz")), "[None, 'zz']"),
+    ])
+    def test_none_endpoint_is_a_missing_endpoint(self, edges, missing):
+        """A None endpoint names no unit or subunit, beside another missing
+        endpoint too: it is never read as the last distinct id, and the
+        message sorts the ids by their text."""
+        units, subs = [unit("u1")], [sub("a", "u1", 0.1), sub("b", "u1", -0.1)]
+        with pytest.raises(IntegrityError, match=r"^edges referencing missing endpoints: "
+                                                 + re.escape(missing) + "$"):
+            Design.from_records(units, subs, SpilloverGraph(edges))
 
     def test_take_leaves_no_reference_cycle(self):
         # A recursive closure once held itself and the index array in a

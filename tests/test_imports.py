@@ -1,5 +1,5 @@
-"""The cold import path stays free of scipy, the public namespace is pinned,
-and the benchmark reaches only names the package has.
+"""The cold import path stays free of scipy and hashlib, the public
+namespace is pinned, and the benchmark reaches only names the package has.
 
 scipy is needed only for the balance-test p-values and is imported there;
 importing it at module level would add about a second to every CLI run.
@@ -24,7 +24,8 @@ SRC = str(Path(rdagg.__file__).resolve().parents[1])
 REPORT = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
 SCRIPTS = {
-    "import rdagg": "import rdagg\n" + REPORT,
+    # hashlib loads OpenSSL, 3-4 ms of cold import that only a digest needs
+    "import rdagg": "import rdagg, sys\nassert 'hashlib' not in sys.modules\n" + REPORT,
     "python -m rdagg.cli --help": (
         "import runpy, sys\n"
         "sys.argv = ['rdagg', '--help']\n"
@@ -111,8 +112,8 @@ def test_iv_estimate_tenth_parameter_is_n_stacked_rows():
     ("simlab", "estimators"),
 ])
 def test_no_private_name_crosses(module, source):
-    """diagnostics reads the control basis and the key coding from design's
-    public names, not from the estimators; only io knows the CSV format, so
+    """diagnostics reads the control basis from design's public names and
+    the key coding from regress's, not from the estimators; only io knows the CSV format, so
     cli reads tables through its public reader; and a Monte Carlo sweep
     shares its stacks through the estimators' public signatures."""
     tree = ast.parse(Path(SRC, "rdagg", f"{module}.py").read_text(encoding="utf-8"))

@@ -160,6 +160,13 @@ class TestLoad:
         assert bundle.report.dropped_unit_ids == ["u2"]
         assert len(bundle.report.dropped_subunit_ids) == 2
 
+    def test_nan_weight_cap_refused(self, tmp_path):
+        # a NaN cap once dropped no unit, since no total exceeds NaN
+        up = write(tmp_path, "units.csv", MINIMAL_UNITS)
+        sp = write(tmp_path, "subunits.csv", MINIMAL_SUBUNITS)
+        with pytest.raises(ConfigurationError, match="^weight_cap must not be NaN$"):
+            load_design(up, sp, weight_cap=float("nan"))
+
     @pytest.mark.parametrize("collecting", [True, False])
     def test_reader_leaves_the_collector_as_it_found_it(self, tmp_path, collecting):
         up = write(tmp_path, "units.csv", MINIMAL_UNITS)
@@ -835,6 +842,15 @@ class TestCli:
                      "--out", str(out)]) == 0
         payload = json.loads((out / "counterfactual.json").read_text())
         assert payload["contribution"] == pytest.approx(0.345, abs=0.001)
+
+    def test_counterfactual_command_refuses_nan_beta(self, tmp_path, capsys):
+        series = write(tmp_path, "series.csv", "period,actual,shortfall\n1970,0.272,0.0\n"
+                                               "2010,0.385,0.2\n")
+        assert main(["counterfactual", "--series", series, "--beta", "nan",
+                     "--beta-lo", "-0.325", "--beta-hi", "-0.035",
+                     "--out", str(tmp_path / "cf")]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["type"] == "ConfigurationError" and "beta" in error["error"]
 
     def test_balance_command(self, tmp_path):
         rng = np.random.default_rng(10)

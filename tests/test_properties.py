@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_exposures, reference_stack
+from oracles import reference_exposures, reference_stack, sorted_cells
 from rdagg.design import (
     _OPS,
     CUTOFF_RULES,
@@ -48,7 +48,6 @@ from rdagg.io import (
     load_design,
     write_bundle,
 )
-from rdagg.regress import _cells, _factorize
 
 REL = 1e-10
 # A first stage near zero divides rounding noise into beta: at partial F
@@ -465,7 +464,7 @@ def handed_cells(fit, *args, **kwargs):
 def test_fit_cells_are_the_sorted_coding_of_their_rows(seed, n_dims, bandwidth, spillover):
     """The cells and per-dimension codes a fit hands to the solve, coded
     once on the units and, for a stacked fit, renumbered by count on its
-    rows, equal bit for bit those that ``_factorize`` and ``_cells`` give
+    rows, equal bit for bit the sorted coding (``sorted_cells``) of
     the unit codes at the fit's rows: the units for the upper fit, the
     stack's unit rows for the stacked one."""
     units, subunits, edges = make_bundle(seed, fe=False)
@@ -483,8 +482,7 @@ def test_fit_cells_are_the_sorted_coding_of_their_rows(seed, n_dims, bandwidth, 
     for fit, args, rows in ((upper_iv, (design, config, spillover), None),
                             (stacked_iv, (design, config, spillover), stack.unit_row)):
         cell, coded = handed_cells(fit, *args)
-        want_cell, want_coded = _cells([_factorize(c if rows is None else c[rows])
-                                         for c in codes])
+        want_cell, want_coded = sorted_cells([c if rows is None else c[rows] for c in codes])
         assert cell.dtype == want_cell.dtype and np.array_equal(cell, want_cell)
         assert len(coded) == len(want_coded)
         for (got, groups), (want, want_groups) in zip(coded, want_coded):

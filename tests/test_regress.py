@@ -8,13 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_absorb, dense_tsls, exact_wls_hc1
+from oracles import dense_absorb, dense_tsls, exact_wls_hc1, sorted_cells
 from rdagg.errors import ConfigurationError, ConvergenceError
 from rdagg.regress import (
     FE_MAX_ITER,
     FE_TOL,
-    _cells,
-    _factorize,
     _partial,
     _schur_diagonal,
     _screen_columns,
@@ -529,6 +527,16 @@ class TestAbsorb:
             absorb_fixed_effects(cols, keys, np.ones(4))
         with pytest.raises(ConfigurationError, match="finite"):
             absorb_fixed_effects(np.array([1.0, np.inf, 2.0, 3.0]), keys, np.ones(4))
+        # A missing key is refused, not coded as a group: a None key once
+        # raised numpy's TypeError, and NaN keys formed one group.
+        for missing, message in (
+                ([["a", "b", None, "a"]], "dimension 0 has a missing key in row 2"),
+                ([keys[0], [1.0, float("nan"), float("nan"), 1.0]],
+                 "dimension 1 has a missing key in row 1"),
+                ([keys[0], np.array([1.0, 2.0, 1.0, np.nan])],
+                 "dimension 1 has a missing key in row 3")):
+            with pytest.raises(ConfigurationError, match=f"^fixed-effect {message}$"):
+                absorb_fixed_effects(cols[:, 1], missing, np.ones(4))
 
     def test_single_group_demeans(self):
         rng = np.random.default_rng(14)
@@ -602,6 +610,19 @@ class TestAbsorb:
         keys = np.array([["a", "b"], ["a", "c"], ["b", "b"], ["b", "c"]])
         with pytest.raises(ConfigurationError, match="one-dimensional"):
             absorb_fixed_effects(np.arange(4.0), [keys], np.ones(4))
+        with pytest.raises(ConfigurationError,
+                           match="^fixed-effect dimension 1 has 3 keys, dimension 0 has 4$"):
+            absorb_fixed_effects(np.arange(4.0), [list("aabb"), list("xyx")], np.ones(4))
+        with pytest.raises(ConfigurationError,
+                           match="^fixed-effect key length 3 does not match 4 rows$"):
+            absorb_fixed_effects(np.arange(4.0), [list("aab")], np.ones(4))
+
+    def test_keys_are_told_apart_by_type(self):
+        """``1`` and ``"1"`` are two groups, as dict keys are; an array of
+        strings and its list of the same strings are one coding."""
+        assert self.dof([[1, "1", 1, "1"]]) == 2
+        keys = ["b", "a", "b", "c"]
+        assert self.dof([np.array(keys)]) == self.dof([keys]) == 3
 
     @staticmethod
     def dof(keys):
@@ -816,7 +837,7 @@ def schur_diagonals(codes, w):
     """The preconditioner's diagonal on the cells of ``codes``, set up as the
     solve sets it up, and the diagonal of the dense Schur complement
     D_r'W(I - P_e)D_r on those cells."""
-    cell, coded = _cells([_factorize(c) for c in codes])
+    cell, coded = sorted_cells(codes)
     n_cells = coded[0][0].size
     cell_w = np.bincount(cell, weights=w, minlength=n_cells)
     e = max(range(len(coded)), key=lambda d: coded[d][1])
@@ -864,7 +885,7 @@ def test_three_dimension_pairs_are_summed_before_squaring():
     w = rng.uniform(0.5, 2.0, n)
     got, expected = schur_diagonals(codes, w)
     assert np.abs(got - expected).max() <= 1e-12 * w.sum()
-    cell, coded = _cells([_factorize(c) for c in codes])
+    cell, coded = sorted_cells(codes)
     pairs = coded[0][0] * 12 + coded[1][0]
     assert np.unique(pairs).size < pairs.size  # pairs that hold several cells
     x = rng.normal(size=(n, 3)) + rng.normal(size=(4, 3))[state] \
