@@ -306,10 +306,11 @@ class TestVarianceDecomposition:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             variance_decomposition([])
+        nan, inf = float("nan"), float("inf")
         for records, message in (
-                ([("a", 1.0, 1.0), ("b", float("nan"), 1.0)], "value must be finite, got nan in row 1"),
-                ([("a", float("inf"), 1.0)], "value must be finite, got inf in row 0"),
-                ([("a", 1.0, 1.0), ("a", 2.0, float("inf"))], "weight must be finite, got inf in row 1")):
+                ([("a", 1.0, 1.0), ("b", nan, 1.0)], "value must be finite, got nan in row 1"),
+                ([("a", inf, 1.0)], "value must be finite, got inf in row 0"),
+                ([("a", 1.0, 1.0), ("a", 2.0, inf)], "weight must be finite, got inf in row 1")):
             with pytest.raises(ConfigurationError, match=f"^{message}$"):
                 variance_decomposition(records)
 
@@ -347,10 +348,11 @@ class TestCounterfactual:
             assert got.ci_lo[t] <= got.counterfactual[t] <= got.ci_hi[t]
 
     @pytest.mark.parametrize("actual, shortfall, beta, ci, message", [
-        ([1.0, float("nan")], [0.0, 1.0], -0.3, (-0.5, -0.1), "actual must be finite, got nan in row 1"),
-        ([1.0, 2.0], [float("inf"), 1.0], -0.3, (-0.5, -0.1), "shortfall must be finite, got inf in row 0"),
-        ([1.0, 2.0], [0.0, 1.0], float("nan"), (-0.5, -0.1), "beta and its interval ends"),
-        ([1.0, 2.0], [0.0, 1.0], -0.3, (-0.5, float("inf")), "beta and its interval ends"),
+        ([1.0, np.nan], [0.0, 1.0], -0.3, (-0.5, -0.1), "actual must be finite, got nan in row 1"),
+        ([1.0, 2.0], [np.inf, 1.0], -0.3, (-0.5, -0.1),
+         "shortfall must be finite, got inf in row 0"),
+        ([1.0, 2.0], [0.0, 1.0], np.nan, (-0.5, -0.1), "beta and its interval ends"),
+        ([1.0, 2.0], [0.0, 1.0], -0.3, (-0.5, np.inf), "beta and its interval ends"),
     ])
     def test_non_finite_input_rejected(self, actual, shortfall, beta, ci, message):
         # a NaN beta once came back as a NaN path and contribution, with no note

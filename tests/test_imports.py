@@ -113,9 +113,10 @@ def test_iv_estimate_tenth_parameter_is_n_stacked_rows():
 ])
 def test_no_private_name_crosses(module, source):
     """diagnostics reads the control basis from design's public names and
-    the key coding from regress's, not from the estimators; only io knows the CSV format, so
-    cli reads tables through its public reader; and a Monte Carlo sweep
-    shares its stacks through the estimators' public signatures."""
+    the key coding from regress's, not from the estimators; only io knows
+    the CSV format, so cli reads tables through its public reader; and a
+    Monte Carlo sweep shares its stacks through the estimators' public
+    signatures."""
     tree = ast.parse(Path(SRC, "rdagg", f"{module}.py").read_text(encoding="utf-8"))
     private = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level and node.module == source
